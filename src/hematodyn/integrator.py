@@ -97,12 +97,12 @@ class IntegrationConfig:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not 1e-12 <= self.rel_tol <= 1e-3:
             raise ValueError(f"rel_tol must lie in [1e-12, 1e-3], got {self.rel_tol}")
-        if not self.abs_tol > 0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
+            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
         for name in ("max_step", "initial_step", "output_stride"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive when given, got {value}")
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite when given, got {value}")
 
     @property
     def stride(self) -> float:

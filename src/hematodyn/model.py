@@ -34,7 +34,6 @@ __all__ = [
     "InvariantBox",
     "feedback_signal",
     "rhs",
-    "residual_scale",
     "nondimensionalize",
     "steady_state_E0",
     "steady_state_E1",
@@ -76,6 +75,12 @@ class ModelParameters:
     d2: float = 0.0
 
     def __post_init__(self):
+        # the range checks below compare, and every comparison with NaN is
+        # False, so non-finite values are rejected first and by name
+        for name in ("a1", "a2", "p1", "p2", "d3", "k", "d1", "d2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (0.0 < self.a1 < 1.0 and 0.0 < self.a2 < 1.0):
             raise ValueError(
                 f"self-renewal fractions must lie in (0, 1), got a1={self.a1}, a2={self.a2}"
@@ -180,15 +185,6 @@ def rhs(params: ModelParameters, state: CellState) -> Tuple[float, float, float]
     nonnegative derivative, since a1*s < 1 and a2*s < 1 for s in (0, 1].
     """
     return _rhs_values(params, state.u1, state.u2, state.u3)
-
-
-def residual_scale(params: ModelParameters, state: CellState) -> float:
-    """Gross flux magnitude used to normalize steady-state residuals."""
-    s = feedback_signal(params.k, state.u3)
-    f1 = (params.p1 + params.d1) * state.u1
-    f2 = (params.p2 + params.d2) * state.u2 + 2.0 * (1.0 - params.a1 * s) * params.p1 * state.u1
-    f3 = 2.0 * (1.0 - params.a2 * s) * params.p2 * state.u2 + params.d3 * state.u3
-    return max(f1, f2, f3)
 
 
 def nondimensionalize(params: ModelParameters) -> ModelParameters:

@@ -14,6 +14,7 @@ sweepable axis; it only scales the steady-state cell counts.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -23,6 +24,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .analysis import AttractorVerdict, classify, default_horizon
+from .integrator import IntegrationConfig, integrate
 from .model import CellState, ModelParameters, steady_state_E2
 from .stability import MARGINAL_TOL, _extended_coeffs, char_poly_E2, hurwitz_value
 
@@ -111,6 +113,10 @@ class AxisSpec:
             if self.name == "k":
                 raise ValueError("stability does not depend on k; it is not a sweep axis")
             raise ValueError(f"unknown sweep parameter {self.name!r}")
+        for label in ("low", "high", "count", "nudge"):
+            value = getattr(self, label)
+            if not math.isfinite(value):
+                raise ValueError(f"{label} of the {self.name} axis must be finite, got {value}")
         if not self.low < self.high:
             raise ValueError(f"empty interval for {self.name}: ({self.low}, {self.high})")
         if self.count < 2:
@@ -329,18 +335,25 @@ def write_sweep_csv(result: SweepResult, fh) -> None:
     """Stream the per-point rows as CSV: coordinates, existence, margin, class.
 
     Floats use 17 significant digits and '.' decimals so two runs of the
-    same sweep produce byte-identical files.
+    same sweep produce byte-identical files. Rows are written in blocks of
+    `_CHUNK` rows, one `fh.write` per block, so memory stays bounded by the
+    block size rather than the grid size.
     """
     fh.write(",".join(result.spec.names) + ",e2_exists,hurwitz,class\n")
-    shape = result.spec.shape
-    grids = result._grids
-    for i in range(result.n_points):
-        multi = np.unravel_index(i, shape)
-        coords = ",".join("%.17g" % g[j] for g, j in zip(grids, multi))
-        fh.write(
-            "%s,%d,%.17g,%s\n"
-            % (coords, int(result.exists[i]), result.hurwitz[i], _CLASS_NAMES[result.class_codes[i]])
+    # each axis value is formatted once; the product runs the last axis
+    # fastest, the same C order as the flat result arrays
+    axes = [["%.17g" % value for value in grid.tolist()] for grid in result._grids]
+    coords = map(",".join, itertools.product(*axes))
+    labels = [",%s\n" % name for name in _CLASS_NAMES]
+    for start in range(0, result.n_points, _CHUNK):
+        stop = start + _CHUNK
+        rows = zip(
+            itertools.islice(coords, _CHUNK),
+            result.exists[start:stop].tolist(),
+            result.hurwitz[start:stop].tolist(),
+            result.class_codes[start:stop].tolist(),
         )
+        fh.write("".join("%s,%d,%.17g%s" % (c, e, h, labels[k]) for c, e, h, k in rows))
 
 
 def sweep_summary(result: SweepResult, max_points: int = 1000) -> dict:
@@ -405,8 +418,6 @@ def _classify_from_equilibrium(params, horizon=None) -> Optional[AttractorVerdic
 
 
 def _last_state(params, start, t_end) -> CellState:
-    from .integrator import IntegrationConfig, integrate
-
     traj = integrate(params, start, IntegrationConfig(t_end=t_end, output_stride=t_end))
     return traj.final
 

@@ -1,6 +1,7 @@
 """CLI tests: config parsing, command plumbing, exit codes, determinism."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -63,6 +64,21 @@ class TestArgumentErrors:
         code, _, err = run(capsys, "stability", "--set", "p2")
         assert code == 2
         assert "invalid configuration" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("stability", "--set", "d1=nan"),
+        ("stability", "--set", "k=inf"),
+        ("hopf", "--set", "p1=-inf"),
+        ("sweep", "--set", "vary=p1:nan:0.5:5", "--out", "unused.csv"),
+        ("simulate", "--set", "u1=1", "--set", "u2=1", "--set", "u3=1",
+         "--set", "t_end=10", "--set", "abs_tol=inf"),
+    ])
+    def test_non_finite_input_rejected(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be" in err and "finite" in err
 
     def test_unreadable_config(self, capsys):
         code, _, err = run(capsys, "stability", "--config", "/nonexistent/x.cfg")
@@ -310,8 +326,13 @@ class TestEntryPoints:
         )
 
     def test_console_script_failure_code(self):
-        result = subprocess.run(
-            ["hematodyn", "stability", "--config", "/nonexistent/x.cfg"],
-            capture_output=True, text=True, timeout=120,
-        )
+        args = ["stability", "--config", "/nonexistent/x.cfg"]
+        if shutil.which("hematodyn") is not None:
+            command = ["hematodyn", *args]
+        else:
+            # package importable but not installed: run the same target the
+            # console script points at (pyproject: hematodyn.cli:entrypoint)
+            command = [sys.executable, "-c",
+                       "from hematodyn.cli import entrypoint; entrypoint()", *args]
+        result = subprocess.run(command, capture_output=True, text=True, timeout=120)
         assert result.returncode == 2

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     SHOWCASE_IC_SETTLING,
@@ -39,6 +41,21 @@ class TestConfigValidation:
             IntegrationConfig(t_end=1.0, abs_tol=0.0)
         with pytest.raises(ValueError):
             IntegrationConfig(t_end=1.0, output_stride=-0.5)
+
+    @given(
+        st.floats(min_value=1e-3, max_value=1e5),
+        st.floats(min_value=1e-12, max_value=1e-3),
+        st.floats(min_value=1e-9, max_value=1e6),
+        st.sampled_from(("t_end", "rel_tol", "abs_tol", "max_step", "initial_step", "output_stride")),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_non_finite_settings_rejected(self, t_end, rel_tol, abs_tol, name, value):
+        fields = dict(t_end=t_end, rel_tol=rel_tol, abs_tol=abs_tol,
+                      max_step=t_end, initial_step=t_end / 100.0, output_stride=t_end / 10.0)
+        IntegrationConfig(**fields)
+        fields[name] = value
+        with pytest.raises(ValueError, match=name):
+            IntegrationConfig(**fields)
 
     def test_default_stride_is_two_thousandth(self):
         config = IntegrationConfig(t_end=100.0)

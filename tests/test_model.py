@@ -26,6 +26,7 @@ from hematodyn import (
 fractions = st.floats(min_value=0.01, max_value=0.99)
 rates = st.floats(min_value=0.01, max_value=3.0)
 counts = st.floats(min_value=0.0, max_value=1e10)
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 @st.composite
@@ -277,6 +278,11 @@ class TestValidation:
             ModelParameters(a1=0.7, a2=0.5, p1=-1.0, p2=0.5, d3=0.5, k=1e-9)
         with pytest.raises(ValueError):
             ModelParameters(a1=0.7, a2=0.5, p1=1.0, p2=0.5, d3=0.5, k=0.0)
+
+    @given(any_params(), st.sampled_from(("a1", "a2", "p1", "p2", "d3", "k", "d1", "d2")), non_finite)
+    def test_non_finite_fields_rejected(self, params, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            params.with_(**{name: value})
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

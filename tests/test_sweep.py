@@ -1,9 +1,13 @@
 """Sweep machinery tests: grids, determinism, brackets, example sets."""
 
+import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     CN_A,
@@ -25,12 +29,33 @@ from hematodyn import (
     bifurcation_bracket,
     char_poly_E2,
     check_constellations,
+    dumps,
     hopf_point,
     hurwitz_value,
     run_sweep,
     sweep_summary,
     write_sweep_csv,
 )
+from hematodyn.sweep import _CHUNK
+
+
+def reference_csv(result):
+    """Row-by-row CSV through the public accessors, the writer's oracle."""
+    out = io.StringIO()
+    out.write(",".join(result.spec.names) + ",e2_exists,hurwitz,class\n")
+    for coords, exists, h, label in result.iter_rows():
+        out.write(",".join("%.17g" % v for v in coords))
+        out.write(",%d,%.17g,%s\n" % (exists, h, label))
+    return out.getvalue()
+
+
+class RecordingSink:
+    def __init__(self):
+        self.blocks = []
+
+    def write(self, text):
+        self.blocks.append(text)
+        return len(text)
 
 
 class TestAxisSpec:
@@ -49,6 +74,22 @@ class TestAxisSpec:
             AxisSpec(name="d3", low=0.5, high=1.0, count=1)
         with pytest.raises(ValueError):
             AxisSpec(name="d3", low=0.5, high=1.0, nudge=0.5)
+
+    @given(
+        st.sampled_from(sorted(PLAUSIBLE_INTERVALS)),
+        st.floats(min_value=0.0, max_value=0.49),
+        st.floats(min_value=0.51, max_value=1.0),
+        st.sampled_from(("low", "high", "count", "nudge")),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_non_finite_fields_rejected(self, name, lo_frac, hi_frac, field, value):
+        lo, hi = PLAUSIBLE_INTERVALS[name]
+        fields = dict(name=name, low=lo + lo_frac * (hi - lo), high=lo + hi_frac * (hi - lo),
+                      count=7, nudge=1e-4)
+        AxisSpec(**fields)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} of the {name} axis must be finite"):
+            AxisSpec(**fields)
 
     def test_leaving_plausible_range_warns(self):
         with pytest.warns(UserWarning, match="plausible range"):
@@ -165,6 +206,38 @@ class TestResultAccess:
         assert lines[0] == "d3,e2_exists,hurwitz,class"
         assert len(lines) == 4
         assert lines[1].endswith(",stable")
+
+    def test_golden_digests(self):
+        # frozen from the row-by-row writer; 11339 points (not a multiple of
+        # the chunk size) with stable, unstable and nonexistent rows
+        axes = (axis_for("p1", 23), axis_for("a2", 29), axis_for("d3", 17))
+        result = run_sweep(SweepSpec(varied=axes))
+        assert result.n_points % _CHUNK != 0
+        assert result.counts["nonexistent"] > 0 and result.counts["unstable"] > 0
+        out = io.StringIO()
+        write_sweep_csv(result, out)
+        assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == (
+            "126b9eaa56e83fc5d25930459a40908f8d1bb192b816a1abd8ac2298e3e47b7e"
+        )
+        assert hashlib.sha256(dumps(sweep_summary(result)).encode("utf-8")).hexdigest() == (
+            "30131a192ac8d9251bb257b0f565dc3f25bfb057eaf63ce61755bfb1ba7822d3"
+        )
+
+    @pytest.mark.parametrize("axes", [
+        (("a2", 80),),
+        tuple((name, 2) for name in PLAUSIBLE_INTERVALS),
+        (("a2", _CHUNK - 1),),
+        (("p1", 128), ("a2", _CHUNK // 128)),
+        (("a2", 3), ("d3", (_CHUNK + 1) // 3)),
+    ], ids=["1-axis", "7-axes", "chunk-1", "chunk", "chunk+1"])
+    def test_csv_matches_row_by_row_reference(self, axes):
+        result = run_sweep(SweepSpec(varied=tuple(axis_for(n, c) for n, c in axes)))
+        sink = RecordingSink()
+        write_sweep_csv(result, sink)
+        assert "".join(sink.blocks) == reference_csv(result)
+        # header, then one write per block of at most _CHUNK rows
+        assert len(sink.blocks) == 1 + -(-result.n_points // _CHUNK)
+        assert all(block.count("\n") <= _CHUNK for block in sink.blocks)
 
     def test_summary_structure_and_truncation(self):
         axes = (axis_for("p1", 40), axis_for("a2", 40), axis_for("d3", 40))
