@@ -195,6 +195,11 @@ def classify(
     """
     if not 0.0 < transient_fraction < 1.0:
         raise ValueError(f"transient_fraction must lie in (0, 1), got {transient_fraction}")
+    # NaN fails every tolerance comparison below and infinity passes every
+    # one; either would yield a plausible-looking verdict
+    for name, tol in (("equilibrium_tol", equilibrium_tol), ("agreement_tol", agreement_tol)):
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {tol}")
     if horizon is None:
         horizon = default_horizon(params)
     stride = output_stride if output_stride is not None else horizon / 4000.0

@@ -14,6 +14,7 @@ reference values. Exit codes: 0 success, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from typing import Dict, Optional
 
@@ -30,6 +31,7 @@ from .serialize import (
 )
 from .stability import hopf_point, stability_reports
 from .sweep import (
+    REFERENCE_PARAMETERS,
     AxisSpec,
     SweepSpec,
     check_constellations,
@@ -100,8 +102,6 @@ def _get_bool(cfg, key, default: bool) -> bool:
 
 
 def _build_params(cfg, rescaled: bool) -> ModelParameters:
-    from .sweep import REFERENCE_PARAMETERS
-
     kwargs = {key: getattr(REFERENCE_PARAMETERS, key) for key in _PARAM_KEYS}
     for key in _PARAM_KEYS:
         value = _get_float(cfg, key)
@@ -143,8 +143,6 @@ def _cmd_simulate(args) -> int:
     params = _build_params(cfg, args.rescaled)
     initial = _build_initial(cfg)
     traj = integrate(params, initial, _integration_config(cfg))
-    import io
-
     buffer = io.StringIO()
     write_trajectory_csv(traj, buffer)
     _write_text(args.out, buffer.getvalue())
@@ -209,8 +207,6 @@ def _parse_axes(cfg) -> SweepSpec:
             raise ConfigError(f"bad axis spec {part!r}: {exc}") from exc
         # user-stated intervals are taken literally (closed, no endpoint nudge)
         axes.append(AxisSpec(name=name, low=low, high=high, count=count, nudge=0.0))
-    from .sweep import REFERENCE_PARAMETERS
-
     fixed_cfg = {key: value for key, value in cfg.items() if key in _PARAM_KEYS}
     fixed = _build_params(fixed_cfg, rescaled=False) if fixed_cfg else REFERENCE_PARAMETERS
     return SweepSpec(varied=tuple(axes), fixed=fixed)
@@ -221,7 +217,7 @@ def _cmd_sweep(args) -> int:
     if not args.out:
         raise ConfigError("sweep writes CSV to --out; the JSON summary goes to stdout")
     spec = _parse_axes(cfg)
-    result = run_sweep(spec, workers=args.workers)
+    result = run_sweep(spec)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_sweep_csv(result, fh)
     sys.stdout.write(dumps(sweep_summary(result)))
@@ -269,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--workers", type=int, default=1, help="sweep worker processes")
         p.add_argument("--rescaled", action="store_true",
                        help="renormalize rates so the stem proliferation rate is 1")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .model import CellState, ModelParameters
+from .model import CellState, ModelParameters, rhs_closure
 
 __all__ = ["IntegrationConfig", "Trajectory", "IntegrationError", "integrate"]
 
@@ -165,18 +165,7 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
     """
     if not isinstance(initial, CellState):
         raise TypeError(f"initial must be a CellState, got {type(initial).__name__}")
-    a1, a2 = params.a1, params.a2
-    p1, p2 = params.p1, params.p2
-    d1, d2, d3 = params.d1, params.d2, params.d3
-    fb = params.k
-
-    def f(x, y, z):
-        s = 1.0 / (1.0 + fb * z)
-        return (
-            ((2.0 * a1 * s - 1.0) * p1 - d1) * x,
-            ((2.0 * a2 * s - 1.0) * p2 - d2) * y + 2.0 * (1.0 - a1 * s) * p1 * x,
-            2.0 * (1.0 - a2 * s) * p2 * y - d3 * z,
-        )
+    f = rhs_closure(params)
 
     t_end = float(config.t_end)
     stride = config.stride

@@ -34,10 +34,12 @@ __all__ = [
     "InvariantBox",
     "feedback_signal",
     "rhs",
+    "rhs_closure",
     "nondimensionalize",
     "steady_state_E0",
     "steady_state_E1",
     "steady_state_E2",
+    "e2_conditions",
     "steady_states",
     "place_E2",
     "jacobian",
@@ -169,13 +171,26 @@ def feedback_signal(k: float, u3: float) -> float:
     return 1.0 / (1.0 + k * u3)
 
 
-def _rhs_values(p: ModelParameters, u1: float, u2: float, u3: float) -> Tuple[float, float, float]:
-    # no validation, shared by rhs() and the integrator internals
-    s = 1.0 / (1.0 + p.k * u3)
-    du1 = (2.0 * p.a1 * s - 1.0) * p.p1 * u1 - p.d1 * u1
-    du2 = (2.0 * p.a2 * s - 1.0) * p.p2 * u2 + 2.0 * (1.0 - p.a1 * s) * p.p1 * u1 - p.d2 * u2
-    du3 = 2.0 * (1.0 - p.a2 * s) * p.p2 * u2 - p.d3 * u3
-    return du1, du2, du3
+def rhs_closure(params: ModelParameters):
+    """The right-hand side as a plain-float function f(u1, u2, u3) -> derivatives.
+
+    No validation and no array overhead, so the integrator can call it in
+    its inner loop; `rhs` evaluates it at one `CellState`.
+    """
+    a1, a2 = params.a1, params.a2
+    p1, p2 = params.p1, params.p2
+    d1, d2, d3 = params.d1, params.d2, params.d3
+    fb = params.k
+
+    def f(x, y, z):
+        s = 1.0 / (1.0 + fb * z)
+        return (
+            ((2.0 * a1 * s - 1.0) * p1 - d1) * x,
+            ((2.0 * a2 * s - 1.0) * p2 - d2) * y + 2.0 * (1.0 - a1 * s) * p1 * x,
+            2.0 * (1.0 - a2 * s) * p2 * y - d3 * z,
+        )
+
+    return f
 
 
 def rhs(params: ModelParameters, state: CellState) -> Tuple[float, float, float]:
@@ -184,7 +199,7 @@ def rhs(params: ModelParameters, state: CellState) -> Tuple[float, float, float]
     The closed first octant is forward invariant: any component at zero has a
     nonnegative derivative, since a1*s < 1 and a2*s < 1 for s in (0, 1].
     """
-    return _rhs_values(params, state.u1, state.u2, state.u3)
+    return rhs_closure(params)(state.u1, state.u2, state.u3)
 
 
 def nondimensionalize(params: ModelParameters) -> ModelParameters:
@@ -227,6 +242,19 @@ def steady_state_E1(params: ModelParameters) -> Optional[SteadyState]:
     return SteadyState("E1", CellState(0.0, u2, u3))
 
 
+def e2_conditions(a1, a2, p1, p2, d1, d2):
+    """Feedback level s, a2*s, excess and existence mask of E2; array-safe.
+
+    s = (p1 + d1)/(2*a1*p1) is the level the stem balance pins, excess is
+    d2 - (2*a2*s - 1)*p2, and E2 exists where s < 1, a2*s < 1 and
+    excess > 0. Plain arithmetic only, so scalars and arrays both work.
+    """
+    s = (p1 + d1) / (2.0 * a1 * p1)
+    a2s = a2 * s
+    excess = d2 - (2.0 * a2s - 1.0) * p2
+    return s, a2s, excess, (s < 1.0) & (a2s < 1.0) & (excess > 0.0)
+
+
 def steady_state_E2(params: ModelParameters) -> Optional[SteadyState]:
     """Fully positive steady state, or None when it does not exist.
 
@@ -239,17 +267,13 @@ def steady_state_E2(params: ModelParameters) -> Optional[SteadyState]:
         u2 = d3*u3 / ((2 - a2/a1)*p2),
         u1 = (1 - a2/a1)*(p2/p1)*u2.
     """
-    s = (params.p1 + params.d1) / (2.0 * params.a1 * params.p1)
-    if not s < 1.0:
+    s, a2s, excess, exists = e2_conditions(
+        params.a1, params.a2, params.p1, params.p2, params.d1, params.d2
+    )
+    if not exists:
         return None
     u3 = (1.0 / s - 1.0) / params.k
-    a2s = params.a2 * s
-    if not a2s < 1.0:
-        return None
     u2 = params.d3 * u3 / (2.0 * (1.0 - a2s) * params.p2)
-    excess = params.d2 - (2.0 * a2s - 1.0) * params.p2
-    if not excess > 0.0:
-        return None
     # s < 1 forces d1 < (2*a1 - 1)*p1 < p1, so the denominator is positive
     u1 = excess * u2 / (params.p1 - params.d1)
     return SteadyState("E2", CellState(u1, u2, u3))

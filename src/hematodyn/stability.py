@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from .cubic import solve_cubic
 from .model import (
     CellState,
@@ -43,6 +45,7 @@ __all__ = [
     "char_poly_at",
     "hurwitz_value",
     "hurwitz_classify",
+    "hurwitz_codes",
     "hurwitz_factored",
     "hopf_point",
     "eigenvalues_at",
@@ -59,6 +62,8 @@ STABLE = "stable"
 UNSTABLE = "unstable"
 MARGINAL = "marginal"
 NONEXISTENT = "nonexistent"
+# class names indexed by the codes of `hurwitz_codes`; 3 marks a missing E2
+CLASS_NAMES = (STABLE, UNSTABLE, MARGINAL, NONEXISTENT)
 
 
 @dataclass(frozen=True)
@@ -218,10 +223,17 @@ def hurwitz_classify(coeffs: CharPolyCoeffs) -> str:
             f"sign criterion needs b1 > 0 and b3 > 0, got b1={coeffs.b1}, b3={coeffs.b3}"
         )
     prod = coeffs.b1 * coeffs.b2
-    h = prod - coeffs.b3
-    if abs(h) <= MARGINAL_TOL * max(1.0, abs(prod)):
-        return MARGINAL
-    return STABLE if h > 0.0 else UNSTABLE
+    return CLASS_NAMES[int(hurwitz_codes(prod - coeffs.b3, prod))]
+
+
+def hurwitz_codes(h, prod):
+    """Class codes of margins h = b1*b2 - b3 given prod = b1*b2; array-safe.
+
+    0 stable (h > 0), 1 unstable, 2 marginal (|h| within MARGINAL_TOL of
+    max(1, |prod|)); the codes index CLASS_NAMES.
+    """
+    marginal = np.abs(h) <= MARGINAL_TOL * np.maximum(1.0, np.abs(prod))
+    return np.where(marginal, 2, np.where(h > 0.0, 0, 1))
 
 
 def hurwitz_factored(a1: float, a2: float, p2: float, d3: float) -> float:

@@ -5,8 +5,9 @@ steady state by the closed-form positivity conditions, then the sign of
 the Routh-Hurwitz margin from the closed-form characteristic
 coefficients. Oscillatory (Hopf) regions show up where the margin
 changes sign between adjacent points that both have an existing positive
-state. Evaluation is vectorized over fixed-size chunks, so results are
-bit-identical no matter how many worker processes share the grid.
+state. Evaluation is vectorized over fixed-size chunks; every point is
+computed from its own coordinates alone, so results are bit-identical
+however the grid is chunked.
 
 Stability does not depend on the feedback strength k, so k is not a
 sweepable axis; it only scales the steady-state cell counts.
@@ -17,16 +18,22 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from .analysis import AttractorVerdict, classify, default_horizon
 from .integrator import IntegrationConfig, integrate
-from .model import CellState, ModelParameters, steady_state_E2
-from .stability import MARGINAL_TOL, _extended_coeffs, char_poly_E2, hurwitz_value
+from .model import CellState, ModelParameters, e2_conditions, steady_state_E2
+from .stability import (
+    CLASS_NAMES,
+    _extended_coeffs,
+    char_poly_E2,
+    hurwitz_classify,
+    hurwitz_codes,
+    hurwitz_value,
+)
 
 __all__ = [
     "AxisSpec",
@@ -88,7 +95,6 @@ CONSTELLATION_DIRECTIONS: Dict[int, Dict[str, int]] = {
     9: {"d1": +1, "a2": +1, "d2": +1},
 }
 
-_CLASS_NAMES = ("stable", "unstable", "marginal", "nonexistent")
 _CHUNK = 8192
 _MAX_GRID = 20_000_000
 
@@ -175,7 +181,7 @@ class SweepResult:
     """Per-point flags in C grid order (last axis fastest) plus aggregates.
 
     hurwitz holds NaN where the positive state does not exist. Content and
-    ordering are deterministic for a given spec regardless of worker count.
+    ordering are deterministic for a given spec.
     """
 
     spec: SweepSpec
@@ -197,7 +203,7 @@ class SweepResult:
         return tuple(float(g[i]) for g, i in zip(self._grids, multi))
 
     def classification_at(self, index: int) -> str:
-        return _CLASS_NAMES[self.class_codes[index]]
+        return CLASS_NAMES[self.class_codes[index]]
 
     def iter_rows(self) -> Iterator[Tuple[Tuple[float, ...], bool, float, str]]:
         for i in range(self.n_points):
@@ -210,52 +216,22 @@ class SweepResult:
 
 
 def _eval_columns(cols):
-    a1, a2 = cols["a1"], cols["a2"]
-    p1, p2 = cols["p1"], cols["p2"]
-    d1, d2, d3 = cols["d1"], cols["d2"], cols["d3"]
-    s_bar = (p1 + d1) / (2.0 * a1 * p1)
-    margin = d2 - (2.0 * a2 * s_bar - 1.0) * p2
-    exists = (s_bar < 1.0) & (a2 * s_bar < 1.0) & (margin > 0.0)
+    exists = e2_conditions(
+        cols["a1"], cols["a2"], cols["p1"], cols["p2"], cols["d1"], cols["d2"]
+    )[3]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        b1, b2, b3 = _extended_coeffs(a1, a2, p1, p2, d1, d2, d3)
-        h = b1 * b2 - b3
+        b1, b2, b3 = _extended_coeffs(**cols)
         prod = b1 * b2
-    return exists, h, prod
+    return exists, prod - b3, prod
 
 
-def _chunk_task(payload):
-    start, stop, shape, names, grids, fixed = payload
-    n = stop - start
-    multi = np.unravel_index(np.arange(start, stop), shape)
-    cols = dict(fixed)
-    for pos, name in enumerate(names):
-        cols[name] = grids[pos][multi[pos]]
-    exists, h, prod = _eval_columns(cols)
-    # conditions not touched by the varied axes collapse to scalars
-    return (
-        start,
-        np.broadcast_to(np.asarray(exists, dtype=bool), (n,)),
-        np.broadcast_to(np.asarray(h, dtype=float), (n,)),
-        np.broadcast_to(np.asarray(prod, dtype=float), (n,)),
-    )
-
-
-def _class_codes(exists, h, prod):
-    marginal = np.abs(h) <= MARGINAL_TOL * np.maximum(1.0, np.abs(prod))
-    inner = np.where(marginal, 2, np.where(h > 0.0, 0, 1))
-    return np.where(exists, inner, 3).astype(np.int8)
-
-
-def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate existence and stability over the whole grid.
 
-    Grid points are independent; with workers > 1 they are processed in
-    fixed 8192-point chunks by a process pool. Chunk boundaries do not
-    depend on the worker count, so the result is bit-identical to a
-    serial run.
+    Points are evaluated in fixed blocks of `_CHUNK`, which bounds the
+    temporaries at the grid-size cap; each point's values depend only on
+    its own coordinates, so the result does not depend on the block size.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     shape = spec.shape
     names = spec.names
     grids = tuple(axis.grid() for axis in spec.varied)
@@ -267,31 +243,21 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     exists = np.empty(total, dtype=bool)
     h = np.empty(total, dtype=float)
     prod = np.empty(total, dtype=float)
-    starts = range(0, total, _CHUNK)
-    payloads = (
-        (start, min(start + _CHUNK, total), shape, names, grids, fixed)
-        for start in starts
-    )
-    if workers == 1:
-        chunks = map(_chunk_task, payloads)
-    else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        chunks = pool.map(_chunk_task, payloads)
-    try:
-        for start, c_exists, c_h, c_prod in chunks:
-            stop = start + c_exists.size
-            exists[start:stop] = c_exists
-            h[start:stop] = c_h
-            prod[start:stop] = c_prod
-    finally:
-        if workers > 1:
-            pool.shutdown()
+    for start in range(0, total, _CHUNK):
+        stop = min(start + _CHUNK, total)
+        multi = np.unravel_index(np.arange(start, stop), shape)
+        cols = dict(fixed)
+        for pos, name in enumerate(names):
+            cols[name] = grids[pos][multi[pos]]
+        # conditions not touched by the varied axes come back as scalars,
+        # which the slice assignment broadcasts
+        exists[start:stop], h[start:stop], prod[start:stop] = _eval_columns(cols)
 
-    codes = _class_codes(exists, h, prod)
+    codes = np.where(exists, hurwitz_codes(h, prod), 3).astype(np.int8)
     hurwitz = np.where(exists, h, np.nan)
     counts = {
         name: int(np.count_nonzero(codes == code))
-        for code, name in enumerate(_CLASS_NAMES)
+        for code, name in enumerate(CLASS_NAMES)
     }
 
     unstable_idx = np.nonzero(codes == 1)[0]
@@ -344,7 +310,7 @@ def write_sweep_csv(result: SweepResult, fh) -> None:
     # fastest, the same C order as the flat result arrays
     axes = [["%.17g" % value for value in grid.tolist()] for grid in result._grids]
     coords = map(",".join, itertools.product(*axes))
-    labels = [",%s\n" % name for name in _CLASS_NAMES]
+    labels = [",%s\n" % name for name in CLASS_NAMES]
     for start in range(0, result.n_points, _CHUNK):
         stop = start + _CHUNK
         rows = zip(
@@ -441,8 +407,7 @@ def check_constellations(run_classify: bool = True) -> Tuple[ConstellationReport
             continue
         coeffs = char_poly_E2(params)
         h = hurwitz_value(coeffs)
-        marginal = abs(h) <= MARGINAL_TOL * max(1.0, abs(coeffs.b1 * coeffs.b2))
-        classification = "marginal" if marginal else ("stable" if h > 0 else "unstable")
+        classification = hurwitz_classify(coeffs)
         verdict = _classify_from_equilibrium(params) if run_classify else None
         reports.append(
             ConstellationReport(index, overrides, params, True, h, classification, verdict)

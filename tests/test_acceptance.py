@@ -350,31 +350,33 @@ def test_criterion_11_feedback_strength_invariance(capsys):
     assert ok, notes
 
 
-def test_criterion_12_sweep_determinism(capsys, tmp_path):
+def test_criterion_12_sweep_determinism(capsys, tmp_path, monkeypatch):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
         "a1 = 0.7\na2 = 0.5\np1 = 1.0\nd3 = 0.1337\nk = 8.75e-9\n"
         "vary = p2:0.3:0.5:64;d3:0.11:0.29:50\n",
         encoding="utf-8",
     )
+    # 3200 points in blocks of 7 (not a divisor), of 1000, and of the
+    # default 8192 (the whole grid in one block)
+    chunks = (7, 1000, 8192)
     outputs = {}
     summaries = {}
-    for workers in (1, 4, 8):
-        out = tmp_path / f"w{workers}.csv"
-        code = main(
-            ["sweep", "--config", str(cfg), "--out", str(out), "--workers", str(workers)]
-        )
+    for chunk in chunks:
+        monkeypatch.setattr("hematodyn.sweep._CHUNK", chunk)
+        out = tmp_path / f"c{chunk}.csv"
+        code = main(["sweep", "--config", str(cfg), "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 0
-        outputs[workers] = out.read_bytes()
-        summaries[workers] = captured.out
+        outputs[chunk] = out.read_bytes()
+        summaries[chunk] = captured.out
     ok = (
-        outputs[1] == outputs[4] == outputs[8]
-        and summaries[1] == summaries[4] == summaries[8]
+        len(set(outputs.values())) == 1
+        and len(set(summaries.values())) == 1
     )
     announce(
         capsys, 12, ok,
-        f"{len(outputs[1])} CSV bytes and the JSON summary identical for "
-        "workers 1, 4, 8",
+        f"{len(outputs[7])} CSV bytes and the JSON summary identical for "
+        f"chunk sizes {', '.join(map(str, chunks))}",
     )
     assert ok

@@ -31,8 +31,10 @@ from hematodyn import (
     check_constellations,
     dumps,
     hopf_point,
+    hurwitz_classify,
     hurwitz_value,
     run_sweep,
+    steady_state_E2,
     sweep_summary,
     write_sweep_csv,
 )
@@ -136,18 +138,29 @@ class TestRunSweep:
             assert result.hopf_pair_count == 0, name
             assert result.n_points == 100
 
-    def test_sweep_matches_pointwise_evaluation(self):
-        spec = SweepSpec(varied=(axis_for("p2", 13), axis_for("d3", 11)))
+    @pytest.mark.parametrize("overrides,axes", [
+        ({}, (axis_for("p2", 13), axis_for("d3", 11))),
+        (CONSTELLATIONS[9], (AxisSpec("d1", 0.0, 0.3, 9), AxisSpec("d2", 2.0, 3.0, 11))),
+        (CONSTELLATIONS[9], (
+            AxisSpec("a2", 0.85, 1.0, 10), AxisSpec("d2", 2.0, 3.0, 9), AxisSpec("d1", 0.0, 0.09, 4)
+        )),
+    ], ids=["basic-p2-d3", "extended-d1-d2", "extended-a2-d2-d1"])
+    def test_sweep_matches_pointwise_evaluation(self, overrides, axes):
+        spec = SweepSpec(varied=axes, fixed=REFERENCE_PARAMETERS.with_(**overrides))
         result = run_sweep(spec)
-        rng = np.random.default_rng(5)
-        for index in rng.integers(0, result.n_points, size=25):
-            coords = result.point_at(int(index))
-            params = REFERENCE_PARAMETERS.with_(
-                **dict(zip(spec.names, coords))
-            )
-            h = hurwitz_value(char_poly_E2(params))
-            assert result.hurwitz[index] == pytest.approx(h, rel=1e-9)
-            assert result.exists[index]
+        if overrides:
+            # the extended grids cross both the existence and the Hopf boundary
+            assert min(result.counts[name] for name in ("stable", "unstable", "nonexistent")) > 0
+        for index in range(result.n_points):
+            params = spec.fixed.with_(**dict(zip(spec.names, result.point_at(index))))
+            exists = steady_state_E2(params) is not None
+            assert result.exists[index] == exists
+            if not exists:
+                assert result.classification_at(index) == "nonexistent"
+                continue
+            coeffs = char_poly_E2(params)
+            assert result.classification_at(index) == hurwitz_classify(coeffs)
+            assert result.hurwitz[index] == pytest.approx(hurwitz_value(coeffs), rel=1e-9)
 
     def test_three_parameter_box_contains_reported_unstable_point(self):
         axes = (axis_for("p1", 40), axis_for("a2", 40), axis_for("d3", 40))
@@ -167,21 +180,22 @@ class TestRunSweep:
         assert result.counts["nonexistent"] > 0
         assert np.isnan(result.hurwitz[~result.exists]).all()
 
-    def test_worker_count_does_not_change_results(self):
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
         spec = SweepSpec(varied=(axis_for("p1", 60), axis_for("d2", 50)))
-        serial = run_sweep(spec, workers=1)
-        parallel = run_sweep(spec, workers=2)
-        assert np.array_equal(serial.exists, parallel.exists)
-        assert np.array_equal(serial.class_codes, parallel.class_codes)
-        assert np.array_equal(serial.hurwitz, parallel.hurwitz, equal_nan=True)
-        a, b = io.StringIO(), io.StringIO()
-        write_sweep_csv(serial, a)
-        write_sweep_csv(parallel, b)
-        assert a.getvalue() == b.getvalue()
-
-    def test_workers_validated(self):
-        with pytest.raises(ValueError):
-            run_sweep(SweepSpec(varied=(axis_for("d3", 5),)), workers=0)
+        csv = {}
+        results = {}
+        for chunk in (7, 1000, _CHUNK):
+            monkeypatch.setattr("hematodyn.sweep._CHUNK", chunk)
+            results[chunk] = run_sweep(spec)
+            out = io.StringIO()
+            write_sweep_csv(results[chunk], out)
+            csv[chunk] = out.getvalue()
+        reference = results[_CHUNK]
+        for chunk, result in results.items():
+            assert np.array_equal(result.exists, reference.exists), chunk
+            assert np.array_equal(result.class_codes, reference.class_codes), chunk
+            assert np.array_equal(result.hurwitz, reference.hurwitz, equal_nan=True), chunk
+            assert csv[chunk] == csv[_CHUNK], chunk
 
 
 class TestResultAccess:
