@@ -140,7 +140,7 @@ def oscillation_report(traj: Trajectory) -> OscillationReport:
     amplitude = None
     if len(peak_t) >= 2:
         tail_t = peak_t[-_TRAILING_PEAKS:]
-        period = (tail_t[-1] - tail_t[0]) / (len(tail_t) - 1)
+        period = float(np.mean(np.diff(tail_t)))
         lo, hi = tail_t[0], tail_t[-1]
         inner = [v for t, v in zip(trough_t, trough_v) if lo < t < hi]
         if inner:
@@ -169,6 +169,13 @@ def default_horizon(params: ModelParameters) -> float:
         else:
             return 40.0 * 2.0 * math.pi / report.omega
     return 2000.0 / params.p1
+
+
+def _agree(values, tol: float) -> bool:
+    # every value lies within tol (relative) of the mean of all of them
+    values = np.asarray(values)
+    mean = float(np.mean(values))
+    return bool(np.all(np.abs(values - mean) <= tol * abs(mean)))
 
 
 def _relative_distance(state_row, reference) -> float:
@@ -231,29 +238,17 @@ def classify(
     keep = traj.times >= transient_fraction * horizon
     tail = Trajectory(traj.times[keep], traj.states[keep])
     report = oscillation_report(tail)
-    if len(report.peak_times) >= _TRAILING_PEAKS:
-        times = np.array(report.peak_times[-_TRAILING_PEAKS:])
-        heights = np.array(report.peak_heights[-_TRAILING_PEAKS:])
-        intervals = np.diff(times)
-        mean_interval = float(np.mean(intervals))
-        mean_height = float(np.mean(heights))
-        intervals_ok = np.all(
-            np.abs(intervals - mean_interval) <= agreement_tol * abs(mean_interval)
+    if (
+        len(report.peak_times) >= _TRAILING_PEAKS
+        and report.amplitude is not None
+        and report.amplitude > 0.0
+        and _agree(np.diff(report.peak_times[-_TRAILING_PEAKS:]), agreement_tol)
+        and _agree(report.peak_heights[-_TRAILING_PEAKS:], agreement_tol)
+    ):
+        return AttractorVerdict(
+            kind=LIMIT_CYCLE,
+            period=report.period,
+            amplitude_u3=report.amplitude,
+            final_distance=final_distance,
         )
-        heights_ok = np.all(
-            np.abs(heights - mean_height) <= agreement_tol * abs(mean_height)
-        )
-        lo, hi = float(times[0]), float(times[-1])
-        troughs = [
-            v for t, v in zip(report.trough_times, report.trough_heights) if lo < t < hi
-        ]
-        if intervals_ok and heights_ok and troughs:
-            amplitude = mean_height - float(np.mean(troughs))
-            if amplitude > 0.0:
-                return AttractorVerdict(
-                    kind=LIMIT_CYCLE,
-                    period=mean_interval,
-                    amplitude_u3=amplitude,
-                    final_distance=final_distance,
-                )
     return AttractorVerdict(kind=UNDECIDED, final_distance=final_distance)

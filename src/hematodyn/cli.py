@@ -7,8 +7,8 @@ Configuration is a flat key = value text file ('#' starts a comment);
 before dispatch, which makes times come out in rescaled units.
 
 Model parameters missing from the configuration fall back to the
-reference values. Exit codes: 0 success, 2 invalid configuration,
-3 numerical failure.
+reference values; a key that no command reads is an error. Exit codes:
+0 success, 2 invalid configuration, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import io
 import sys
 from typing import Dict, Optional
 
-from .analysis import classify, default_horizon
+from .analysis import classify
 from .integrator import IntegrationConfig, IntegrationError, integrate
-from .model import CellState, ModelParameters, nondimensionalize
+from .model import PARAM_NAMES, REFERENCE_PARAMETERS, CellState, ModelParameters, nondimensionalize
 from .serialize import (
     constellation_report_to_dict,
     dumps,
@@ -31,7 +31,6 @@ from .serialize import (
 )
 from .stability import hopf_point, stability_reports
 from .sweep import (
-    REFERENCE_PARAMETERS,
     AxisSpec,
     SweepSpec,
     check_constellations,
@@ -42,7 +41,13 @@ from .sweep import (
 
 __all__ = ["main", "entrypoint"]
 
-_PARAM_KEYS = ("a1", "a2", "p1", "p2", "d1", "d2", "d3", "k")
+# every key some command reads; one config file may serve all commands
+_KNOWN_KEYS = frozenset(PARAM_NAMES) | {
+    "u1", "u2", "u3",
+    "t_end", "rel_tol", "abs_tol", "max_step", "initial_step", "output_stride",
+    "horizon", "transient_fraction", "equilibrium_tol", "agreement_tol",
+    "vary", "classify",
+}
 
 
 class ConfigError(ValueError):
@@ -76,6 +81,9 @@ def _load_config(args) -> Dict[str, str]:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         key, _, value = item.partition("=")
         values[key.strip()] = value.strip()
+    unknown = sorted(set(values) - _KNOWN_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}")
     return values
 
 
@@ -102,12 +110,8 @@ def _get_bool(cfg, key, default: bool) -> bool:
 
 
 def _build_params(cfg, rescaled: bool) -> ModelParameters:
-    kwargs = {key: getattr(REFERENCE_PARAMETERS, key) for key in _PARAM_KEYS}
-    for key in _PARAM_KEYS:
-        value = _get_float(cfg, key)
-        if value is not None:
-            kwargs[key] = value
-    params = ModelParameters(**kwargs)
+    given = {key: _get_float(cfg, key) for key in PARAM_NAMES if key in cfg}
+    params = REFERENCE_PARAMETERS.with_(**given)
     return nondimensionalize(params) if rescaled else params
 
 
@@ -169,14 +173,10 @@ def _cmd_hopf(args) -> int:
 def _cmd_classify(args) -> int:
     cfg = _load_config(args)
     params = _build_params(cfg, args.rescaled)
-    initial = _build_initial(cfg)
-    horizon = _get_float(cfg, "horizon")
-    if horizon is None:
-        horizon = default_horizon(params)
     verdict = classify(
         params,
-        initial,
-        horizon,
+        _build_initial(cfg),
+        _get_float(cfg, "horizon"),
         transient_fraction=_get_float(cfg, "transient_fraction", 0.5),
         equilibrium_tol=_get_float(cfg, "equilibrium_tol", 1e-3),
         agreement_tol=_get_float(cfg, "agreement_tol", 0.02),
@@ -207,9 +207,7 @@ def _parse_axes(cfg) -> SweepSpec:
             raise ConfigError(f"bad axis spec {part!r}: {exc}") from exc
         # user-stated intervals are taken literally (closed, no endpoint nudge)
         axes.append(AxisSpec(name=name, low=low, high=high, count=count, nudge=0.0))
-    fixed_cfg = {key: value for key, value in cfg.items() if key in _PARAM_KEYS}
-    fixed = _build_params(fixed_cfg, rescaled=False) if fixed_cfg else REFERENCE_PARAMETERS
-    return SweepSpec(varied=tuple(axes), fixed=fixed)
+    return SweepSpec(varied=tuple(axes), fixed=_build_params(cfg, rescaled=False))
 
 
 def _cmd_sweep(args) -> int:

@@ -28,6 +28,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 __all__ = [
+    "PARAM_NAMES",
+    "REFERENCE_PARAMETERS",
     "ModelParameters",
     "CellState",
     "SteadyState",
@@ -45,6 +47,10 @@ __all__ = [
     "jacobian",
     "invariant_box",
 ]
+
+
+# the eight model parameters in their CLI and JSON order
+PARAM_NAMES = ("a1", "a2", "p1", "p2", "d1", "d2", "d3", "k")
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,7 @@ class ModelParameters:
     def __post_init__(self):
         # the range checks below compare, and every comparison with NaN is
         # False, so non-finite values are rejected first and by name
-        for name in ("a1", "a2", "p1", "p2", "d3", "k", "d1", "d2"):
+        for name in PARAM_NAMES:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -104,6 +110,12 @@ class ModelParameters:
     def with_(self, **changes) -> "ModelParameters":
         """Copy with the given fields replaced (validates the result)."""
         return replace(self, **changes)
+
+
+# reference operating point of the plausible box (healthy granulopoiesis)
+REFERENCE_PARAMETERS = ModelParameters(
+    a1=0.85, a2=0.841, p1=0.1, p2=0.4, d3=2.7, k=1.75e-9, d1=0.0, d2=0.0
+)
 
 
 @dataclass(frozen=True)
@@ -210,15 +222,8 @@ def nondimensionalize(params: ModelParameters) -> ModelParameters:
     enforced at construction.
     """
     q = params.p1
-    return ModelParameters(
-        a1=params.a1,
-        a2=params.a2,
-        p1=1.0,
-        p2=params.p2 / q,
-        d3=params.d3 / q,
-        k=params.k,
-        d1=params.d1 / q,
-        d2=params.d2 / q,
+    return params.with_(
+        p1=1.0, p2=params.p2 / q, d1=params.d1 / q, d2=params.d2 / q, d3=params.d3 / q
     )
 
 

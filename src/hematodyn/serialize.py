@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Dict, Optional, Tuple
 
 from .analysis import AttractorVerdict
-from .model import CellState, ModelParameters, SteadyState
+from .model import PARAM_NAMES, CellState, ModelParameters, SteadyState
 from .stability import CharPolyCoeffs, HopfReport, StabilityReport
 from .sweep import ConstellationReport
 
@@ -82,29 +81,13 @@ def write_trajectory_csv(traj, fh) -> None:
 
 
 def params_to_dict(params: ModelParameters) -> dict:
-    return {
-        "a1": params.a1,
-        "a2": params.a2,
-        "p1": params.p1,
-        "p2": params.p2,
-        "d1": params.d1,
-        "d2": params.d2,
-        "d3": params.d3,
-        "k": params.k,
-    }
+    return {name: getattr(params, name) for name in PARAM_NAMES}
 
 
 def params_from_dict(data: dict) -> ModelParameters:
-    return ModelParameters(
-        a1=float(data["a1"]),
-        a2=float(data["a2"]),
-        p1=float(data["p1"]),
-        p2=float(data["p2"]),
-        d3=float(data["d3"]),
-        k=float(data["k"]),
-        d1=float(data.get("d1", 0.0)),
-        d2=float(data.get("d2", 0.0)),
-    )
+    # absent d1/d2 take the constructor defaults; a missing required key
+    # raises the constructor's TypeError
+    return ModelParameters(**{name: float(data[name]) for name in PARAM_NAMES if name in data})
 
 
 def _state_to_dict(state: CellState) -> dict:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import AttractorVerdict, classify, default_horizon
 from .integrator import IntegrationConfig, integrate
-from .model import CellState, ModelParameters, e2_conditions, steady_state_E2
+from .model import REFERENCE_PARAMETERS, CellState, ModelParameters, e2_conditions, steady_state_E2
 from .stability import (
     CLASS_NAMES,
     _extended_coeffs,
@@ -40,7 +40,6 @@ __all__ = [
     "SweepSpec",
     "SweepResult",
     "ConstellationReport",
-    "REFERENCE_PARAMETERS",
     "PLAUSIBLE_INTERVALS",
     "CONSTELLATIONS",
     "CONSTELLATION_DIRECTIONS",
@@ -51,11 +50,6 @@ __all__ = [
     "check_constellations",
     "bifurcation_bracket",
 ]
-
-# reference operating point of the plausible box (healthy granulopoiesis)
-REFERENCE_PARAMETERS = ModelParameters(
-    a1=0.85, a2=0.841, p1=0.1, p2=0.4, d3=2.7, k=1.75e-9, d1=0.0, d2=0.0
-)
 
 # open intervals considered biologically plausible, per-day rates
 PLAUSIBLE_INTERVALS: Dict[str, Tuple[float, float]] = {
@@ -362,14 +356,13 @@ class ConstellationReport:
     verdict: Optional[AttractorVerdict]
 
 
-def _classify_from_equilibrium(params, horizon=None) -> Optional[AttractorVerdict]:
+def _classify_from_equilibrium(params) -> Optional[AttractorVerdict]:
     eq = steady_state_E2(params)
     if eq is None:
         return None
     state = eq.state
     start = CellState(1.25 * state.u1, 1.25 * state.u2, 1.25 * state.u3)
-    if horizon is None:
-        horizon = default_horizon(params)
+    horizon = default_horizon(params)
     verdict = classify(params, start, horizon)
     attempts = 0
     # weakly unstable sets drift off the equilibrium slowly; restart from

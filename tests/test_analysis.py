@@ -16,10 +16,12 @@ from conftest import (
 from hematodyn import (
     AttractorVerdict,
     CellState,
+    IntegrationConfig,
     ModelParameters,
     Trajectory,
     classify,
     default_horizon,
+    integrate,
     oscillation_report,
     rhs,
     steady_state_E2,
@@ -119,6 +121,15 @@ class TestClassify:
         assert v1.period == pytest.approx(v2.period, rel=5e-3)
         assert v1.amplitude_u3 == pytest.approx(v2.amplitude_u3, rel=2e-2)
         assert v1.amplitude_u3 > 0.0
+        # the verdict's period and amplitude are the oscillation report of the
+        # same post-transient half, bit for bit
+        horizon = default_horizon(params)
+        for start, verdict in ((SHOWCASE_IC_CYCLE_HIGH, v1), (SHOWCASE_IC_CYCLE_LOW, v2)):
+            traj = integrate(params, start, IntegrationConfig(
+                t_end=horizon, rel_tol=1e-8, abs_tol=1e-3, output_stride=horizon / 4000.0))
+            keep = traj.times >= 0.5 * horizon
+            report = oscillation_report(Trajectory(traj.times[keep], traj.states[keep]))
+            assert (verdict.period, verdict.amplitude_u3) == (report.period, report.amplitude)
 
     def test_verdict_survives_tighter_tolerances(self):
         params = showcase_params(p2=0.3)

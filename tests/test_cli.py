@@ -1,5 +1,6 @@
 """CLI tests: config parsing, command plumbing, exit codes, determinism."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -60,8 +61,10 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_bad_set_syntax(self, capsys):
-        code, _, err = run(capsys, "stability", "--set", "p2")
+    # no '=', a misspelled or unknown key, an empty key
+    @pytest.mark.parametrize("item", ["p2", "P2=0.3", "d_3=0.1", "=5"])
+    def test_bad_set_syntax(self, capsys, item):
+        code, _, err = run(capsys, "stability", "--set", item)
         assert code == 2
         assert "invalid configuration" in err
 
@@ -301,6 +304,38 @@ class TestConstellations:
         assert reference["hurwitz"] == pytest.approx(REFERENCE_HURWITZ, rel=1e-12)
         assert reference["verdict"] is None
         assert payload["constellation_1"]["classification"] == "unstable"
+
+
+SHOWCASE_SET = ["--set", "a1=0.7", "--set", "a2=0.5", "--set", "p1=1",
+                "--set", "d3=0.1337", "--set", "k=8.75e-9"]
+SHOWCASE_CYCLE_SET = [*SHOWCASE_SET, "--set", "p2=0.3", "--set", "u1=2717000",
+                      "--set", "u2=26836000", "--set", "u3=91429000"]
+
+
+class TestGoldenOutput:
+    # SHA-256 of stdout, frozen from the release before the parameter names
+    # and the reference set moved into hematodyn.model
+    @pytest.mark.parametrize("argv, digest", [
+        (["stability"],
+         "e2b85c290ca3771c2c128d44c71fd8cd8c4dd260efc71d1562421fda4330a913"),
+        (["stability", "--set", "a2=0.95", "--set", "d1=0.0405", "--set", "d2=2.5423"],
+         "f78fdddadffdc8610a03a3d5f766af920bb6b1b41c9bb7acdbea44fe8b0b2483"),
+        (["stability", "--set", "a1=0.45"],
+         "a15dcd1ae964df55925a06a44c9bc6b2f9ab12e9ea61e4f98e55f03586e087bf"),
+        (["hopf", *SHOWCASE_SET],
+         "97ee7681b3350d060b2aba39953c42dc0109b3dd40c9668a07af643fa6892d84"),
+        (["simulate", *SHOWCASE_CYCLE_SET, "--set", "t_end=600"],
+         "6d0b4c4fd1ed6ed1a3b5cb4306b1ec359d93b259f8dde4231f29005da243c121"),
+        (["classify", *SHOWCASE_CYCLE_SET],
+         "5335ed7d18050cad5567d5b4289df7b80da4a94c1889a6525d19e49ce604e513"),
+        (["constellations", "--set", "classify=false"],
+         "fe0a672c39c44c52596ddab4cdc92167e7e6d0794c8107103afb0f804bcbd138"),
+    ], ids=["stability-reference", "stability-extended", "stability-no-E2", "hopf",
+            "simulate", "classify", "constellations"])
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestEntryPoints:
