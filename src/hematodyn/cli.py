@@ -3,8 +3,9 @@
 Commands: simulate | stability | hopf | sweep | classify | constellations.
 Configuration is a flat key = value text file ('#' starts a comment);
 --set key=value overrides individual entries. Rates are per day; the
---rescaled flag renormalizes so the stem-cell proliferation rate is 1
-before dispatch, which makes times come out in rescaled units.
+--rescaled flag (simulate, stability, hopf and classify) renormalizes so
+the stem-cell proliferation rate is 1 before dispatch, which makes times
+come out in rescaled units.
 
 Model parameters missing from the configuration fall back to the
 reference values; a key that no command reads is an error. Exit codes:
@@ -165,6 +166,12 @@ def _cmd_stability(args) -> int:
 def _cmd_hopf(args) -> int:
     cfg = _load_config(args)
     params = _build_params(cfg, args.rescaled)
+    if not params.is_basic:
+        raise ConfigError(
+            f"hopf has a closed form only for the basic variant (d1 = d2 = 0), got "
+            f"d1={params.d1}, d2={params.d2}; bracket the extended crossing in p2 "
+            f"with bifurcation_bracket"
+        )
     report = hopf_point(params.a1, params.a2, params.d3, params.p1)
     _write_text(args.out, dumps(hopf_to_dict(report)))
     return 0
@@ -234,6 +241,10 @@ def _cmd_constellations(args) -> int:
     return 0
 
 
+# commands whose parameters --rescaled renormalizes; sweep and
+# constellations work on the given or bundled rates as they stand
+_RESCALABLE = ("simulate", "stability", "hopf", "classify")
+
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "stability": _cmd_stability,
@@ -263,8 +274,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--rescaled", action="store_true",
-                       help="renormalize rates so the stem proliferation rate is 1")
+        if name in _RESCALABLE:
+            p.add_argument("--rescaled", action="store_true",
+                           help="renormalize rates so the stem proliferation rate is 1")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one configuration entry (repeatable)")
     return parser

@@ -30,9 +30,9 @@ from .stability import (
     CLASS_NAMES,
     _extended_coeffs,
     char_poly_E2,
-    hurwitz_classify,
     hurwitz_codes,
     hurwitz_value,
+    stability_report,
 )
 
 __all__ = [
@@ -392,18 +392,13 @@ def check_constellations(run_classify: bool = True) -> Tuple[ConstellationReport
     for index in range(0, 10):
         overrides = {} if index == 0 else dict(CONSTELLATIONS[index])
         params = REFERENCE_PARAMETERS.with_(**overrides)
-        eq = steady_state_E2(params)
-        if eq is None:
-            reports.append(
-                ConstellationReport(index, overrides, params, False, None, "nonexistent", None)
-            )
-            continue
-        coeffs = char_poly_E2(params)
-        h = hurwitz_value(coeffs)
-        classification = hurwitz_classify(coeffs)
+        report = stability_report(params, "E2")
         verdict = _classify_from_equilibrium(params) if run_classify else None
         reports.append(
-            ConstellationReport(index, overrides, params, True, h, classification, verdict)
+            ConstellationReport(
+                index, overrides, params, report.equilibrium is not None,
+                report.hurwitz, report.classification, verdict,
+            )
         )
     return tuple(reports)
 

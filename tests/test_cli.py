@@ -92,6 +92,19 @@ class TestArgumentErrors:
         assert code == 2
         assert "cannot read config" in err
 
+    # sweep and constellations do not renormalize, so they do not take the flag
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--set", "vary=d3:0.1:3.0:10", "--out", "unused.csv"),
+        ("constellations", "--set", "classify=false"),
+    ], ids=["sweep", "constellations"])
+    def test_rescaled_rejected_where_unused(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--rescaled"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "unused.csv").exists()
+
 
 class TestSimulate:
     def test_csv_written_to_file(self, tmp_path, capsys):
@@ -211,6 +224,21 @@ class TestHopf:
             "--set", "d3=0.5", "--set", "p1=1",
         )
         assert code == 2
+
+    # the basic closed form ignores d1 and d2: it gives p2* = 0.393828 here,
+    # while at d1 = 0.02, d2 = 0.05 the margin changes sign at p2 = 0.371975
+    @pytest.mark.parametrize("deaths", [
+        ("d1=0.02",), ("d2=0.05",), ("d1=0.02", "d2=0.05"),
+    ], ids=["d1", "d2", "d1-d2"])
+    def test_extended_set_is_a_config_error(self, capsys, deaths):
+        argv = ["hopf", "--set", "a1=0.7", "--set", "a2=0.5", "--set", "d3=0.1337",
+                "--set", "p1=1"]
+        for item in deaths:
+            argv += ["--set", item]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "d1" in err and "d2" in err and "bifurcation_bracket" in err
 
 
 class TestClassify:

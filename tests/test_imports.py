@@ -1,6 +1,8 @@
-"""Every module of the package uses the names it imports."""
+"""Every module of the package uses the names it imports, and the package
+exports exactly the public names it binds."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -35,3 +37,14 @@ def unused_imports(source: str):
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_all_matches_its_public_names():
+    exported = hematodyn.__all__
+    assert len(exported) == len(set(exported))
+    assert [name for name in exported if not hasattr(hematodyn, name)] == []
+    public = {
+        name for name, value in vars(hematodyn).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(public - set(exported)) == []

@@ -1,4 +1,4 @@
-"""Serialization tests: byte determinism and exact float round-trips."""
+"""Serialization tests: byte determinism, and emitted JSON that parses back exactly."""
 
 import io
 import json
@@ -11,23 +11,23 @@ from hypothesis import given, strategies as st
 from conftest import CN_A, showcase_params
 from hematodyn import (
     AttractorVerdict,
+    CellState,
+    CharPolyCoeffs,
+    HopfReport,
     REFERENCE_PARAMETERS,
     Trajectory,
     check_constellations,
     constellation_report_to_dict,
     dumps,
-    hopf_from_dict,
     hopf_point,
     hopf_to_dict,
-    params_from_dict,
     params_to_dict,
-    stability_report_from_dict,
     stability_report_to_dict,
     stability_reports,
-    verdict_from_dict,
     verdict_to_dict,
     write_trajectory_csv,
 )
+from hematodyn.model import PARAM_NAMES
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -85,6 +85,13 @@ class TestTrajectoryCsv:
         assert np.array_equal(parsed[:, 1:], states)
 
 
+def parse_back(data: dict) -> dict:
+    """The emitted text parsed again; it must equal the dict it came from."""
+    back = json.loads(dumps(data))
+    assert back == data
+    return back
+
+
 class TestParamsRoundTrip:
     @given(
         st.floats(0.51, 0.99), st.floats(0.01, 0.99), st.floats(0.01, 1.0),
@@ -95,39 +102,45 @@ class TestParamsRoundTrip:
         params = REFERENCE_PARAMETERS.with_(
             a1=a1, a2=a2, p1=p1, p2=p2, d3=d3, k=k, d1=d1, d2=d2
         )
-        recovered = params_from_dict(json.loads(dumps(params_to_dict(params))))
-        assert recovered == params
-
-    def test_missing_death_rates_default_to_zero(self):
-        data = params_to_dict(REFERENCE_PARAMETERS)
-        del data["d1"], data["d2"]
-        assert params_from_dict(data) == REFERENCE_PARAMETERS
+        data = parse_back(params_to_dict(params))
+        assert list(data) == list(PARAM_NAMES)
+        assert REFERENCE_PARAMETERS.with_(**data) == params
 
 
 class TestReportRoundTrips:
     def test_stability_reports(self):
         for params in (showcase_params(0.5), showcase_params(0.3), CN_A):
             for report in stability_reports(params).values():
-                data = json.loads(dumps(stability_report_to_dict(report)))
-                back = stability_report_from_dict(data)
-                assert back.label == report.label
-                assert back.classification == report.classification
-                assert back.hurwitz == report.hurwitz
+                data = parse_back(stability_report_to_dict(report))
+                assert list(data) == [
+                    "label", "exists", "equilibrium", "coeffs", "hurwitz", "eigenvalues",
+                    "classification",
+                ]
+                assert data["label"] == report.label
+                assert data["classification"] == report.classification
+                assert data["hurwitz"] == report.hurwitz
+                assert data["exists"] is (report.equilibrium is not None)
                 if report.equilibrium is None:
-                    assert back.equilibrium is None
+                    assert data["equilibrium"] is None
                 else:
-                    assert back.equilibrium.state == report.equilibrium.state
+                    assert list(data["equilibrium"]) == ["u1", "u2", "u3"]
+                    assert CellState(**data["equilibrium"]) == report.equilibrium.state
+                if report.coeffs is None:
+                    assert data["coeffs"] is None
+                else:
+                    assert list(data["coeffs"]) == ["b1", "b2", "b3"]
+                    assert CharPolyCoeffs(**data["coeffs"]) == report.coeffs
                 if report.eigenvalues is None:
-                    assert back.eigenvalues is None
+                    assert data["eigenvalues"] is None
                 else:
-                    assert back.eigenvalues == report.eigenvalues
-                if report.coeffs is not None:
-                    assert back.coeffs == report.coeffs
+                    pairs = tuple(complex(re, im) for re, im in data["eigenvalues"])
+                    assert pairs == report.eigenvalues
 
     def test_hopf_report(self):
         report = hopf_point(0.7, 0.5, 0.1337, 1.0)
-        back = hopf_from_dict(json.loads(dumps(hopf_to_dict(report))))
-        assert back == report
+        data = parse_back(hopf_to_dict(report))
+        assert list(data) == ["p2_star", "d3_max", "omega", "lambda3", "mu_prime"]
+        assert HopfReport(**data) == report
 
     def test_verdicts(self):
         cases = [
@@ -138,8 +151,9 @@ class TestReportRoundTrips:
             AttractorVerdict(kind="undecided", final_distance=0.2),
         ]
         for verdict in cases:
-            back = verdict_from_dict(json.loads(dumps(verdict_to_dict(verdict))))
-            assert back == verdict
+            data = parse_back(verdict_to_dict(verdict))
+            assert list(data) == ["kind", "label", "period", "amplitude_u3", "final_distance"]
+            assert AttractorVerdict(**data) == verdict
 
     def test_constellation_report_payload(self):
         report = check_constellations(run_classify=False)[1]
