@@ -7,14 +7,17 @@ Configuration is a flat key = value text file ('#' starts a comment);
 the stem-cell proliferation rate is 1 before dispatch, which makes times
 come out in rescaled units.
 
-Model parameters missing from the configuration fall back to the
-reference values; a key that no command reads is an error. Exit codes:
-0 success, 2 invalid configuration, 3 numerical failure.
+Only the keys a configuration gives are passed on: missing model
+parameters take the reference values, and missing integration and
+classifier settings take the defaults of IntegrationConfig and classify.
+A key that no command reads is an error. Exit codes: 0 success, 2 invalid
+configuration, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import sys
 from typing import Dict, Optional
@@ -42,13 +45,16 @@ from .sweep import (
 
 __all__ = ["main", "entrypoint"]
 
-# every key some command reads; one config file may serve all commands
-_KNOWN_KEYS = frozenset(PARAM_NAMES) | {
-    "u1", "u2", "u3",
-    "t_end", "rel_tol", "abs_tol", "max_step", "initial_step", "output_stride",
+_STATE_KEYS = ("u1", "u2", "u3")
+_INTEGRATION_KEYS = tuple(field.name for field in dataclasses.fields(IntegrationConfig))
+_CLASSIFY_KEYS = (
     "horizon", "transient_fraction", "equilibrium_tol", "agreement_tol",
-    "vary", "classify",
-}
+    "rel_tol", "abs_tol", "output_stride",
+)
+# every key some command reads; one config file may serve all commands
+_KNOWN_KEYS = frozenset(
+    PARAM_NAMES + _STATE_KEYS + _INTEGRATION_KEYS + _CLASSIFY_KEYS + ("vary", "classify")
+)
 
 
 class ConfigError(ValueError):
@@ -88,15 +94,19 @@ def _load_config(args) -> Dict[str, str]:
     return values
 
 
-def _get_float(cfg, key, default=None, required=False) -> Optional[float]:
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a number: {cfg[key]!r}") from exc
+def _floats(cfg, keys, required=()) -> Dict[str, float]:
+    """The given keys as floats, parsed in `keys` order; the library supplies the defaults."""
+    values: Dict[str, float] = {}
+    for key in keys:
+        if key not in cfg:
+            if key in required:
+                raise ConfigError(f"missing required key {key!r}")
+            continue
+        try:
+            values[key] = float(cfg[key])
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: not a number: {cfg[key]!r}") from exc
+    return values
 
 
 def _get_bool(cfg, key, default: bool) -> bool:
@@ -111,28 +121,12 @@ def _get_bool(cfg, key, default: bool) -> bool:
 
 
 def _build_params(cfg, rescaled: bool) -> ModelParameters:
-    given = {key: _get_float(cfg, key) for key in PARAM_NAMES if key in cfg}
-    params = REFERENCE_PARAMETERS.with_(**given)
+    params = REFERENCE_PARAMETERS.with_(**_floats(cfg, PARAM_NAMES))
     return nondimensionalize(params) if rescaled else params
 
 
 def _build_initial(cfg) -> CellState:
-    return CellState(
-        _get_float(cfg, "u1", required=True),
-        _get_float(cfg, "u2", required=True),
-        _get_float(cfg, "u3", required=True),
-    )
-
-
-def _integration_config(cfg) -> IntegrationConfig:
-    return IntegrationConfig(
-        t_end=_get_float(cfg, "t_end", required=True),
-        rel_tol=_get_float(cfg, "rel_tol", 1e-8),
-        abs_tol=_get_float(cfg, "abs_tol", 1e-3),
-        max_step=_get_float(cfg, "max_step"),
-        initial_step=_get_float(cfg, "initial_step"),
-        output_stride=_get_float(cfg, "output_stride"),
-    )
+    return CellState(**_floats(cfg, _STATE_KEYS, required=_STATE_KEYS))
 
 
 def _write_text(out: Optional[str], text: str) -> None:
@@ -147,7 +141,8 @@ def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     params = _build_params(cfg, args.rescaled)
     initial = _build_initial(cfg)
-    traj = integrate(params, initial, _integration_config(cfg))
+    config = IntegrationConfig(**_floats(cfg, _INTEGRATION_KEYS, required=("t_end",)))
+    traj = integrate(params, initial, config)
     buffer = io.StringIO()
     write_trajectory_csv(traj, buffer)
     _write_text(args.out, buffer.getvalue())
@@ -180,17 +175,7 @@ def _cmd_hopf(args) -> int:
 def _cmd_classify(args) -> int:
     cfg = _load_config(args)
     params = _build_params(cfg, args.rescaled)
-    verdict = classify(
-        params,
-        _build_initial(cfg),
-        _get_float(cfg, "horizon"),
-        transient_fraction=_get_float(cfg, "transient_fraction", 0.5),
-        equilibrium_tol=_get_float(cfg, "equilibrium_tol", 1e-3),
-        agreement_tol=_get_float(cfg, "agreement_tol", 0.02),
-        rel_tol=_get_float(cfg, "rel_tol", 1e-8),
-        abs_tol=_get_float(cfg, "abs_tol", 1e-3),
-        output_stride=_get_float(cfg, "output_stride"),
-    )
+    verdict = classify(params, _build_initial(cfg), **_floats(cfg, _CLASSIFY_KEYS))
     _write_text(args.out, dumps(verdict_to_dict(verdict)))
     return 0
 
@@ -241,17 +226,15 @@ def _cmd_constellations(args) -> int:
     return 0
 
 
-# commands whose parameters --rescaled renormalizes; sweep and
-# constellations work on the given or bundled rates as they stand
-_RESCALABLE = ("simulate", "stability", "hopf", "classify")
-
+# name: (handler, help, takes --rescaled); sweep and constellations work
+# on the given or bundled rates as they stand, so they do not renormalize
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "stability": _cmd_stability,
-    "hopf": _cmd_hopf,
-    "sweep": _cmd_sweep,
-    "classify": _cmd_classify,
-    "constellations": _cmd_constellations,
+    "simulate": (_cmd_simulate, "integrate the model and write a t,u1,u2,u3 CSV", True),
+    "stability": (_cmd_stability, "JSON stability report for the steady states", True),
+    "hopf": (_cmd_hopf, "closed-form bifurcation point (basic variant)", True),
+    "sweep": (_cmd_sweep, "grid sweep; CSV to --out, JSON summary to stdout", False),
+    "classify": (_cmd_classify, "long-run verdict for one initial condition", True),
+    "constellations": (_cmd_constellations, "evaluate the example oscillation parameter sets", False),
 }
 
 
@@ -262,19 +245,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "stability, bifurcation search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "simulate": "integrate the model and write a t,u1,u2,u3 CSV",
-        "stability": "JSON stability report for the steady states",
-        "hopf": "closed-form bifurcation point (basic variant)",
-        "sweep": "grid sweep; CSV to --out, JSON summary to stdout",
-        "classify": "long-run verdict for one initial condition",
-        "constellations": "evaluate the example oscillation parameter sets",
-    }
-    for name, text in helps.items():
+    for name, (_, text, rescalable) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument("--out", help="output path (default: stdout)")
-        if name in _RESCALABLE:
+        if rescalable:
             p.add_argument("--rescaled", action="store_true",
                            help="renormalize rates so the stem proliferation rate is 1")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -285,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except IntegrationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

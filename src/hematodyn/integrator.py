@@ -72,6 +72,8 @@ _FAC_MAX = 10.0
 _PI_ALPHA = 0.17
 _PI_BETA = 0.04
 _MAX_STEPS = 10_000_000
+# samples are kept in Python lists, so a tiny stride would exhaust memory
+_MAX_SAMPLES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,9 @@ class IntegrationConfig:
     rel_tol is dimensionless, abs_tol is in cells/kg; the local error per
     step is held below abs_tol + rel_tol * ||state||. Times are in days
     (or rescaled units if the parameters are rescaled). output_stride is
-    the sampling interval of the returned trajectory; None means
-    t_end / 2000. initial_step None means an automatic startup guess.
+    the sampling interval of the returned trajectory, at most
+    _MAX_SAMPLES samples; None means t_end / 2000. initial_step None
+    means an automatic startup guess.
     """
 
     t_end: float
@@ -103,6 +106,8 @@ class IntegrationConfig:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite when given, got {value}")
+        if self.t_end / self.stride > _MAX_SAMPLES:
+            raise ValueError(f"output_stride {self.stride} gives over {_MAX_SAMPLES} samples")
 
     @property
     def stride(self) -> float:

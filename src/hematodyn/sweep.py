@@ -249,34 +249,22 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     codes = np.where(exists, hurwitz_codes(h, prod), 3).astype(np.int8)
     hurwitz = np.where(exists, h, np.nan)
-    counts = {
-        name: int(np.count_nonzero(codes == code))
-        for code, name in enumerate(CLASS_NAMES)
-    }
+    counts = dict(zip(CLASS_NAMES, np.bincount(codes, minlength=len(CLASS_NAMES)).tolist()))
 
-    unstable_idx = np.nonzero(codes == 1)[0]
-    multi = np.unravel_index(unstable_idx, shape)
-    unstable_points = np.column_stack(
-        [grids[pos][multi[pos]] for pos in range(len(names))]
-    ) if unstable_idx.size else np.empty((0, len(names)))
+    multi = np.unravel_index(np.nonzero(codes == 1)[0], shape)
+    unstable_points = np.column_stack([grid[idx] for grid, idx in zip(grids, multi)])
     bounds = None
-    if unstable_idx.size:
-        bounds = {
-            name: (float(unstable_points[:, pos].min()), float(unstable_points[:, pos].max()))
-            for pos, name in enumerate(names)
-        }
+    if unstable_points.size:
+        lows, highs = unstable_points.min(axis=0).tolist(), unstable_points.max(axis=0).tolist()
+        bounds = {name: (low, high) for name, low, high in zip(names, lows, highs)}
 
+    # hurwitz is NaN exactly where E2 does not exist, and a product with a
+    # NaN factor is never < 0, so no existence mask is needed
     grid_h = hurwitz.reshape(shape)
-    grid_exists = exists.reshape(shape)
     pairs = 0
     for axis in range(len(shape)):
-        lead = [slice(None)] * len(shape)
-        trail = [slice(None)] * len(shape)
-        lead[axis] = slice(None, -1)
-        trail[axis] = slice(1, None)
-        ha, hb = grid_h[tuple(lead)], grid_h[tuple(trail)]
-        ok = grid_exists[tuple(lead)] & grid_exists[tuple(trail)]
-        pairs += int(np.count_nonzero(ok & (ha * hb < 0.0)))
+        along = np.moveaxis(grid_h, axis, 0)
+        pairs += int(np.count_nonzero(along[:-1] * along[1:] < 0.0))
 
     return SweepResult(
         spec=spec,

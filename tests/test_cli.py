@@ -1,6 +1,7 @@
 """CLI tests: config parsing, command plumbing, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import shutil
 import subprocess
@@ -10,13 +11,20 @@ import numpy as np
 import pytest
 
 from conftest import (
+    SHOWCASE_BASE,
     SHOWCASE_D3_MAX,
+    SHOWCASE_IC_CYCLE_HIGH,
     SHOWCASE_IC_SETTLING,
     SHOWCASE_MU_PRIME,
     SHOWCASE_P2_STAR,
     REFERENCE_HURWITZ,
 )
+from hematodyn import cli
+from hematodyn.analysis import classify
 from hematodyn.cli import main, parse_config_text
+from hematodyn.integrator import IntegrationConfig, integrate
+from hematodyn.model import PARAM_NAMES, REFERENCE_PARAMETERS
+from hematodyn.serialize import dumps, verdict_to_dict, write_trajectory_csv
 
 
 def run(capsys, *argv):
@@ -104,6 +112,69 @@ class TestArgumentErrors:
         assert excinfo.value.code == 2
         assert capsys.readouterr().out == ""
         assert not (tmp_path / "unused.csv").exists()
+
+
+SHOWCASE_SET = ["--set", "a1=0.7", "--set", "a2=0.5", "--set", "p1=1",
+                "--set", "d3=0.1337", "--set", "k=8.75e-9"]
+SHOWCASE_CYCLE_SET = [*SHOWCASE_SET, "--set", "p2=0.3", "--set", "u1=2717000",
+                      "--set", "u2=26836000", "--set", "u3=91429000"]
+INITIAL_SET = ["--set", "u1=1", "--set", "u2=1", "--set", "u3=1"]
+# keys that only the classifier reads; every other non-parameter float key
+# is an initial state or integration setting, which simulate reads
+CLASSIFY_ONLY = ("horizon", "transient_fraction", "equilibrium_tol", "agreement_tol")
+
+
+class TestConfigKeys:
+    # every float key the config accepts is parsed by some command: given a
+    # non-number, that command names the key before it computes anything
+    @pytest.mark.parametrize("key", sorted(cli._KNOWN_KEYS - {"vary", "classify"}))
+    def test_every_known_float_key_is_parsed(self, capsys, key):
+        if key in PARAM_NAMES:
+            argv = ["stability"]
+        elif key in CLASSIFY_ONLY:
+            argv = ["classify", *INITIAL_SET]
+        else:
+            argv = ["simulate", *INITIAL_SET, "--set", "t_end=1"]
+        code, out, err = run(capsys, *argv, "--set", f"{key}=abc")
+        assert code == 2
+        assert out == ""
+        assert f"key {key!r}: not a number" in err
+
+    # the CLI passes on only the keys it is given, so its output equals the
+    # library's at the library's own defaults
+    def test_classify_takes_library_defaults(self, capsys):
+        params = REFERENCE_PARAMETERS.with_(**SHOWCASE_BASE, p2=0.3)
+        expected = dumps(verdict_to_dict(classify(params, SHOWCASE_IC_CYCLE_HIGH)))
+        code, out, _ = run(capsys, "classify", *SHOWCASE_CYCLE_SET)
+        assert code == 0
+        assert out == expected
+
+    def test_simulate_takes_library_defaults(self, capsys):
+        params = REFERENCE_PARAMETERS.with_(**SHOWCASE_BASE, p2=0.3)
+        buffer = io.StringIO()
+        traj = integrate(params, SHOWCASE_IC_CYCLE_HIGH, IntegrationConfig(t_end=60.0))
+        write_trajectory_csv(traj, buffer)
+        code, out, _ = run(capsys, "simulate", *SHOWCASE_CYCLE_SET, "--set", "t_end=60")
+        assert code == 0
+        # compared as line lists: pytest's diff of two long unequal strings takes minutes
+        assert out.split("\n") == buffer.getvalue().split("\n")
+
+    # 1000 days at a 1e-9 stride would be 1e12 samples; the stride is
+    # rejected before any integration starts
+    @pytest.mark.parametrize("argv", [
+        ("simulate", *INITIAL_SET, "--set", "t_end=1000"),
+        ("classify", *INITIAL_SET, "--set", "horizon=1000"),
+    ], ids=["simulate", "classify"])
+    def test_sample_count_capped(self, capsys, monkeypatch, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("integration started at an oversized sample count")
+
+        monkeypatch.setattr(cli, "integrate", never)
+        monkeypatch.setattr("hematodyn.analysis.integrate", never)
+        code, out, err = run(capsys, *argv, "--set", "output_stride=1e-9")
+        assert code == 2
+        assert out == ""
+        assert "output_stride" in err and "samples" in err
 
 
 class TestSimulate:
@@ -332,12 +403,6 @@ class TestConstellations:
         assert reference["hurwitz"] == pytest.approx(REFERENCE_HURWITZ, rel=1e-12)
         assert reference["verdict"] is None
         assert payload["constellation_1"]["classification"] == "unstable"
-
-
-SHOWCASE_SET = ["--set", "a1=0.7", "--set", "a2=0.5", "--set", "p1=1",
-                "--set", "d3=0.1337", "--set", "k=8.75e-9"]
-SHOWCASE_CYCLE_SET = [*SHOWCASE_SET, "--set", "p2=0.3", "--set", "u1=2717000",
-                      "--set", "u2=26836000", "--set", "u3=91429000"]
 
 
 class TestGoldenOutput:

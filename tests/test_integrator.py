@@ -42,6 +42,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             IntegrationConfig(t_end=1.0, output_stride=-0.5)
 
+    def test_sample_count_capped(self):
+        # 1e12 samples would not fit in memory; construction refuses them
+        with pytest.raises(ValueError, match="output_stride"):
+            IntegrationConfig(t_end=1000.0, output_stride=1e-9)
+        assert IntegrationConfig(t_end=1000.0, output_stride=2e-4).stride == 2e-4
+
     @given(
         st.floats(min_value=1e-3, max_value=1e5),
         st.floats(min_value=1e-12, max_value=1e-3),
