@@ -84,8 +84,9 @@ class IntegrationConfig:
     step is held below abs_tol + rel_tol * ||state||. Times are in days
     (or rescaled units if the parameters are rescaled). output_stride is
     the sampling interval of the returned trajectory, at most
-    _MAX_SAMPLES samples; None means t_end / 2000. initial_step None
-    means an automatic startup guess.
+    _MAX_SAMPLES samples; None means t_end / 2000. max_step may not
+    imply more than _MAX_STEPS steps. initial_step None means an
+    automatic startup guess.
     """
 
     t_end: float
@@ -108,6 +109,9 @@ class IntegrationConfig:
                 raise ValueError(f"{name} must be positive and finite when given, got {value}")
         if self.t_end / self.stride > _MAX_SAMPLES:
             raise ValueError(f"output_stride {self.stride} gives over {_MAX_SAMPLES} samples")
+        # every accepted step is at most max_step long, so this many would hit the step limit
+        if self.max_step is not None and self.t_end / self.max_step > _MAX_STEPS:
+            raise ValueError(f"max_step {self.max_step} needs over {_MAX_STEPS} steps")
 
     @property
     def stride(self) -> float:

@@ -38,6 +38,11 @@ def _format_float(value: float) -> str:
 
 
 def _emit(obj, level: int) -> str:
+    # floats first: they are most of every payload, and bool and int are not floats
+    if isinstance(obj, float):
+        return _format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
     pad = "  " * level
     inner = "  " * (level + 1)
     if isinstance(obj, dict):
@@ -53,16 +58,12 @@ def _emit(obj, level: int) -> str:
             return "[]"
         items = (f"{inner}{_emit(value, level + 1)}" for value in obj)
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

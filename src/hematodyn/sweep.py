@@ -353,8 +353,9 @@ def _classify_from_equilibrium(params) -> Optional[AttractorVerdict]:
     horizon = default_horizon(params)
     verdict = classify(params, start, horizon)
     attempts = 0
-    # weakly unstable sets drift off the equilibrium slowly; restart from
-    # where the previous run ended rather than integrating one long arc
+    # weakly unstable sets drift off the equilibrium slowly; each restart
+    # integrates again from the previous start over horizon / 4 (half the
+    # previous horizon) and classifies from there over the doubled horizon
     while verdict.kind == "undecided" and attempts < 3:
         attempts += 1
         horizon *= 2.0

@@ -6,6 +6,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -175,6 +176,18 @@ class TestConfigKeys:
         assert code == 2
         assert out == ""
         assert "output_stride" in err and "samples" in err
+
+    # 101 days at max_step 1e-5 needs over 1e7 steps; without the check at
+    # construction, integrate would refuse them only after about 90 s of CPU
+    def test_step_count_capped(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "simulate", "--set", "u1=1e6", "--set", "u2=1e7",
+                             "--set", "u3=1e8", "--set", "t_end=101", "--set", "max_step=1e-5")
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert out == ""
+        assert "max_step" in err and "steps" in err
+        assert elapsed < 1.0
 
 
 class TestSimulate:
@@ -405,12 +418,15 @@ class TestConstellations:
         assert payload["constellation_1"]["classification"] == "unstable"
 
 
+# SHA-256 of `hematodyn stability` stdout at the reference parameters
+STABILITY_REFERENCE_DIGEST = "e2b85c290ca3771c2c128d44c71fd8cd8c4dd260efc71d1562421fda4330a913"
+
+
 class TestGoldenOutput:
     # SHA-256 of stdout, frozen from the release before the parameter names
     # and the reference set moved into hematodyn.model
     @pytest.mark.parametrize("argv, digest", [
-        (["stability"],
-         "e2b85c290ca3771c2c128d44c71fd8cd8c4dd260efc71d1562421fda4330a913"),
+        (["stability"], STABILITY_REFERENCE_DIGEST),
         (["stability", "--set", "a2=0.95", "--set", "d1=0.0405", "--set", "d2=2.5423"],
          "f78fdddadffdc8610a03a3d5f766af920bb6b1b41c9bb7acdbea44fe8b0b2483"),
         (["stability", "--set", "a1=0.45"],
@@ -429,6 +445,41 @@ class TestGoldenOutput:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def parse_outcome(capsys, parser, argv):
+    try:
+        namespace, code = parser.parse_args(argv), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    return (namespace, code) + capsys.readouterr()
+
+
+class TestParserBuild:
+    # main() gives options only to the commands named in argv; every parse,
+    # help text and error must be what the parser with all options gives
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["bogus"], ["stab"], ["--set", "a1=1", "stability"],
+        ["stability", "--bogus"], ["sweep", "--rescaled"], ["stability", "--set"],
+        ["stability", "--set", "a1=0.8", "--set", "k=2", "--out", "x.json", "--rescaled"],
+        ["simulate", "--config", "c.txt", "--out", "hopf"],
+        *([name] for name in cli._COMMANDS),
+        *([name, "--help"] for name in cli._COMMANDS),
+    ], ids=" ".join)
+    def test_same_as_full_parser(self, capsys, argv):
+        built_for_argv = parse_outcome(capsys, cli._build_parser(frozenset(argv)), argv)
+        assert built_for_argv == parse_outcome(capsys, cli._build_parser(cli._COMMANDS), argv)
+
+    @pytest.mark.parametrize("call", [
+        lambda: main(("stability",)),
+        lambda: main(iter(["stability"])),
+        lambda: main(),
+    ], ids=["tuple", "iterator", "sys.argv"])
+    def test_argv_from_any_iterable_or_sys_argv(self, capsys, monkeypatch, call):
+        monkeypatch.setattr(sys, "argv", ["hematodyn", "stability"])
+        assert call() == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STABILITY_REFERENCE_DIGEST
 
 
 class TestEntryPoints:

@@ -48,6 +48,12 @@ class TestConfigValidation:
             IntegrationConfig(t_end=1000.0, output_stride=1e-9)
         assert IntegrationConfig(t_end=1000.0, output_stride=2e-4).stride == 2e-4
 
+    def test_step_count_capped(self):
+        # a max_step this small needs more steps than integrate allows
+        with pytest.raises(ValueError, match="max_step"):
+            IntegrationConfig(t_end=101.0, max_step=1e-5)
+        assert IntegrationConfig(t_end=100.0, max_step=1e-5).max_step == 1e-5
+
     @given(
         st.floats(min_value=1e-3, max_value=1e5),
         st.floats(min_value=1e-12, max_value=1e-3),

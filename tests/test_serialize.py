@@ -56,6 +56,26 @@ class TestDumps:
         lines = dumps({"z": 1, "a": 2}).splitlines()
         assert lines[1].startswith('  "z"')
 
+    def test_mixed_payload_bytes(self):
+        # every value kind the reports hold, pinned byte for byte
+        payload = {
+            'é"': 'é"',
+            "f": [math.nan, math.inf, -math.inf, np.float64(0.1), 1.5],
+            "b": [True, False],
+            "i": -3,
+            "n": None,
+            "l": [],
+            "d": {},
+            "t": (2, "x"),
+        }
+        assert dumps(payload) == (
+            '{\n  "\\u00e9\\"": "\\u00e9\\"",\n'
+            '  "f": [\n    NaN,\n    Infinity,\n    -Infinity,\n    0.10000000000000001,\n    1.5\n  ],\n'
+            '  "b": [\n    true,\n    false\n  ],\n'
+            '  "i": -3,\n  "n": null,\n  "l": [],\n  "d": {},\n'
+            '  "t": [\n    2,\n    "x"\n  ]\n}\n'
+        )
+
     def test_unserializable_type_rejected(self):
         with pytest.raises(TypeError):
             dumps({"x": object()})
