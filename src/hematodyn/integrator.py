@@ -2,10 +2,11 @@
 
 Embedded Dormand-Prince 5(4) pair with proportional-integral step-size
 control and a quartic interpolant for dense output, specialized to the
-three-component right-hand side (plain float arithmetic, no array
-overhead in the inner loop). The model is non-stiff across the studied
-parameter ranges (rates stay below ~27 in rescaled units); if a caller
-ever pushes it into a stiff corner, reducing max_step is the escape hatch.
+three-component right-hand side: plain float arithmetic written out per
+component, with no array or generator overhead in a step or in its dense
+output. The model is non-stiff across the studied parameter ranges (rates
+stay below ~27 in rescaled units); if a caller ever pushes it into a stiff
+corner, reducing max_step is the escape hatch.
 
 Positivity: the closed positive octant is invariant for the exact flow,
 so negative values can only be discretization or roundoff noise. Small
@@ -64,6 +65,14 @@ _P = (
     (0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0, -1453857185.0 / 822651844.0),
     (0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0, 69997945.0 / 29380423.0),
 )
+# _P[s - 1][j] as _Psj, for the unrolled _dense_coeffs; row 1 (stage 2) is
+# all zeros and column 0 is (1, 0, ..., 0), so neither gets a name
+_P11, _P12, _P13 = _P[0][1:]
+_P31, _P32, _P33 = _P[2][1:]
+_P41, _P42, _P43 = _P[3][1:]
+_P51, _P52, _P53 = _P[4][1:]
+_P61, _P62, _P63 = _P[5][1:]
+_P71, _P72, _P73 = _P[6][1:]
 
 _SAFETY = 0.9
 _FAC_MIN = 0.2
@@ -265,9 +274,9 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
 
         if next_sample <= t_new and next_sample < interior_end:
             # dense-output polynomial: y(theta) = y + h * sum_j q_j * theta^(j+1)
-            qx = _dense_coeffs(k1x, k2x, k3x, k4x, k5x, k6x, k7x)
-            qy = _dense_coeffs(k1y, k2y, k3y, k4y, k5y, k6y, k7y)
-            qz = _dense_coeffs(k1z, k2z, k3z, k4z, k5z, k6z, k7z)
+            qx = _dense_coeffs(k1x, k3x, k4x, k5x, k6x, k7x)
+            qy = _dense_coeffs(k1y, k3y, k4y, k5y, k6y, k7y)
+            qz = _dense_coeffs(k1z, k3z, k4z, k5z, k6z, k7z)
             pending = []
             sample_t = next_sample
             while sample_t <= t_new and sample_t < interior_end:
@@ -313,10 +322,16 @@ def _partial(times, samples) -> Trajectory:
     return Trajectory(np.array(times), np.array(samples))
 
 
-def _dense_coeffs(k1, k2, k3, k4, k5, k6, k7):
-    ks = (k1, k2, k3, k4, k5, k6, k7)
-    return tuple(
-        sum(ks[s] * _P[s][j] for s in range(7)) for j in range(4)
+def _dense_coeffs(k1, k3, k4, k5, k6, k7):
+    # q_j = sum_s k_s * _P[s][j], written out without its zero terms. The
+    # rest are added in table order after sum()'s start value 0.0 (which
+    # turns a leading -0.0 into +0.0), so for finite slopes every bit
+    # matches the table sum.
+    return (
+        0.0 + k1,
+        0.0 + k1 * _P11 + k3 * _P31 + k4 * _P41 + k5 * _P51 + k6 * _P61 + k7 * _P71,
+        0.0 + k1 * _P12 + k3 * _P32 + k4 * _P42 + k5 * _P52 + k6 * _P62 + k7 * _P72,
+        0.0 + k1 * _P13 + k3 * _P33 + k4 * _P43 + k5 * _P53 + k6 * _P63 + k7 * _P73,
     )
 
 

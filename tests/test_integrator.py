@@ -1,5 +1,7 @@
 """Integrator tests: accuracy, positivity, convergence order, dense output."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    SHOWCASE_IC_CYCLE_HIGH,
     SHOWCASE_IC_SETTLING,
     draw_box_admissible,
     showcase_params,
@@ -25,6 +28,8 @@ from hematodyn import (
     nondimensionalize,
     steady_state_E2,
 )
+from hematodyn import integrator
+from hematodyn.sweep import CONSTELLATIONS
 
 
 class TestConfigValidation:
@@ -217,3 +222,59 @@ class TestFailureModes:
     def test_initial_state_type_checked(self):
         with pytest.raises(TypeError):
             integrate(REFERENCE_PARAMETERS, (1.0, 2.0, 3.0), IntegrationConfig(t_end=1.0))
+
+
+def _table_sum(k1, k2, k3, k4, k5, k6, k7):
+    # the generic form of the dense-output coefficients, kept as the oracle
+    # for the unrolled integrator._dense_coeffs
+    ks = (k1, k2, k3, k4, k5, k6, k7)
+    return tuple(sum(ks[s] * integrator._P[s][j] for s in range(7)) for j in range(4))
+
+
+_SET8 = REFERENCE_PARAMETERS.with_(**CONSTELLATIONS[8])
+_SET8_E2 = steady_state_E2(_SET8).state
+
+
+class TestDenseOutputBits:
+    @pytest.mark.parametrize("params, initial, config, digest", [
+        # showcase cycle at a 0.05 d stride: about 14 samples per step
+        (showcase_params(p2=0.3), SHOWCASE_IC_CYCLE_HIGH,
+         IntegrationConfig(t_end=400.0, output_stride=0.05),
+         "1089ff3ede97e355a103ef5082ada3ae3162f6251a2d07e0c6722a7269275211"),
+        # extended variant (d1, d2 > 0) started 5 % above E2 in u1
+        (_SET8, CellState(1.05 * _SET8_E2.u1, _SET8_E2.u2, _SET8_E2.u3),
+         IntegrationConfig(t_end=2000.0),
+         "8810df4a02c1860508caa5c96312c3c46a24cc53916a28babdfd1e36b2967a25"),
+        # decay through the noise floor: clamps undershoots and rejects
+        # steps on both a step-end dip and a dense-output dip
+        (ModelParameters(a1=0.55, a2=0.3, p1=0.9, p2=0.2, d3=0.4, k=1e-8, d1=0.5, d2=1.0),
+         CellState(2e3, 5e2, 1e4), IntegrationConfig(t_end=400.0, abs_tol=1e-3),
+         "c7674332bc2b32d304ed4bcfddd1e24250030598c36f7f9dacd052b2bad0c600"),
+    ], ids=["showcase-fine-stride", "set8-extended", "clamp-and-dip"])
+    def test_samples_are_pinned(self, params, initial, config, digest):
+        traj = integrate(params, initial, config)
+        assert hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest() == digest
+
+    def test_unrolled_coeffs_match_table_sum(self):
+        rng = np.random.default_rng(9)
+        cases = []
+        for _ in range(2000):
+            ks = rng.choice([-1.0, 1.0], 7) * 10.0 ** rng.uniform(-3.0, 9.0, 7)
+            ks[rng.random(7) < 0.2] = 0.0
+            ks[rng.random(7) < 0.05] = -0.0
+            cases.append(ks.tolist())
+        # all-zero slopes in every sign pattern: only the sum's start value
+        # then decides the sign of a zero coefficient
+        cases.extend(itertools.product((0.0, -0.0), repeat=7))
+        for k1, k2, k3, k4, k5, k6, k7 in cases:
+            got = integrator._dense_coeffs(k1, k3, k4, k5, k6, k7)
+            want = _table_sum(k1, k2, k3, k4, k5, k6, k7)
+            assert [q.hex() for q in got] == [q.hex() for q in want]
+
+    def test_interpolant_ends_on_the_step_endpoint(self):
+        # at theta = 1 the quartic sums each stage's row of _P, which must be
+        # that stage's fifth-order weight
+        weights = (integrator._B1, 0.0, integrator._B3, integrator._B4,
+                   integrator._B5, integrator._B6, 0.0)
+        for row, weight in zip(integrator._P, weights):
+            assert abs(math.fsum(row) - weight) <= 1e-15
