@@ -13,10 +13,12 @@ import json
 import math
 from dataclasses import asdict
 
+import numpy as np
+
 from .analysis import AttractorVerdict
 from .model import PARAM_NAMES, ModelParameters
 from .stability import HopfReport, StabilityReport
-from .sweep import ConstellationReport
+from .sweep import _CHUNK, ConstellationReport
 
 __all__ = [
     "dumps",
@@ -73,10 +75,16 @@ def dumps(obj) -> str:
 
 
 def write_trajectory_csv(traj, fh) -> None:
-    """CSV columns t,u1,u2,u3; '.' decimals, newline-terminated rows."""
+    """CSV columns t,u1,u2,u3; '.' decimals, newline-terminated rows.
+
+    Each block of `_CHUNK` rows (the sweep writer's block size) is
+    formatted by one `%` call and written by one `fh.write`.
+    """
     fh.write("t,u1,u2,u3\n")
-    for t, row in zip(traj.times, traj.states):
-        fh.write("%.17g,%.17g,%.17g,%.17g\n" % (t, row[0], row[1], row[2]))
+    for start in range(0, len(traj.times), _CHUNK):
+        stop = start + _CHUNK
+        block = np.column_stack((traj.times[start:stop], traj.states[start:stop]))
+        fh.write("%.17g,%.17g,%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def params_to_dict(params: ModelParameters) -> dict:

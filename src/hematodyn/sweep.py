@@ -28,6 +28,7 @@ from .integrator import IntegrationConfig, integrate
 from .model import REFERENCE_PARAMETERS, CellState, ModelParameters, e2_conditions, steady_state_E2
 from .stability import (
     CLASS_NAMES,
+    NONEXISTENT,
     _extended_coeffs,
     char_poly_E2,
     hurwitz_codes,
@@ -117,6 +118,9 @@ class AxisSpec:
             value = getattr(self, label)
             if not math.isfinite(value):
                 raise ValueError(f"{label} of the {self.name} axis must be finite, got {value}")
+        # reject here what would otherwise fail inside run_sweep; bool is an int subclass
+        if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)):
+            raise ValueError(f"count of the {self.name} axis must be an int, got {self.count!r}")
         if not self.low < self.high:
             raise ValueError(f"empty interval for {self.name}: ({self.low}, {self.high})")
         if self.count < 2:
@@ -283,29 +287,42 @@ def write_sweep_csv(result: SweepResult, fh) -> None:
     """Stream the per-point rows as CSV: coordinates, existence, margin, class.
 
     Floats use 17 significant digits and '.' decimals so two runs of the
-    same sweep produce byte-identical files. Rows are written in blocks of
-    `_CHUNK` rows, one `fh.write` per block, so memory stays bounded by the
-    block size rather than the grid size.
+    same sweep produce byte-identical files. Each block of `_CHUNK` rows is
+    formatted by one `%` call and written by one `fh.write`, so memory
+    stays bounded by the block size rather than the grid size.
     """
     fh.write(",".join(result.spec.names) + ",e2_exists,hurwitz,class\n")
     # each axis value is formatted once; the product runs the last axis
     # fastest, the same C order as the flat result arrays
     axes = [["%.17g" % value for value in grid.tolist()] for grid in result._grids]
     coords = map(",".join, itertools.product(*axes))
-    labels = [",%s\n" % name for name in CLASS_NAMES]
+    # one row template per class code; run_sweep gives code 3 exactly where
+    # E2 does not exist, so the class also fixes the e2_exists digit
+    templates = [
+        "%%s,%d,%%.17g,%s\n" % (name != NONEXISTENT, name) for name in CLASS_NAMES
+    ]
     for start in range(0, result.n_points, _CHUNK):
         stop = start + _CHUNK
-        rows = zip(
-            itertools.islice(coords, _CHUNK),
-            result.exists[start:stop].tolist(),
-            result.hurwitz[start:stop].tolist(),
-            result.class_codes[start:stop].tolist(),
-        )
-        fh.write("".join("%s,%d,%.17g%s" % (c, e, h, labels[k]) for c, e, h, k in rows))
+        codes = result.class_codes[start:stop].tolist()
+        # coordinates go in as %s arguments, never into the format string,
+        # so no text needs escaping
+        args = [None] * (2 * len(codes))
+        args[0::2] = itertools.islice(coords, _CHUNK)
+        args[1::2] = result.hurwitz[start:stop].tolist()
+        text = "".join([templates[k] for k in codes]) % tuple(args)
+        # the block's coordinate and margin objects go before the sink takes
+        # the text, so they do not add to the sink's own peak memory
+        del args
+        fh.write(text)
 
 
 def sweep_summary(result: SweepResult, max_points: int = 1000) -> dict:
-    """JSON-ready aggregate view: counts, unstable bounds, sample points."""
+    """JSON-ready aggregate view: counts, unstable bounds, sample points.
+
+    At most `max_points` (>= 0) unstable points are listed.
+    """
+    if max_points < 0:
+        raise ValueError(f"max_points must be >= 0, got {max_points}")
     pts = result.unstable_points
     summary = {
         "axes": [

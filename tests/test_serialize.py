@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from hematodyn import (
     write_trajectory_csv,
 )
 from hematodyn.model import PARAM_NAMES
+from hematodyn.sweep import _CHUNK
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -103,6 +105,25 @@ class TestTrajectoryCsv:
         parsed = np.array([[float(v) for v in row] for row in rows])
         assert np.array_equal(parsed[:, 0], times)
         assert np.array_equal(parsed[:, 1:], states)
+
+    @pytest.mark.parametrize("rows", [1, 2 * _CHUNK + 5], ids=["1-row", "3-blocks"])
+    def test_matches_row_by_row_writer(self, rows):
+        rng = np.random.default_rng(rows)
+        times = np.cumsum(rng.uniform(1e-3, 2.0, rows))
+        # magnitudes from 1e-300 to 1e300, plus -0.0, inf and the smallest subnormal
+        states = rng.random((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
+        states[0] = (-0.0, np.inf, 5e-324)
+        traj = Trajectory(times, states)
+        # the writer before block formatting, one numpy-scalar row at a time
+        expected = io.StringIO()
+        expected.write("t,u1,u2,u3\n")
+        for t, row in zip(traj.times, traj.states):
+            expected.write("%.17g,%.17g,%.17g,%.17g\n" % (t, row[0], row[1], row[2]))
+        blocks = []
+        write_trajectory_csv(traj, SimpleNamespace(write=blocks.append))
+        assert "".join(blocks) == expected.getvalue()
+        # the header, then one write per block of at most _CHUNK rows
+        assert len(blocks) == 1 + -(-rows // _CHUNK)
 
 
 def parse_back(data: dict) -> dict:

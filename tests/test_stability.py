@@ -400,3 +400,70 @@ class TestInstabilityRegion:
         d3_cut, p2_cut = instability_region_bounds(a1, frac * a1)
         assert 0.0 < d3_cut < 2.0
         assert 0.0 < p2_cut < 2.0
+
+
+class TestTwoCompartmentReduction:
+    """The two-compartment model has no Hopf bifurcation.
+
+    Stem cells u1 feed mature cells u2 directly, and the mature count
+    throttles stem self-renewal through s = 1/(1 + k*u2):
+
+        u1' = (2*a1*s - 1)*p1*u1 - d1*u1
+        u2' = 2*(1 - a1*s)*p1*u1 - d2*u2
+
+    d2 > 0 is mature clearance; without it there is no positive state. The
+    stem balance pins s* = (p1 + d1)/(2*a1*p1), which must lie below 1, so
+    u2* = (1/s* - 1)/k and u1* = d2*u2* / (2*(1 - a1*s*)*p1). With
+    s' = -k*s^2 the Jacobian there is
+
+        [ 0                    -2*a1*p1*k*s*^2*u1* ]
+        [ 2*(1 - a1*s*)*p1      2*a1*p1*k*s*^2*u1* - d2 ]
+
+    Its determinant is positive, and its trace is
+    d2*(d1/p1 - a1*s*^2)/(1 - a1*s*), negative since
+    4*a1*p1*d1 < (p1 + d1)^2 for a1 < 1. Both eigenvalues then have negative
+    real parts, and no parameter change can bring a pair onto the
+    imaginary axis: the Hopf bifurcation needs the third compartment.
+    """
+
+    @staticmethod
+    def reduced_rhs(a1, p1, d1, d2, k, u1, u2):
+        s = 1.0 / (1.0 + k * u2)
+        return np.array([
+            (2.0 * a1 * s - 1.0) * p1 * u1 - d1 * u1,
+            2.0 * (1.0 - a1 * s) * p1 * u1 - d2 * u2,
+        ])
+
+    def test_positive_state_is_a_stable_node_or_focus(self):
+        rng = np.random.default_rng(2018)
+        for draw in range(400):
+            a1 = rng.uniform(0.52, 0.98)
+            p1 = rng.uniform(0.05, 1.0)
+            # half the draws without stem death; s* < 1 needs d1 < (2*a1 - 1)*p1
+            d1 = 0.0 if draw % 2 else rng.uniform(0.0, 0.9) * (2.0 * a1 - 1.0) * p1
+            d2 = rng.uniform(0.01, 3.0)
+            k = 10.0 ** rng.uniform(-10, -6)
+            s = (p1 + d1) / (2.0 * a1 * p1)
+            assert s < 1.0
+            u2 = (1.0 / s - 1.0) / k
+            u1 = d2 * u2 / (2.0 * (1.0 - a1 * s) * p1)
+            assert u1 > 0.0 and u2 > 0.0
+            residual = self.reduced_rhs(a1, p1, d1, d2, k, u1, u2)
+            assert np.all(np.abs(residual) <= 1e-12 * np.array([p1 * u1, d2 * u2]))
+
+            gain = 2.0 * a1 * p1 * k * s * s * u1
+            jac = np.array([[0.0, -gain], [2.0 * (1.0 - a1 * s) * p1, gain - d2]])
+            # the closed-form entries against central differences of the rhs
+            for col, step in enumerate((1e-6 * u1, 1e-6 * u2)):
+                shift = np.zeros(2)
+                shift[col] = step
+                plus = self.reduced_rhs(a1, p1, d1, d2, k, u1 + shift[0], u2 + shift[1])
+                minus = self.reduced_rhs(a1, p1, d1, d2, k, u1 - shift[0], u2 - shift[1])
+                scale = np.abs(jac).max()
+                assert (plus - minus) / (2.0 * step) == pytest.approx(jac[:, col], abs=1e-6 * scale)
+
+            trace, det = np.trace(jac), np.linalg.det(jac)
+            assert trace == pytest.approx(d2 * (d1 / p1 - a1 * s * s) / (1.0 - a1 * s), rel=1e-9)
+            assert trace < 0.0, (a1, p1, d1, d2, k)
+            assert det > 0.0, (a1, p1, d1, d2, k)
+            assert np.all(np.linalg.eigvals(jac).real < 0.0)

@@ -24,6 +24,7 @@ from hematodyn import (
     ModelParameters,
     PLAUSIBLE_INTERVALS,
     REFERENCE_PARAMETERS,
+    SweepResult,
     SweepSpec,
     axis_for,
     bifurcation_bracket,
@@ -38,6 +39,7 @@ from hematodyn import (
     sweep_summary,
     write_sweep_csv,
 )
+from hematodyn.stability import CLASS_NAMES
 from hematodyn.sweep import _CHUNK
 
 
@@ -92,6 +94,11 @@ class TestAxisSpec:
         fields[field] = value
         with pytest.raises(ValueError, match=f"{field} of the {name} axis must be finite"):
             AxisSpec(**fields)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, True])
+    def test_count_must_be_an_int(self, count):
+        with pytest.raises(ValueError, match="count of the d3 axis must be an int"):
+            AxisSpec(name="d3", low=0.5, high=1.0, count=count)
 
     def test_leaving_plausible_range_warns(self):
         with pytest.warns(UserWarning, match="plausible range"):
@@ -253,6 +260,36 @@ class TestResultAccess:
         assert len(sink.blocks) == 1 + -(-result.n_points // _CHUNK)
         assert all(block.count("\n") <= _CHUNK for block in sink.blocks)
 
+    def test_edge_rows_match_row_by_row_reference(self, monkeypatch):
+        # every class, marginal included, with signed zeros, nan, +-inf and
+        # tiny margins; E2 is missing exactly on code 3, as in run_sweep
+        spec = SweepSpec(varied=(axis_for("p1", 4), axis_for("d3", 3)))
+        codes = np.array([0, 0, 1, 1, 2, 2, 3, 3, 0, 1, 2, 3], dtype=np.int8)
+        margins = np.array([
+            1e-300, np.inf, -1e-300, -np.inf, 0.0, -0.0,
+            np.nan, np.nan, 2.5, -7.0, 1e-300, np.nan,
+        ])
+        result = SweepResult(
+            spec=spec,
+            exists=codes != 3,
+            hurwitz=margins,
+            class_codes=codes,
+            counts=dict(zip(CLASS_NAMES, np.bincount(codes).tolist())),
+            unstable_points=np.empty((0, 2)),
+            unstable_bounds=None,
+            hopf_pair_count=0,
+            _grids=tuple(axis.grid() for axis in spec.varied),
+        )
+        monkeypatch.setattr("hematodyn.sweep._CHUNK", 5)
+        sink = RecordingSink()
+        write_sweep_csv(result, sink)
+        text = "".join(sink.blocks)
+        assert text == reference_csv(result)
+        assert len(sink.blocks) == 1 + 3
+        assert all(block.count("\n") <= 5 for block in sink.blocks)
+        assert {line.rsplit(",", 1)[1] for line in text.splitlines()[1:]} == set(CLASS_NAMES)
+        assert [line.split(",")[-2] for line in text.splitlines()[5:7]] == ["0", "-0"]
+
     def test_summary_structure_and_truncation(self):
         axes = (axis_for("p1", 40), axis_for("a2", 40), axis_for("d3", 40))
         result = run_sweep(SweepSpec(varied=axes))
@@ -264,6 +301,16 @@ class TestResultAccess:
         assert summary["unstable"]["points_truncated"] is True
         assert set(summary["unstable"]["bounds"]) == {"p1", "a2", "d3"}
         assert [a["name"] for a in summary["axes"]] == ["p1", "a2", "d3"]
+
+    def test_negative_max_points_rejected(self):
+        axes = (axis_for("p1", 23), axis_for("a2", 29), axis_for("d3", 17))
+        result = run_sweep(SweepSpec(varied=axes))
+        assert result.counts["unstable"] > 0
+        with pytest.raises(ValueError, match="max_points must be >= 0"):
+            sweep_summary(result, max_points=-1)
+        summary = sweep_summary(result, max_points=0)
+        assert summary["unstable"]["points"] == []
+        assert summary["unstable"]["points_truncated"] is True
 
 
 class TestBifurcationBracket:
