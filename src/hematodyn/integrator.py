@@ -4,9 +4,11 @@ Embedded Dormand-Prince 5(4) pair with proportional-integral step-size
 control and a quartic interpolant for dense output, specialized to the
 three-component right-hand side: plain float arithmetic written out per
 component, with no array or generator overhead in a step or in its dense
-output. The model is non-stiff across the studied parameter ranges (rates
-stay below ~27 in rescaled units); if a caller ever pushes it into a stiff
-corner, reducing max_step is the escape hatch.
+output. The step loop makes no builtin calls (max, min and abs are written
+as comparisons that keep the builtins' operand order) and computes each
+state's norm once. The model is non-stiff across the studied parameter
+ranges (rates stay below ~27 in rescaled units); if a caller ever pushes it
+into a stiff corner, reducing max_step is the escape hatch.
 
 Positivity: the closed positive octant is invariant for the exact flow,
 so negative values can only be discretization or roundoff noise. Small
@@ -108,13 +110,13 @@ class IntegrationConfig:
     def __post_init__(self):
         if not (isinstance(self.t_end, (int, float)) and math.isfinite(self.t_end) and self.t_end > 0):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if not 1e-12 <= self.rel_tol <= 1e-3:
+        if not (_isfinite("rel_tol", self.rel_tol) and 1e-12 <= self.rel_tol <= 1e-3):
             raise ValueError(f"rel_tol must lie in [1e-12, 1e-3], got {self.rel_tol}")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
+        if not (_isfinite("abs_tol", self.abs_tol) and self.abs_tol > 0):
             raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
         for name in ("max_step", "initial_step", "output_stride"):
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
+            if value is not None and not (_isfinite(name, value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite when given, got {value}")
         if self.t_end / self.stride > _MAX_SAMPLES:
             raise ValueError(f"output_stride {self.stride} gives over {_MAX_SAMPLES} samples")
@@ -125,6 +127,14 @@ class IntegrationConfig:
     @property
     def stride(self) -> float:
         return self.output_stride if self.output_stride is not None else self.t_end / 2000.0
+
+
+def _isfinite(name, value) -> bool:
+    # math.isfinite raises TypeError for a non-number; name the field instead
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
 @dataclass
@@ -187,9 +197,12 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
 
     t_end = float(config.t_end)
     stride = config.stride
-    band = config.abs_tol * 1e-3
+    abs_tol = config.abs_tol
+    rel_tol = config.rel_tol
+    band = abs_tol * 1e-3
     h_min = 1e-14 * t_end
     max_step = config.max_step if config.max_step is not None else math.inf
+    inf = math.inf
 
     x, y, z = initial.as_tuple()
     t = 0.0
@@ -203,11 +216,20 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
     if not (math.isfinite(k1x) and math.isfinite(k1y) and math.isfinite(k1z)):
         raise IntegrationError("non-finite derivative", t, (x, y, z), _partial(times, samples))
 
-    scale = config.abs_tol + config.rel_tol * max(abs(x), abs(y), abs(z))
-    h = _initial_step(f, (x, y, z), (k1x, k1y, k1z), scale) if config.initial_step is None \
-        else float(config.initial_step)
+    # max(|x|, |y|, |z|) of the current state; an accepted step hands its
+    # end state's norm on, so each state's norm is computed once
+    norm_old = max(abs(x), abs(y), abs(z))
+    h = _initial_step(f, (x, y, z), (k1x, k1y, k1z), abs_tol + rel_tol * norm_old) \
+        if config.initial_step is None else float(config.initial_step)
     h = min(h, max_step, t_end)
 
+    # In the loop, max, min and abs are written as comparisons. Each max(a,
+    # b, ...) keeps its first operand unless a later one compares strictly
+    # greater (min: smaller), as the builtins do, so a NaN decides the
+    # result in first place and is skipped anywhere else. abs is a sign
+    # test that leaves -0.0 as -0.0. That can only flip the sign of a zero
+    # norm or error, which cannot show: abs_tol + rel_tol * -0.0 is abs_tol,
+    # and a zero err only meets comparisons.
     err_prev = 1e-4
     fac_cap = _FAC_MAX
     steps = 0
@@ -248,24 +270,34 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
         ex = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
         ey = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
         ez = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
-        norm_old = max(abs(x), abs(y), abs(z))
-        norm_new = max(abs(xn), abs(yn), abs(zn))
-        scale = config.abs_tol + config.rel_tol * max(norm_old, norm_new)
-        err = max(abs(ex), abs(ey), abs(ez)) / scale
+        norm_new = -xn if xn < 0.0 else xn
+        a = -yn if yn < 0.0 else yn
+        norm_new = a if a > norm_new else norm_new
+        a = -zn if zn < 0.0 else zn
+        norm_new = a if a > norm_new else norm_new
+        err = -ex if ex < 0.0 else ex
+        a = -ey if ey < 0.0 else ey
+        err = a if a > err else err
+        a = -ez if ez < 0.0 else ez
+        err = a if a > err else err
+        err /= abs_tol + rel_tol * (norm_new if norm_new > norm_old else norm_old)
 
-        if not math.isfinite(err):
+        # err is NaN, +inf or >= 0 here, so this is `not math.isfinite(err)`
+        if not err < inf:
             h *= 0.1
             fac_cap = 1.0
             continue
         if err > 1.0:
-            h *= max(_FAC_MIN, _SAFETY * err ** (-0.2))
+            factor = _SAFETY * err ** (-0.2)
+            h *= factor if factor > _FAC_MIN else _FAC_MIN
             fac_cap = 1.0
             continue
 
         # a dip past the clamp band is treated as an overlong step, not an
         # error: the octant is invariant for the exact flow, so shrinking h
         # shrinks the undershoot. Only step underflow turns it fatal.
-        low = min(xn, yn, zn)
+        low = yn if yn < xn else xn
+        low = zn if zn < low else low
         if low < -band:
             h *= 0.5
             fac_cap = 1.0
@@ -274,20 +306,23 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
 
         if next_sample <= t_new and next_sample < interior_end:
             # dense-output polynomial: y(theta) = y + h * sum_j q_j * theta^(j+1)
-            qx = _dense_coeffs(k1x, k3x, k4x, k5x, k6x, k7x)
-            qy = _dense_coeffs(k1y, k3y, k4y, k5y, k6y, k7y)
-            qz = _dense_coeffs(k1z, k3z, k4z, k5z, k6z, k7z)
+            qx0, qx1, qx2, qx3 = _dense_coeffs(k1x, k3x, k4x, k5x, k6x, k7x)
+            qy0, qy1, qy2, qy3 = _dense_coeffs(k1y, k3y, k4y, k5y, k6y, k7y)
+            qz0, qz1, qz2, qz3 = _dense_coeffs(k1z, k3z, k4z, k5z, k6z, k7z)
             pending = []
             sample_t = next_sample
             while sample_t <= t_new and sample_t < interior_end:
                 theta = (sample_t - t) / h
-                sx = x + h * _poly(qx, theta)
-                sy = y + h * _poly(qy, theta)
-                sz = z + h * _poly(qz, theta)
-                if min(sx, sy, sz) < -band:
+                sx = x + h * (theta * (qx0 + theta * (qx1 + theta * (qx2 + theta * qx3))))
+                sy = y + h * (theta * (qy0 + theta * (qy1 + theta * (qy2 + theta * qy3))))
+                sz = z + h * (theta * (qz0 + theta * (qz1 + theta * (qz2 + theta * qz3))))
+                a = sy if sy < sx else sx
+                if (sz if sz < a else a) < -band:
                     pending = None
                     break
-                pending.append((sample_t, (max(sx, 0.0), max(sy, 0.0), max(sz, 0.0))))
+                pending.append((sample_t, (0.0 if 0.0 > sx else sx,
+                                           0.0 if 0.0 > sy else sy,
+                                           0.0 if 0.0 > sz else sz)))
                 sample_t += stride
             if pending is None:
                 h *= 0.5
@@ -299,18 +334,26 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
             next_sample = sample_t
 
         if low < 0.0:
-            xn, yn, zn = max(xn, 0.0), max(yn, 0.0), max(zn, 0.0)
+            xn = 0.0 if 0.0 > xn else xn
+            yn = 0.0 if 0.0 > yn else yn
+            zn = 0.0 if 0.0 > zn else zn
             k7x, k7y, k7z = f(xn, yn, zn)
+            # the clamped components are >= 0 or NaN, so each is its own abs
+            norm_new = yn if yn > xn else xn
+            norm_new = zn if zn > norm_new else norm_new
         x, y, z = xn, yn, zn
+        norm_old = norm_new
         k1x, k1y, k1z = k7x, k7y, k7z
         t = t_new
 
         if err > 0.0:
             factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
+            factor = factor if factor > _FAC_MIN else _FAC_MIN
         else:
-            factor = fac_cap
-        h = min(h * min(fac_cap, max(_FAC_MIN, factor)), max_step)
-        err_prev = max(err, 1e-4)
+            factor = fac_cap  # 1 or 10, never below _FAC_MIN
+        h *= factor if factor < fac_cap else fac_cap
+        h = max_step if max_step < h else h
+        err_prev = 1e-4 if 1e-4 > err else err
         fac_cap = _FAC_MAX
 
     times.append(t_end)
@@ -333,10 +376,6 @@ def _dense_coeffs(k1, k3, k4, k5, k6, k7):
         0.0 + k1 * _P12 + k3 * _P32 + k4 * _P42 + k5 * _P52 + k6 * _P62 + k7 * _P72,
         0.0 + k1 * _P13 + k3 * _P33 + k4 * _P43 + k5 * _P53 + k6 * _P63 + k7 * _P73,
     )
-
-
-def _poly(q, theta):
-    return theta * (q[0] + theta * (q[1] + theta * (q[2] + theta * q[3])))
 
 
 def _initial_step(f, state, slope, scale) -> float:

@@ -116,7 +116,11 @@ class AxisSpec:
             raise ValueError(f"unknown sweep parameter {self.name!r}")
         for label in ("low", "high", "count", "nudge"):
             value = getattr(self, label)
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                raise ValueError(f"{label} of the {self.name} axis must be a number, got {value!r}") from None
+            if not finite:
                 raise ValueError(f"{label} of the {self.name} axis must be finite, got {value}")
         # reject here what would otherwise fail inside run_sweep; bool is an int subclass
         if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)):

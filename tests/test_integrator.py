@@ -74,6 +74,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=name):
             IntegrationConfig(**fields)
 
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "max_step", "initial_step", "output_stride"])
+    def test_non_numeric_setting_named(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be a number, got '1e-6'"):
+            IntegrationConfig(t_end=10.0, **{name: "1e-6"})
+
     def test_default_stride_is_two_thousandth(self):
         config = IntegrationConfig(t_end=100.0)
         assert config.stride == pytest.approx(0.05)
@@ -218,6 +223,11 @@ class TestFailureModes:
         assert len(err.trajectory) > 1
         assert 0.0 < err.time < 50.0
         assert err.trajectory.times[-1] <= err.time
+        # NaN arises on this path, so the step control's comparison order
+        # shows here: pin where and how the run ends
+        assert err.reason == "step size underflow"
+        assert err.time.hex() == "0x1.50f60e89b63f3p+2"
+        assert len(err.trajectory) == 211
 
     def test_initial_state_type_checked(self):
         with pytest.raises(TypeError):
@@ -250,7 +260,19 @@ class TestDenseOutputBits:
         (ModelParameters(a1=0.55, a2=0.3, p1=0.9, p2=0.2, d3=0.4, k=1e-8, d1=0.5, d2=1.0),
          CellState(2e3, 5e2, 1e4), IntegrationConfig(t_end=400.0, abs_tol=1e-3),
          "c7674332bc2b32d304ed4bcfddd1e24250030598c36f7f9dacd052b2bad0c600"),
-    ], ids=["showcase-fine-stride", "set8-extended", "clamp-and-dip"])
+        # a 50 d first step: the error estimate rejects it (err > 1) six times
+        (showcase_params(p2=0.3), SHOWCASE_IC_CYCLE_HIGH,
+         IntegrationConfig(t_end=100.0, initial_step=50.0),
+         "b7b5654152e0df0e56c27f873ee6025694b86d9d1a81becf0ac5110ab61b5088"),
+        # max_step caps 199 of the 202 step-size updates
+        (showcase_params(p2=0.5), SHOWCASE_IC_SETTLING,
+         IntegrationConfig(t_end=100.0, max_step=0.5),
+         "ce48eaf710810d6410523025eed5eeb594ab1ed957638294e022db85e685e719"),
+        # zero state: every error estimate is exactly 0, so each step grows by fac_cap
+        (REFERENCE_PARAMETERS, CellState(0.0, 0.0, 0.0), IntegrationConfig(t_end=50.0),
+         "4804a3e643d0874bdec712673441f622ff50529f4aeffed37e28f8fe9bfeb81b"),
+    ], ids=["showcase-fine-stride", "set8-extended", "clamp-and-dip",
+            "oversized-initial-step", "max-step-cap", "zero-state"])
     def test_samples_are_pinned(self, params, initial, config, digest):
         traj = integrate(params, initial, config)
         assert hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest() == digest

@@ -95,6 +95,13 @@ class TestAxisSpec:
         with pytest.raises(ValueError, match=f"{field} of the {name} axis must be finite"):
             AxisSpec(**fields)
 
+    @pytest.mark.parametrize("field", ["low", "high", "count", "nudge"])
+    def test_non_numeric_field_named(self, field):
+        fields = dict(name="d3", low=0.5, high=1.0, count=7, nudge=1e-4)
+        fields[field] = "3"
+        with pytest.raises(ValueError, match=f"{field} of the d3 axis must be a number, got '3'"):
+            AxisSpec(**fields)
+
     @pytest.mark.parametrize("count", [2.5, 3.0, True])
     def test_count_must_be_an_int(self, count):
         with pytest.raises(ValueError, match="count of the d3 axis must be an int"):
