@@ -198,7 +198,9 @@ def classify(
     """Integrate and classify the long-run behavior.
 
     The horizon should cover at least ~20 putative periods; the default
-    from `default_horizon` does. Integration failures propagate.
+    from `default_horizon` does. Integration failures propagate. An
+    output_stride that leaves fewer than 3 samples in the kept tail or in
+    the trailing 5 % of the horizon is a ValueError.
     """
     if not 0.0 < transient_fraction < 1.0:
         raise ValueError(f"transient_fraction must lie in (0, 1), got {transient_fraction}")
@@ -214,6 +216,18 @@ def classify(
         t_end=horizon, rel_tol=rel_tol, abs_tol=abs_tol, output_stride=stride
     )
     traj = integrate(params, initial, config)
+    # the cycle test judges the kept tail and the settle test the trailing
+    # 5 % of the horizon; one or two samples show neither, so a stride too
+    # coarse for either window is refused, not judged
+    keep = traj.times >= transient_fraction * horizon
+    window = traj.times >= traj.times[-1] - 0.05 * horizon
+    for part, mask in ((f"the kept tail (t >= {transient_fraction} * horizon)", keep),
+                       ("the trailing 5 % of the horizon", window)):
+        count = int(np.count_nonzero(mask))
+        if count < 3:
+            raise ValueError(
+                f"output_stride {stride} leaves {count} sample(s) in {part}; classify needs at least 3"
+            )
 
     equilibria = steady_states(params)
     targets = [(eq.label, eq.state.as_array()) for eq in equilibria]
@@ -221,7 +235,6 @@ def classify(
     final_distance = min(_relative_distance(final_row, ref) for _, ref in targets)
 
     # settle test on the trailing 5% of the horizon
-    window = traj.times >= traj.times[-1] - 0.05 * horizon
     tail_states = traj.states[window]
     best_label = None
     best_worst = math.inf
@@ -235,7 +248,6 @@ def classify(
             kind=EQUILIBRIUM, label=best_label, final_distance=final_distance
         )
 
-    keep = traj.times >= transient_fraction * horizon
     tail = Trajectory(traj.times[keep], traj.states[keep])
     report = oscillation_report(tail)
     if (

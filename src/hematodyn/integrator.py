@@ -4,11 +4,15 @@ Embedded Dormand-Prince 5(4) pair with proportional-integral step-size
 control and a quartic interpolant for dense output, specialized to the
 three-component right-hand side: plain float arithmetic written out per
 component, with no array or generator overhead in a step or in its dense
-output. The step loop makes no builtin calls (max, min and abs are written
-as comparisons that keep the builtins' operand order) and computes each
-state's norm once. The model is non-stiff across the studied parameter
-ranges (rates stay below ~27 in rescaled units); if a caller ever pushes it
-into a stiff corner, reducing max_step is the escape hatch.
+output. A step that takes no sample and clamps nothing makes no call at
+all: each stage writes the right-hand side out in `rhs_closure`'s
+operation order, with the rates and the tableau in locals; max, min and
+abs are comparisons that keep the builtins' operand order; and each
+state's norm is computed once. `rhs_closure` stays the definition, and
+gives the first slope, the startup step guess and the slope after a
+clamp. The model is non-stiff across the studied parameter ranges (rates
+stay below ~27 in rescaled units); if a caller ever pushes it into a
+stiff corner, reducing max_step is the escape hatch.
 
 Positivity: the closed positive octant is invariant for the exact flow,
 so negative values can only be discretization or roundoff noise. Small
@@ -24,7 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .model import CellState, ModelParameters, rhs_closure
+from .model import CellState, ModelParameters, _real, rhs_closure
 
 __all__ = ["IntegrationConfig", "Trajectory", "IntegrationError", "integrate"]
 
@@ -108,15 +112,22 @@ class IntegrationConfig:
     output_stride: Optional[float] = None
 
     def __post_init__(self):
-        if not (isinstance(self.t_end, (int, float)) and math.isfinite(self.t_end) and self.t_end > 0):
+        # each number is stored as a float, so the step loop runs on floats
+        for name in ("t_end", "rel_tol", "abs_tol"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if not (_isfinite("rel_tol", self.rel_tol) and 1e-12 <= self.rel_tol <= 1e-3):
+        if not (math.isfinite(self.rel_tol) and 1e-12 <= self.rel_tol <= 1e-3):
             raise ValueError(f"rel_tol must lie in [1e-12, 1e-3], got {self.rel_tol}")
-        if not (_isfinite("abs_tol", self.abs_tol) and self.abs_tol > 0):
+        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
             raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
         for name in ("max_step", "initial_step", "output_stride"):
             value = getattr(self, name)
-            if value is not None and not (_isfinite(name, value) and value > 0):
+            if value is None:
+                continue
+            value = _real(name, value)
+            object.__setattr__(self, name, value)
+            if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite when given, got {value}")
         if self.t_end / self.stride > _MAX_SAMPLES:
             raise ValueError(f"output_stride {self.stride} gives over {_MAX_SAMPLES} samples")
@@ -127,14 +138,6 @@ class IntegrationConfig:
     @property
     def stride(self) -> float:
         return self.output_stride if self.output_stride is not None else self.t_end / 2000.0
-
-
-def _isfinite(name, value) -> bool:
-    # math.isfinite raises TypeError for a non-number; name the field instead
-    try:
-        return math.isfinite(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
 @dataclass
@@ -195,7 +198,7 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
         raise TypeError(f"initial must be a CellState, got {type(initial).__name__}")
     f = rhs_closure(params)
 
-    t_end = float(config.t_end)
+    t_end = config.t_end
     stride = config.stride
     abs_tol = config.abs_tol
     rel_tol = config.rel_tol
@@ -203,6 +206,19 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
     h_min = 1e-14 * t_end
     max_step = config.max_step if config.max_step is not None else math.inf
     inf = math.inf
+    # the rates, the tableau and the controller constants as locals, which
+    # the step loop reads faster than closure cells or module globals
+    a1, a2, p1, p2 = params.a1, params.a2, params.p1, params.p2
+    d1, d2, d3, fb = params.d1, params.d2, params.d3, params.k
+    a1x2 = 2.0 * a1
+    a2x2 = 2.0 * a2
+    A21, A31, A32, A41, A42, A43 = _A21, _A31, _A32, _A41, _A42, _A43
+    A51, A52, A53, A54 = _A51, _A52, _A53, _A54
+    A61, A62, A63, A64, A65 = _A61, _A62, _A63, _A64, _A65
+    B1, B3, B4, B5, B6 = _B1, _B3, _B4, _B5, _B6
+    E1, E3, E4, E5, E6, E7 = _E1, _E3, _E4, _E5, _E6, _E7
+    safety, fac_min, fac_max = _SAFETY, _FAC_MIN, _FAC_MAX
+    neg_alpha, pi_beta, max_steps = -_PI_ALPHA, _PI_BETA, _MAX_STEPS
 
     x, y, z = initial.as_tuple()
     t = 0.0
@@ -231,45 +247,65 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
     # norm or error, which cannot show: abs_tol + rel_tol * -0.0 is abs_tol,
     # and a zero err only meets comparisons.
     err_prev = 1e-4
-    fac_cap = _FAC_MAX
+    fac_cap = fac_max
     steps = 0
     while t < t_end:
         steps += 1
-        if steps > _MAX_STEPS:
+        if steps > max_steps:
             raise IntegrationError("step limit exceeded", t, (x, y, z), _partial(times, samples))
         if h < h_min:
             raise IntegrationError("step size underflow", t, (x, y, z), _partial(times, samples))
         if t + 1.01 * h >= t_end:
             h = t_end - t
 
-        u = x + h * (_A21 * k1x)
-        v = y + h * (_A21 * k1y)
-        w = z + h * (_A21 * k1z)
-        k2x, k2y, k2z = f(u, v, w)
-        u = x + h * (_A31 * k1x + _A32 * k2x)
-        v = y + h * (_A31 * k1y + _A32 * k2y)
-        w = z + h * (_A31 * k1z + _A32 * k2z)
-        k3x, k3y, k3z = f(u, v, w)
-        u = x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x)
-        v = y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y)
-        w = z + h * (_A41 * k1z + _A42 * k2z + _A43 * k3z)
-        k4x, k4y, k4z = f(u, v, w)
-        u = x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x)
-        v = y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y)
-        w = z + h * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z)
-        k5x, k5y, k5z = f(u, v, w)
-        u = x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x)
-        v = y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y)
-        w = z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z + _A65 * k5z)
-        k6x, k6y, k6z = f(u, v, w)
-        xn = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
-        yn = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
-        zn = z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
-        k7x, k7y, k7z = f(xn, yn, zn)
+        # each stage writes out rhs_closure's operations in its order, so
+        # every slope has the bits that f would return
+        u = x + h * (A21 * k1x)
+        v = y + h * (A21 * k1y)
+        w = z + h * (A21 * k1z)
+        s = 1.0 / (1.0 + fb * w)
+        k2x = ((a1x2 * s - 1.0) * p1 - d1) * u
+        k2y = ((a2x2 * s - 1.0) * p2 - d2) * v + 2.0 * (1.0 - a1 * s) * p1 * u
+        k2z = 2.0 * (1.0 - a2 * s) * p2 * v - d3 * w
+        u = x + h * (A31 * k1x + A32 * k2x)
+        v = y + h * (A31 * k1y + A32 * k2y)
+        w = z + h * (A31 * k1z + A32 * k2z)
+        s = 1.0 / (1.0 + fb * w)
+        k3x = ((a1x2 * s - 1.0) * p1 - d1) * u
+        k3y = ((a2x2 * s - 1.0) * p2 - d2) * v + 2.0 * (1.0 - a1 * s) * p1 * u
+        k3z = 2.0 * (1.0 - a2 * s) * p2 * v - d3 * w
+        u = x + h * (A41 * k1x + A42 * k2x + A43 * k3x)
+        v = y + h * (A41 * k1y + A42 * k2y + A43 * k3y)
+        w = z + h * (A41 * k1z + A42 * k2z + A43 * k3z)
+        s = 1.0 / (1.0 + fb * w)
+        k4x = ((a1x2 * s - 1.0) * p1 - d1) * u
+        k4y = ((a2x2 * s - 1.0) * p2 - d2) * v + 2.0 * (1.0 - a1 * s) * p1 * u
+        k4z = 2.0 * (1.0 - a2 * s) * p2 * v - d3 * w
+        u = x + h * (A51 * k1x + A52 * k2x + A53 * k3x + A54 * k4x)
+        v = y + h * (A51 * k1y + A52 * k2y + A53 * k3y + A54 * k4y)
+        w = z + h * (A51 * k1z + A52 * k2z + A53 * k3z + A54 * k4z)
+        s = 1.0 / (1.0 + fb * w)
+        k5x = ((a1x2 * s - 1.0) * p1 - d1) * u
+        k5y = ((a2x2 * s - 1.0) * p2 - d2) * v + 2.0 * (1.0 - a1 * s) * p1 * u
+        k5z = 2.0 * (1.0 - a2 * s) * p2 * v - d3 * w
+        u = x + h * (A61 * k1x + A62 * k2x + A63 * k3x + A64 * k4x + A65 * k5x)
+        v = y + h * (A61 * k1y + A62 * k2y + A63 * k3y + A64 * k4y + A65 * k5y)
+        w = z + h * (A61 * k1z + A62 * k2z + A63 * k3z + A64 * k4z + A65 * k5z)
+        s = 1.0 / (1.0 + fb * w)
+        k6x = ((a1x2 * s - 1.0) * p1 - d1) * u
+        k6y = ((a2x2 * s - 1.0) * p2 - d2) * v + 2.0 * (1.0 - a1 * s) * p1 * u
+        k6z = 2.0 * (1.0 - a2 * s) * p2 * v - d3 * w
+        xn = x + h * (B1 * k1x + B3 * k3x + B4 * k4x + B5 * k5x + B6 * k6x)
+        yn = y + h * (B1 * k1y + B3 * k3y + B4 * k4y + B5 * k5y + B6 * k6y)
+        zn = z + h * (B1 * k1z + B3 * k3z + B4 * k4z + B5 * k5z + B6 * k6z)
+        s = 1.0 / (1.0 + fb * zn)
+        k7x = ((a1x2 * s - 1.0) * p1 - d1) * xn
+        k7y = ((a2x2 * s - 1.0) * p2 - d2) * yn + 2.0 * (1.0 - a1 * s) * p1 * xn
+        k7z = 2.0 * (1.0 - a2 * s) * p2 * yn - d3 * zn
 
-        ex = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
-        ey = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
-        ez = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
+        ex = h * (E1 * k1x + E3 * k3x + E4 * k4x + E5 * k5x + E6 * k6x + E7 * k7x)
+        ey = h * (E1 * k1y + E3 * k3y + E4 * k4y + E5 * k5y + E6 * k6y + E7 * k7y)
+        ez = h * (E1 * k1z + E3 * k3z + E4 * k4z + E5 * k5z + E6 * k6z + E7 * k7z)
         norm_new = -xn if xn < 0.0 else xn
         a = -yn if yn < 0.0 else yn
         norm_new = a if a > norm_new else norm_new
@@ -288,8 +324,8 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
             fac_cap = 1.0
             continue
         if err > 1.0:
-            factor = _SAFETY * err ** (-0.2)
-            h *= factor if factor > _FAC_MIN else _FAC_MIN
+            factor = safety * err ** (-0.2)
+            h *= factor if factor > fac_min else fac_min
             fac_cap = 1.0
             continue
 
@@ -347,14 +383,14 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
         t = t_new
 
         if err > 0.0:
-            factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
-            factor = factor if factor > _FAC_MIN else _FAC_MIN
+            factor = safety * err ** neg_alpha * err_prev ** pi_beta
+            factor = factor if factor > fac_min else fac_min
         else:
             factor = fac_cap  # 1 or 10, never below _FAC_MIN
         h *= factor if factor < fac_cap else fac_cap
         h = max_step if max_step < h else h
         err_prev = 1e-4 if 1e-4 > err else err
-        fac_cap = _FAC_MAX
+        fac_cap = fac_max
 
     times.append(t_end)
     samples.append((x, y, z))

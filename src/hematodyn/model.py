@@ -22,6 +22,7 @@ boundaries (see `stability`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -51,6 +52,18 @@ __all__ = [
 
 # the eight model parameters in their CLI and JSON order
 PARAM_NAMES = ("a1", "a2", "p1", "p2", "d1", "d2", "d3", "k")
+
+
+def _real(name: str, value) -> float:
+    """value as a float; a ValueError naming the field for anything else.
+
+    One rule for every numeric field: a bool (an int subclass) or anything
+    that is not a real number is refused, and a numpy scalar is stored as
+    a float, so arithmetic on it stays plain float64.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -87,6 +100,9 @@ class ModelParameters:
         # False, so non-finite values are rejected first and by name
         for name in PARAM_NAMES:
             value = getattr(self, name)
+            if type(value) is not float:
+                value = _real(name, value)
+                object.__setattr__(self, name, value)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not (0.0 < self.a1 < 1.0 and 0.0 < self.a2 < 1.0):
@@ -127,6 +143,10 @@ class CellState:
     u3: float
 
     def __post_init__(self):
+        for name in ("u1", "u2", "u3"):
+            value = getattr(self, name)
+            if type(value) is not float:
+                object.__setattr__(self, name, _real(name, value))
         if self.u1 < 0.0 or self.u2 < 0.0 or self.u3 < 0.0:
             raise ValueError(f"cell counts must be nonnegative, got ({self.u1}, {self.u2}, {self.u3})")
         if not (math.isfinite(self.u1) and math.isfinite(self.u2) and math.isfinite(self.u3)):
@@ -186,19 +206,25 @@ def feedback_signal(k: float, u3: float) -> float:
 def rhs_closure(params: ModelParameters):
     """The right-hand side as a plain-float function f(u1, u2, u3) -> derivatives.
 
-    No validation and no array overhead, so the integrator can call it in
-    its inner loop; `rhs` evaluates it at one `CellState`.
+    No validation and no array overhead. `rhs` evaluates it at one
+    `CellState`, and `integrate` for its first slope, its startup step
+    guess and the slope after a clamp. The DP5 stages in `integrate` write
+    these operations out in this order (2*a1*s is (2*a1)*s, so the hoisted
+    a1x2 changes no bit); tests/test_integrator.py checks that the two
+    agree bit for bit.
     """
     a1, a2 = params.a1, params.a2
     p1, p2 = params.p1, params.p2
     d1, d2, d3 = params.d1, params.d2, params.d3
     fb = params.k
+    a1x2 = 2.0 * a1
+    a2x2 = 2.0 * a2
 
     def f(x, y, z):
         s = 1.0 / (1.0 + fb * z)
         return (
-            ((2.0 * a1 * s - 1.0) * p1 - d1) * x,
-            ((2.0 * a2 * s - 1.0) * p2 - d2) * y + 2.0 * (1.0 - a1 * s) * p1 * x,
+            ((a1x2 * s - 1.0) * p1 - d1) * x,
+            ((a2x2 * s - 1.0) * p2 - d2) * y + 2.0 * (1.0 - a1 * s) * p1 * x,
             2.0 * (1.0 - a2 * s) * p2 * y - d3 * z,
         )
 

@@ -18,6 +18,7 @@ from hematodyn import (
     CellState,
     IntegrationConfig,
     ModelParameters,
+    REFERENCE_PARAMETERS,
     Trajectory,
     classify,
     default_horizon,
@@ -150,6 +151,28 @@ class TestClassify:
         verdict = classify(showcase_params(p2=0.41), SHOWCASE_IC_SETTLING, horizon=150.0)
         assert verdict.kind == "undecided"
         assert math.isfinite(verdict.final_distance)
+
+    # the reference set started 5 % above E2 settles; a stride of the whole
+    # horizon used to report that from the final sample alone
+    @pytest.mark.parametrize("stride_per_horizon, kwargs, window", [
+        (1.0, {}, "kept tail"),
+        (1 / 30, {}, "trailing 5 %"),
+        (0.1, {"transient_fraction": 0.97}, "kept tail"),
+    ], ids=["whole-horizon", "two-in-settle-window", "late-transient"])
+    def test_coarse_stride_refused_not_judged(self, stride_per_horizon, kwargs, window):
+        e2 = steady_state_E2(REFERENCE_PARAMETERS).state
+        start = CellState(1.05 * e2.u1, e2.u2, e2.u3)
+        stride = default_horizon(REFERENCE_PARAMETERS) * stride_per_horizon
+        with pytest.raises(ValueError, match=f"output_stride .* in the {window}.*at least 3"):
+            classify(REFERENCE_PARAMETERS, start, output_stride=stride, **kwargs)
+
+    def test_stride_too_coarse_for_peaks_named(self):
+        # two samples in the kept tail used to fail only inside the peak
+        # search, with a message that did not name the setting
+        params = showcase_params(p2=0.3)
+        stride = default_horizon(params) / 2.5
+        with pytest.raises(ValueError, match="output_stride .* leaves 2 sample"):
+            classify(params, SHOWCASE_IC_CYCLE_HIGH, output_stride=stride)
 
     def test_transient_fraction_validated(self):
         with pytest.raises(ValueError):

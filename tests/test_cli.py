@@ -370,6 +370,14 @@ class TestClassify:
         assert payload["kind"] == "limit_cycle"
         assert 380.0 < payload["period"] < 440.0
 
+    def test_stride_of_the_whole_horizon_is_a_config_error(self, capsys):
+        # one sample after the transient cannot carry a verdict
+        code, out, err = run(capsys, "classify", *INITIAL_SET,
+                             "--set", "horizon=1000", "--set", "output_stride=1000")
+        assert code == 2
+        assert out == ""
+        assert "output_stride" in err and "at least 3" in err
+
 
 class TestSweep:
     def test_out_is_required(self, capsys):

@@ -1,8 +1,10 @@
 """Integrator tests: accuracy, positivity, convergence order, dense output."""
 
+import functools
 import hashlib
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from hematodyn import (
     steady_state_E2,
 )
 from hematodyn import integrator
+from hematodyn.model import rhs_closure
 from hematodyn.sweep import CONSTELLATIONS
 
 
@@ -78,6 +81,24 @@ class TestConfigValidation:
     def test_non_numeric_setting_named(self, name):
         with pytest.raises(ValueError, match=f"{name} must be a number, got '1e-6'"):
             IntegrationConfig(t_end=10.0, **{name: "1e-6"})
+
+    # a bool is an int subclass: t_end=True must not run for one day. None
+    # is the default of the last three settings, so only the first three refuse it
+    @pytest.mark.parametrize("name, value", [
+        (name, value)
+        for name in ("t_end", "rel_tol", "abs_tol", "max_step", "initial_step", "output_stride")
+        for value in (True, False, "5", np.bool_(True), None)
+        if value is not None or name in ("t_end", "rel_tol", "abs_tol")
+    ], ids=repr)
+    def test_bool_or_non_number_named(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a number, got "):
+            IntegrationConfig(**{"t_end": 10.0, name: value})
+
+    @pytest.mark.parametrize("value", [np.int64(5), np.float32(5.0), 5])
+    def test_numpy_and_int_t_end_stored_as_float(self, value):
+        config = IntegrationConfig(t_end=value, output_stride=np.float32(0.5))
+        assert type(config.t_end) is float and config.t_end == 5.0
+        assert type(config.stride) is float and config.stride == 0.5
 
     def test_default_stride_is_two_thousandth(self):
         config = IntegrationConfig(t_end=100.0)
@@ -232,6 +253,63 @@ class TestFailureModes:
     def test_initial_state_type_checked(self):
         with pytest.raises(TypeError):
             integrate(REFERENCE_PARAMETERS, (1.0, 2.0, 3.0), IntegrationConfig(t_end=1.0))
+
+
+# each DP5 row as (stage, coefficient) pairs in the integrator's term order;
+# the last row is the fifth-order solution, which has no stage-2 term
+_DP5_ROWS = (
+    ((0, integrator._A21),),
+    ((0, integrator._A31), (1, integrator._A32)),
+    ((0, integrator._A41), (1, integrator._A42), (2, integrator._A43)),
+    ((0, integrator._A51), (1, integrator._A52), (2, integrator._A53), (3, integrator._A54)),
+    ((0, integrator._A61), (1, integrator._A62), (2, integrator._A63), (3, integrator._A64),
+     (4, integrator._A65)),
+    ((0, integrator._B1), (2, integrator._B3), (3, integrator._B4), (4, integrator._B5),
+     (5, integrator._B6)),
+)
+
+
+def _dp5_step(f, state, k1, h):
+    # one step with every stage slope from f; terms are added left to right
+    # with no start value, as the integrator writes them
+    slopes = [k1]
+    for row in _DP5_ROWS:
+        state_s = tuple(
+            state[c] + h * functools.reduce(operator.add, (a * slopes[s][c] for s, a in row))
+            for c in range(3)
+        )
+        slopes.append(f(*state_s))
+    return state_s, slopes[-1]
+
+
+class TestInlinedStages:
+    def test_two_steps_match_rhs_closure(self):
+        # integrate writes the right-hand side out in its stages; two steps
+        # built from rhs_closure must give the same bits. Step 2 starts from
+        # step 1's last slope, so all six written-out stages are covered.
+        rng = np.random.default_rng(12)
+        h = 1e-4  # small enough that the controller accepts both steps whole
+        config = IntegrationConfig(t_end=2 * h, max_step=h, initial_step=h, output_stride=2 * h)
+        for i in range(300):
+            extended = i % 2 == 1
+            params = ModelParameters(
+                a1=rng.uniform(0.05, 0.98), a2=rng.uniform(0.05, 0.98),
+                p1=rng.uniform(0.05, 3.0), p2=rng.uniform(0.05, 3.0), d3=rng.uniform(0.05, 3.0),
+                k=10.0 ** rng.uniform(-10, -7),
+                d1=rng.uniform(0.01, 1.0) if extended else 0.0,
+                d2=rng.uniform(0.01, 1.0) if extended else 0.0,
+            )
+            state = 10.0 ** rng.uniform(3, 9, 3)
+            if i % 5 == 0:
+                state[i // 5 % 3] = 0.0
+            state = tuple(state.tolist())
+            f = rhs_closure(params)
+            mid, k7 = _dp5_step(f, state, f(*state), h)
+            want, _ = _dp5_step(f, mid, k7, h)
+            traj = integrate(params, CellState(*state), config)
+            assert traj.times.tolist() == [0.0, 2 * h]
+            got = traj.final.as_tuple()
+            assert [v.hex() for v in got] == [v.hex() for v in want], (i, params, state)
 
 
 def _table_sum(k1, k2, k3, k4, k5, k6, k7):

@@ -284,6 +284,29 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             params.with_(**{name: value})
 
+    # a bool is an int subclass, so k=True used to pass and serialize as `true`
+    @pytest.mark.parametrize("name", ["a1", "a2", "p1", "p2", "d3", "k", "d1", "d2"])
+    @pytest.mark.parametrize("value", [True, False, "1e-9", None, np.bool_(True)], ids=repr)
+    def test_bool_or_non_number_rate_named(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a number, got "):
+            REFERENCE_PARAMETERS.with_(**{name: value})
+
+    @pytest.mark.parametrize("name", ["u1", "u2", "u3"])
+    @pytest.mark.parametrize("value", [True, "1", None, np.bool_(False)], ids=repr)
+    def test_bool_or_non_number_count_named(self, name, value):
+        counts = dict(u1=1.0, u2=2.0, u3=3.0)
+        counts[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be a number, got "):
+            CellState(**counts)
+
+    def test_numpy_scalars_stored_as_float(self):
+        params = REFERENCE_PARAMETERS.with_(p2=np.float32(0.5), d3=np.int64(2), k=np.float64(1e-9))
+        assert (params.p2, params.d3, params.k) == (0.5, 2.0, 1e-9)
+        assert all(type(getattr(params, name)) is float for name in ("p2", "d3", "k"))
+        state = CellState(np.int64(1), np.float32(2.0), 3)
+        assert state.as_tuple() == (1.0, 2.0, 3.0)
+        assert all(type(v) is float for v in state.as_tuple())
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             CellState(-1.0, 0.0, 0.0)
