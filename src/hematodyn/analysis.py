@@ -200,8 +200,31 @@ def classify(
     The horizon should cover at least ~20 putative periods; the default
     from `default_horizon` does. Integration failures propagate. An
     output_stride that leaves fewer than 3 samples in the kept tail or in
-    the trailing 5 % of the horizon is a ValueError.
+    the trailing 5 % of the horizon is a ValueError, raised before
+    integrating.
     """
+    return _classify(
+        params, initial, horizon,
+        transient_fraction=transient_fraction, equilibrium_tol=equilibrium_tol,
+        agreement_tol=agreement_tol, rel_tol=rel_tol, abs_tol=abs_tol,
+        output_stride=output_stride,
+    )[0]
+
+
+def _classify(
+    params: ModelParameters,
+    initial: CellState,
+    horizon: Optional[float] = None,
+    *,
+    transient_fraction: float = 0.5,
+    equilibrium_tol: float = 1e-3,
+    agreement_tol: float = 0.02,
+    rel_tol: float = 1e-8,
+    abs_tol: float = 1e-3,
+    output_stride: Optional[float] = None,
+) -> Tuple[AttractorVerdict, Optional[CellState]]:
+    # `classify`, which also returns the run's state at horizon / 2 (the
+    # `marked` state of `integrate`, None where that cannot be read off)
     if not 0.0 < transient_fraction < 1.0:
         raise ValueError(f"transient_fraction must lie in (0, 1), got {transient_fraction}")
     # NaN fails every tolerance comparison below and infinity passes every
@@ -215,19 +238,30 @@ def classify(
     config = IntegrationConfig(
         t_end=horizon, rel_tol=rel_tol, abs_tol=abs_tol, output_stride=stride
     )
-    traj = integrate(params, initial, config)
     # the cycle test judges the kept tail and the settle test the trailing
     # 5 % of the horizon; one or two samples show neither, so a stride too
-    # coarse for either window is refused, not judged
-    keep = traj.times >= transient_fraction * horizon
-    window = traj.times >= traj.times[-1] - 0.05 * horizon
-    for part, mask in ((f"the kept tail (t >= {transient_fraction} * horizon)", keep),
-                       ("the trailing 5 % of the horizon", window)):
-        count = int(np.count_nonzero(mask))
+    # coarse for either window is refused before integrating, not judged.
+    # integrate samples at 0, then at stride added repeatedly while short of
+    # t_end - 1e-9 * stride, and at t_end, which lies in both windows.
+    t_end = config.t_end
+    keep_from = transient_fraction * horizon
+    window_from = t_end - 0.05 * horizon
+    in_keep = in_window = 1
+    sample_t = grid_stride = config.stride
+    interior_end = t_end - 1e-9 * grid_stride
+    while sample_t < interior_end:
+        in_keep += sample_t >= keep_from
+        in_window += sample_t >= window_from
+        sample_t += grid_stride
+    for part, count in ((f"the kept tail (t >= {transient_fraction} * horizon)", in_keep),
+                        ("the trailing 5 % of the horizon", in_window)):
         if count < 3:
             raise ValueError(
                 f"output_stride {stride} leaves {count} sample(s) in {part}; classify needs at least 3"
             )
+    traj = integrate(params, initial, config, mark=0.5 * t_end)
+    keep = traj.times >= keep_from
+    window = traj.times >= window_from
 
     equilibria = steady_states(params)
     targets = [(eq.label, eq.state.as_array()) for eq in equilibria]
@@ -246,7 +280,7 @@ def classify(
     if best_worst <= equilibrium_tol:
         return AttractorVerdict(
             kind=EQUILIBRIUM, label=best_label, final_distance=final_distance
-        )
+        ), traj.marked
 
     tail = Trajectory(traj.times[keep], traj.states[keep])
     report = oscillation_report(tail)
@@ -262,5 +296,5 @@ def classify(
             period=report.period,
             amplitude_u3=report.amplitude,
             final_distance=final_distance,
-        )
-    return AttractorVerdict(kind=UNDECIDED, final_distance=final_distance)
+        ), traj.marked
+    return AttractorVerdict(kind=UNDECIDED, final_distance=final_distance), traj.marked

@@ -10,9 +10,12 @@ operation order, with the rates and the tableau in locals; max, min and
 abs are comparisons that keep the builtins' operand order; and each
 state's norm is computed once. `rhs_closure` stays the definition, and
 gives the first slope, the startup step guess and the slope after a
-clamp. The model is non-stiff across the studied parameter ranges (rates
-stay below ~27 in rescaled units); if a caller ever pushes it into a
-stiff corner, reducing max_step is the escape hatch.
+clamp. The step loop is written once, in `_advance`, which starts from
+a given controller state: `integrate` runs it from t = 0 and, given a
+mark, once more from the state it kept there. The model is non-stiff
+across the studied parameter ranges (rates stay below ~27 in rescaled
+units); if a caller ever pushes it into a stiff corner, reducing
+max_step is the escape hatch.
 
 Positivity: the closed positive octant is invariant for the exact flow,
 so negative values can only be discretization or roundoff noise. Small
@@ -144,11 +147,13 @@ class IntegrationConfig:
 class Trajectory:
     """Sampled solution: strictly increasing times, nonnegative states.
 
-    states has one row (u1, u2, u3) per time, in cells/kg.
+    states has one row (u1, u2, u3) per time, in cells/kg. marked is the
+    state at the mark of a marked `integrate` run (see there), else None.
     """
 
     times: np.ndarray
     states: np.ndarray
+    marked: Optional[CellState] = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -184,7 +189,8 @@ class IntegrationError(RuntimeError):
         self.trajectory = trajectory
 
 
-def integrate(params: ModelParameters, initial: CellState, config: IntegrationConfig) -> Trajectory:
+def integrate(params: ModelParameters, initial: CellState, config: IntegrationConfig,
+              *, mark: Optional[float] = None) -> Trajectory:
     """Integrate from t = 0 to t = config.t_end and sample at the stride.
 
     Reentrant and stateless; any number of calls may run concurrently.
@@ -193,18 +199,73 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
     Raises IntegrationError on step-size underflow (below 1e-14 * t_end),
     a step-count blowup, or non-finite arithmetic; the exception carries
     the samples collected so far.
+
+    Given a mark in (0, t_end), the trajectory's `marked` is the final
+    state of the same run to t_end = mark with output_stride = mark, bit
+    for bit, without integrating up to the mark a second time: the two
+    runs take the same steps up to the first loop top whose step would
+    reach the mark, so the controller state there is kept and the shorter
+    run's clipped last steps are taken from it. `marked` is None when this
+    run rejected a step for a dense-output dip before the mark (the
+    shorter run takes no samples, so it keeps that step) or when those
+    last steps raise IntegrationError.
     """
     if not isinstance(initial, CellState):
         raise TypeError(f"initial must be a CellState, got {type(initial).__name__}")
+    t_end = config.t_end
+    if mark is not None:
+        mark = _real("mark", mark)
+        if not 0.0 < mark < t_end:
+            raise ValueError(f"mark must lie in (0, t_end), got {mark}")
     f = rhs_closure(params)
 
-    t_end = config.t_end
-    stride = config.stride
+    x, y, z = initial.as_tuple()
+    times = [0.0]
+    samples = [(x, y, z)]
+    k1x, k1y, k1z = f(x, y, z)
+    if not (math.isfinite(k1x) and math.isfinite(k1y) and math.isfinite(k1z)):
+        raise IntegrationError("non-finite derivative", 0.0, (x, y, z), _partial(times, samples))
+
+    # max(|x|, |y|, |z|) of the current state; an accepted step hands its
+    # end state's norm on, so each state's norm is computed once
+    norm_old = max(abs(x), abs(y), abs(z))
+    h = _initial_step(f, (x, y, z), (k1x, k1y, k1z), config.abs_tol + config.rel_tol * norm_old) \
+        if config.initial_step is None else float(config.initial_step)
+    max_step = config.max_step if config.max_step is not None else math.inf
+    h = min(h, max_step, t_end)
+
+    start = (0.0, x, y, z, k1x, k1y, k1z, h, norm_old, 1e-4, _FAC_MAX, 0)
+    (x, y, z), at_mark = _advance(params, f, config, t_end, config.stride, mark, times, samples, start)
+    times.append(t_end)
+    samples.append((x, y, z))
+    marked = None
+    if at_mark is not None:
+        # a stride of mark takes no samples, as in the shorter run
+        try:
+            end, _ = _advance(params, f, config, mark, mark, None, [at_mark[0]], [at_mark[1:4]], at_mark)
+        except IntegrationError:
+            pass
+        else:
+            marked = CellState(*end)
+    return Trajectory(np.array(times), np.array(samples), marked)
+
+
+def _advance(params, f, config, t_end, stride, mark, times, samples, state):
+    """The DP5 step loop, from the controller state at a loop top to t_end.
+
+    state is (t, x, y, z, k1x, k1y, k1z, h, norm_old, err_prev, fac_cap,
+    steps). Samples at stride, stride + stride, ... short of t_end are
+    appended to times and samples. Returns the end state and, when a mark
+    below t_end is given, the controller state at the first loop top whose
+    step would reach the mark, or None if a dense-output dip rejected a
+    step before that.
+    """
+    t, x, y, z, k1x, k1y, k1z, h, norm_old, err_prev, fac_cap, steps = state
     abs_tol = config.abs_tol
     rel_tol = config.rel_tol
+    max_step = config.max_step if config.max_step is not None else math.inf
     band = abs_tol * 1e-3
     h_min = 1e-14 * t_end
-    max_step = config.max_step if config.max_step is not None else math.inf
     inf = math.inf
     # the rates, the tableau and the controller constants as locals, which
     # the step loop reads faster than closure cells or module globals
@@ -220,24 +281,15 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
     safety, fac_min, fac_max = _SAFETY, _FAC_MIN, _FAC_MAX
     neg_alpha, pi_beta, max_steps = -_PI_ALPHA, _PI_BETA, _MAX_STEPS
 
-    x, y, z = initial.as_tuple()
-    t = 0.0
-    times = [0.0]
-    samples = [(x, y, z)]
     next_sample = stride
     # interior samples stop just short of t_end; the endpoint is appended once
     interior_end = t_end - 1e-9 * stride
-
-    k1x, k1y, k1z = f(x, y, z)
-    if not (math.isfinite(k1x) and math.isfinite(k1y) and math.isfinite(k1z)):
-        raise IntegrationError("non-finite derivative", t, (x, y, z), _partial(times, samples))
-
-    # max(|x|, |y|, |z|) of the current state; an accepted step hands its
-    # end state's norm on, so each state's norm is computed once
-    norm_old = max(abs(x), abs(y), abs(z))
-    h = _initial_step(f, (x, y, z), (k1x, k1y, k1z), abs_tol + rel_tol * norm_old) \
-        if config.initial_step is None else float(config.initial_step)
-    h = min(h, max_step, t_end)
+    # a loop top with t + 1.01 * h >= t_end clips the step to end on t_end.
+    # While a mark is pending, clip is the mark and the first loop top that
+    # reaches it keeps the controller state, so the mark costs no test of
+    # its own per step.
+    clip = t_end if mark is None else mark
+    at_mark = None
 
     # In the loop, max, min and abs are written as comparisons. Each max(a,
     # b, ...) keeps its first operand unless a later one compares strictly
@@ -246,17 +298,19 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
     # test that leaves -0.0 as -0.0. That can only flip the sign of a zero
     # norm or error, which cannot show: abs_tol + rel_tol * -0.0 is abs_tol,
     # and a zero err only meets comparisons.
-    err_prev = 1e-4
-    fac_cap = fac_max
-    steps = 0
     while t < t_end:
         steps += 1
         if steps > max_steps:
             raise IntegrationError("step limit exceeded", t, (x, y, z), _partial(times, samples))
         if h < h_min:
             raise IntegrationError("step size underflow", t, (x, y, z), _partial(times, samples))
-        if t + 1.01 * h >= t_end:
-            h = t_end - t
+        if t + 1.01 * h >= clip:
+            if clip < t_end:
+                # steps is counted again when the loop resumes from here
+                at_mark = (t, x, y, z, k1x, k1y, k1z, h, norm_old, err_prev, fac_cap, steps - 1)
+                clip = t_end
+            if t + 1.01 * h >= t_end:
+                h = t_end - t
 
         # each stage writes out rhs_closure's operations in its order, so
         # every slope has the bits that f would return
@@ -363,6 +417,9 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
             if pending is None:
                 h *= 0.5
                 fac_cap = 1.0
+                # a run that takes no samples keeps this step, so from
+                # here its steps differ and the mark's state is lost
+                clip = t_end
                 continue
             for sample_time, row in pending:
                 times.append(sample_time)
@@ -392,9 +449,7 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
         err_prev = 1e-4 if 1e-4 > err else err
         fac_cap = fac_max
 
-    times.append(t_end)
-    samples.append((x, y, z))
-    return Trajectory(np.array(times), np.array(samples))
+    return (x, y, z), at_mark
 
 
 def _partial(times, samples) -> Trajectory:

@@ -63,7 +63,11 @@ def _real(name: str, value) -> float:
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        # an int or Fraction too large for a float
+        raise ValueError(f"{name} must be finite, got a number beyond float range") from None
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .analysis import AttractorVerdict, classify, default_horizon
+from .analysis import AttractorVerdict, _classify, default_horizon
 from .integrator import IntegrationConfig, integrate
-from .model import REFERENCE_PARAMETERS, CellState, ModelParameters, e2_conditions, steady_state_E2
+from .model import REFERENCE_PARAMETERS, CellState, ModelParameters, _real, e2_conditions, steady_state_E2
 from .stability import (
     CLASS_NAMES,
     NONEXISTENT,
@@ -116,12 +116,13 @@ class AxisSpec:
             raise ValueError(f"unknown sweep parameter {self.name!r}")
         for label in ("low", "high", "count", "nudge"):
             value = getattr(self, label)
-            try:
-                finite = math.isfinite(value)
-            except TypeError:
-                raise ValueError(f"{label} of the {self.name} axis must be a number, got {value!r}") from None
-            if not finite:
+            if label == "count" and isinstance(value, bool):
+                continue  # refused as a count below
+            value = _real(f"{label} of the {self.name} axis", value)
+            if not math.isfinite(value):
                 raise ValueError(f"{label} of the {self.name} axis must be finite, got {value}")
+            if label != "count":
+                object.__setattr__(self, label, value)
         # reject here what would otherwise fail inside run_sweep; bool is an int subclass
         if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)):
             raise ValueError(f"count of the {self.name} axis must be an int, got {self.count!r}")
@@ -372,17 +373,19 @@ def _classify_from_equilibrium(params) -> Optional[AttractorVerdict]:
     state = eq.state
     start = CellState(1.25 * state.u1, 1.25 * state.u2, 1.25 * state.u3)
     horizon = default_horizon(params)
-    verdict = classify(params, start, horizon)
+    verdict, marked = _classify(params, start, horizon)
     attempts = 0
     # weakly unstable sets drift off the equilibrium slowly; each restart
-    # integrates again from the previous start over horizon / 4 (half the
-    # previous horizon) and classifies from there over the doubled horizon
+    # starts from the state the run just judged reached at half its horizon
+    # and classifies from there over the doubled horizon. That state is the
+    # end of a run from the previous start to horizon / 4 (of the doubled
+    # horizon), read off the judged run; where it cannot be (marked is
+    # None), that run is made afresh, with the same bits or the same error.
     while verdict.kind == "undecided" and attempts < 3:
         attempts += 1
         horizon *= 2.0
-        traj_start = _last_state(params, start, horizon / 4.0)
-        start = traj_start
-        verdict = classify(params, start, horizon)
+        start = marked if marked is not None else _last_state(params, start, horizon / 4.0)
+        verdict, marked = _classify(params, start, horizon)
     return verdict
 
 

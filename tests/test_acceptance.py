@@ -4,15 +4,19 @@ Each test prints one pass/fail line directly to the terminal (bypassing
 capture) so the test log shows every verdict inline, then asserts. The
 checks exercise the closed forms, the showcase scenarios, the large
 random-draw oracles and the determinism contracts at full size, so this
-file is slower than the per-module suites.
+file is slower than the per-module suites. Criterion 5's constellation
+audit, the slowest part, runs once; an unnumbered test pins the bytes
+`hematodyn constellations` prints from it.
 """
 
+import hashlib
 import math
 import warnings
 from itertools import combinations
 from time import perf_counter
 
 import numpy as np
+import pytest
 
 from conftest import (
     SHOWCASE_IC_SETTLING,
@@ -35,6 +39,8 @@ from hematodyn import (
     char_poly_E2,
     check_constellations,
     classify,
+    constellation_report_to_dict,
+    dumps,
     hopf_point,
     hurwitz_classify,
     hurwitz_factored,
@@ -137,11 +143,16 @@ def test_criterion_04_no_oscillation_baseline(capsys):
     assert ok
 
 
-def test_criterion_05_constellation_suite(capsys):
+@pytest.fixture(scope="module")
+def constellation_audit():
+    """check_constellations(run_classify=True) and its wall time, run once."""
     t0 = perf_counter()
     reports = check_constellations(run_classify=True)
-    elapsed = perf_counter() - t0
+    return reports, perf_counter() - t0
 
+
+def test_criterion_05_constellation_suite(capsys, constellation_audit):
+    reports, elapsed = constellation_audit
     failures = []
     reference = reports[0]
     if not (
@@ -172,6 +183,19 @@ def test_criterion_05_constellation_suite(capsys):
         if ok else " | ".join(failures),
     )
     assert ok, failures
+
+
+def test_constellations_stdout_is_pinned(constellation_audit):
+    # the audit serialized as `hematodyn constellations` prints it, against
+    # the command's stdout from when each restart integrated its start again
+    reports, _ = constellation_audit
+    payload = {
+        "reference" if report.index == 0 else f"constellation_{report.index}":
+            constellation_report_to_dict(report)
+        for report in reports
+    }
+    digest = hashlib.sha256(dumps(payload).encode("utf-8")).hexdigest()
+    assert digest == "a83542ea6283e70dc621ba8863beea4436994c0a89b5fd944b9071ad50edf9e0"
 
 
 def test_criterion_06_hurwitz_eigenvalue_equivalence(capsys):

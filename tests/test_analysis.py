@@ -13,6 +13,7 @@ from conftest import (
     SHOWCASE_PERIOD,
     showcase_params,
 )
+from hematodyn import analysis
 from hematodyn import (
     AttractorVerdict,
     CellState,
@@ -159,24 +160,61 @@ class TestClassify:
         (1 / 30, {}, "trailing 5 %"),
         (0.1, {"transient_fraction": 0.97}, "kept tail"),
     ], ids=["whole-horizon", "two-in-settle-window", "late-transient"])
-    def test_coarse_stride_refused_not_judged(self, stride_per_horizon, kwargs, window):
+    def test_coarse_stride_refused_not_judged(self, monkeypatch, stride_per_horizon, kwargs, window):
         e2 = steady_state_E2(REFERENCE_PARAMETERS).state
         start = CellState(1.05 * e2.u1, e2.u2, e2.u3)
         stride = default_horizon(REFERENCE_PARAMETERS) * stride_per_horizon
+        monkeypatch.setattr(analysis, "integrate", _not_integrated)
         with pytest.raises(ValueError, match=f"output_stride .* in the {window}.*at least 3"):
             classify(REFERENCE_PARAMETERS, start, output_stride=stride, **kwargs)
 
-    def test_stride_too_coarse_for_peaks_named(self):
+    def test_stride_too_coarse_for_peaks_named(self, monkeypatch):
         # two samples in the kept tail used to fail only inside the peak
         # search, with a message that did not name the setting
         params = showcase_params(p2=0.3)
         stride = default_horizon(params) / 2.5
+        monkeypatch.setattr(analysis, "integrate", _not_integrated)
         with pytest.raises(ValueError, match="output_stride .* leaves 2 sample"):
             classify(params, SHOWCASE_IC_CYCLE_HIGH, output_stride=stride)
+
+    # classify counts the sample grid before integrating; each count must be
+    # that of the samples the run returns, also at the windows' edges
+    @pytest.mark.parametrize("stride_per_horizon", [
+        1.0, 0.6, 0.5, 0.45, 1 / 3, 0.25, 0.1, 1 / 19, 1 / 20, 1 / 21, 1 / 30, 1 / 40, 1 / 41, 1 / 60,
+    ])
+    @pytest.mark.parametrize("fraction", [0.5, 0.9, 0.95, 0.97, 0.99])
+    def test_counts_are_those_of_the_integrated_samples(self, monkeypatch, stride_per_horizon, fraction):
+        horizon = 300.0
+        stride = horizon * stride_per_horizon
+        e2 = steady_state_E2(REFERENCE_PARAMETERS).state
+        start = CellState(1.05 * e2.u1, e2.u2, e2.u3)
+        times = integrate(
+            REFERENCE_PARAMETERS, start, IntegrationConfig(t_end=horizon, output_stride=stride)
+        ).times
+        keep = int(np.count_nonzero(times >= fraction * horizon))
+        window = int(np.count_nonzero(times >= times[-1] - 0.05 * horizon))
+        monkeypatch.setattr(analysis, "integrate", _not_integrated)
+        if keep < 3:
+            expected = (ValueError, rf"leaves {keep} sample\(s\) in the kept tail")
+        elif window < 3:
+            expected = (ValueError, rf"leaves {window} sample\(s\) in the trailing 5 %")
+        else:
+            expected = (_Integrated, "classify integrated")
+        with pytest.raises(expected[0], match=expected[1]):
+            classify(REFERENCE_PARAMETERS, start, horizon, transient_fraction=fraction,
+                     output_stride=stride)
 
     def test_transient_fraction_validated(self):
         with pytest.raises(ValueError):
             classify(showcase_params(p2=0.5), SHOWCASE_IC_SETTLING, transient_fraction=1.0)
+
+
+class _Integrated(Exception):
+    pass
+
+
+def _not_integrated(*args, **kwargs):
+    raise _Integrated("classify integrated")
 
 
 class TestDefaultHorizon:

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from conftest import (
     SHOWCASE_IC_CYCLE_HIGH,
     SHOWCASE_IC_SETTLING,
+    draw_basic_admissible,
     draw_box_admissible,
+    draw_extended_admissible,
     showcase_params,
     relative_distance,
 )
@@ -25,6 +27,7 @@ from hematodyn import (
     ModelParameters,
     REFERENCE_PARAMETERS,
     Trajectory,
+    default_horizon,
     integrate,
     invariant_box,
     nondimensionalize,
@@ -378,3 +381,71 @@ class TestDenseOutputBits:
                    integrator._B5, integrator._B6, 0.0)
         for row, weight in zip(integrator._P, weights):
             assert abs(math.fsum(row) - weight) <= 1e-15
+
+
+def _run_to_mark(params, initial, mark):
+    # the run a marked state stands for: to t_end = mark, with no interior samples
+    return integrate(params, initial, IntegrationConfig(t_end=mark, output_stride=mark)).final
+
+
+def _bits(state):
+    return tuple(v.hex() for v in state.as_tuple())
+
+
+class TestMarkedState:
+    def test_set6_restart_states_match_a_run_to_the_mark(self):
+        # the constellation audit's first two horizons of set 6, from its
+        # 25 % overshoot of E2, at classify's stride
+        params = REFERENCE_PARAMETERS.with_(**CONSTELLATIONS[6])
+        e2 = steady_state_E2(params).state
+        start = CellState(1.25 * e2.u1, 1.25 * e2.u2, 1.25 * e2.u3)
+        horizon = default_horizon(params)
+        for _ in range(2):
+            config = IntegrationConfig(t_end=horizon, output_stride=horizon / 4000.0)
+            marked = integrate(params, start, config, mark=horizon / 2.0).marked
+            assert _bits(marked) == _bits(_run_to_mark(params, start, horizon / 2.0))
+            start, horizon = marked, 2.0 * horizon
+
+    @pytest.mark.parametrize("variant", ["basic", "extended"])
+    def test_seeded_draws_match_a_run_to_the_mark(self, variant):
+        rng = np.random.default_rng(71 if variant == "basic" else 72)
+        draw = draw_basic_admissible if variant == "basic" else draw_extended_admissible
+        for _ in range(25):
+            params = draw(rng)
+            e2 = steady_state_E2(params).state
+            start = CellState(*(rng.uniform(0.5, 1.5, 3) * e2.as_tuple()))
+            t_end = 300.0 / params.p1
+            mark = t_end * rng.uniform(0.2, 0.8)
+            config = IntegrationConfig(t_end=t_end, output_stride=t_end / 4000.0)
+            traj = integrate(params, start, config, mark=mark)
+            assert _bits(traj.marked) == _bits(_run_to_mark(params, start, mark))
+            # the mark changes no sample of the run itself
+            plain = integrate(params, start, config)
+            assert traj.times.tobytes() == plain.times.tobytes()
+            assert traj.states.tobytes() == plain.states.tobytes()
+
+    def test_dense_output_dip_before_the_mark_gives_none(self):
+        # E2 does not exist (2 * a1 * p1 < p1 + d1): the stem line washes
+        # out, and near zero a fine stride's samples dip past the clamp band
+        # and reject steps that a run taking no samples keeps
+        params = ModelParameters(
+            a1=0.804097900850991, a2=0.6257690665059411, p1=0.5745702826844706,
+            p2=0.45083640165882344, d3=1.2237066098584077, k=2.4655620557082846e-09,
+            d1=0.5132974960368444, d2=0.7406101406949239,
+        )
+        assert steady_state_E2(params) is None
+        start = CellState(16736.934370118302, 7282.320334267583, 647437.1342604525)
+        t_end = 300.0 / params.p1
+        fine = integrate(params, start, IntegrationConfig(t_end=t_end, output_stride=t_end / 4000.0),
+                         mark=t_end / 2.0)
+        assert fine.marked is None
+        # without interior samples nothing dips, and the state is kept
+        coarse = integrate(params, start, IntegrationConfig(t_end=t_end, output_stride=t_end),
+                           mark=t_end / 2.0)
+        assert _bits(coarse.marked) == _bits(_run_to_mark(params, start, t_end / 2.0))
+
+    @pytest.mark.parametrize("mark", [0.0, -1.0, 10.0, 12.0, math.nan, True, "5"], ids=repr)
+    def test_mark_outside_the_run_refused(self, mark):
+        with pytest.raises(ValueError, match="mark must"):
+            integrate(REFERENCE_PARAMETERS, CellState(1.0, 1.0, 1.0), IntegrationConfig(t_end=10.0),
+                      mark=mark)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import SHOWCASE_E2_AT_0P3937, showcase_params
 from hematodyn import (
     CellState,
+    IntegrationConfig,
     ModelParameters,
     REFERENCE_PARAMETERS,
     feedback_signal,
@@ -298,6 +299,18 @@ class TestValidation:
         counts[name] = value
         with pytest.raises(ValueError, match=f"{name} must be a number, got "):
             CellState(**counts)
+
+    # float() of an int beyond float range raised a bare OverflowError
+    @pytest.mark.parametrize("build, name", [
+        (lambda v: REFERENCE_PARAMETERS.with_(k=v), "k"),
+        (lambda v: REFERENCE_PARAMETERS.with_(d2=-v), "d2"),
+        (lambda v: CellState(1.0, v, 3.0), "u2"),
+        (lambda v: IntegrationConfig(t_end=v), "t_end"),
+        (lambda v: IntegrationConfig(t_end=1.0, max_step=v), "max_step"),
+    ], ids=["k", "negative-d2", "u2", "t_end", "max_step"])
+    def test_int_beyond_float_range_named(self, build, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got a number beyond float range"):
+            build(10 ** 400)
 
     def test_numpy_scalars_stored_as_float(self):
         params = REFERENCE_PARAMETERS.with_(p2=np.float32(0.5), d3=np.int64(2), k=np.float64(1e-9))

@@ -17,10 +17,13 @@ from conftest import (
     draw_basic_admissible,
     showcase_params,
 )
+from hematodyn import sweep
 from hematodyn import (
+    AttractorVerdict,
     AxisSpec,
     CONSTELLATIONS,
     CONSTELLATION_DIRECTIONS,
+    IntegrationConfig,
     ModelParameters,
     PLAUSIBLE_INTERVALS,
     REFERENCE_PARAMETERS,
@@ -34,6 +37,7 @@ from hematodyn import (
     hopf_point,
     hurwitz_classify,
     hurwitz_value,
+    integrate,
     run_sweep,
     steady_state_E2,
     sweep_summary,
@@ -101,6 +105,27 @@ class TestAxisSpec:
         fields[field] = "3"
         with pytest.raises(ValueError, match=f"{field} of the d3 axis must be a number, got '3'"):
             AxisSpec(**fields)
+
+    # a bool is an int subclass, so low=True used to construct an axis
+    @pytest.mark.parametrize("field", ["low", "high", "nudge"])
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True)], ids=repr)
+    def test_bool_field_named(self, field, value):
+        fields = dict(name="d3", low=0.5, high=1.0, count=7, nudge=1e-4)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} of the d3 axis must be a number, got "):
+            AxisSpec(**fields)
+
+    @pytest.mark.parametrize("field", ["low", "high", "nudge"])
+    def test_int_beyond_float_range_named(self, field):
+        fields = dict(name="d3", low=0.5, high=1.0, count=7, nudge=1e-4)
+        fields[field] = 10 ** 400
+        with pytest.raises(ValueError, match=f"{field} of the d3 axis must be finite"):
+            AxisSpec(**fields)
+
+    def test_numeric_fields_stored_as_float(self):
+        axis = AxisSpec(name="d3", low=np.float32(0.5), high=1, count=np.int64(7), nudge=0)
+        assert (axis.low, axis.high, axis.nudge) == (0.5, 1.0, 0.0)
+        assert all(type(v) is float for v in (axis.low, axis.high, axis.nudge))
 
     @pytest.mark.parametrize("count", [2.5, 3.0, True])
     def test_count_must_be_an_int(self, count):
@@ -399,3 +424,28 @@ class TestConstellations:
         for index in range(1, 10):
             expected = "stable" if index in expected_stable else "unstable"
             assert reports[index].classification == expected, index
+
+
+class TestRestarts:
+    # every restart starts, bit for bit, where a run from the previous start
+    # to half the previous horizon ends: read off the judged run, or, where
+    # that gives no state, integrated afresh
+    @pytest.mark.parametrize("keep_marked", [True, False], ids=["marked", "fallback"])
+    def test_restart_starts_where_a_run_to_half_the_horizon_ends(self, monkeypatch, keep_marked):
+        params = REFERENCE_PARAMETERS.with_(**CONSTELLATIONS[1])
+        judged = []
+        classify_and_mark = sweep._classify
+
+        def undecided(params, start, horizon):
+            verdict, marked = classify_and_mark(params, start, horizon)
+            judged.append((start, horizon, marked))
+            return AttractorVerdict(kind="undecided"), marked if keep_marked else None
+
+        monkeypatch.setattr(sweep, "default_horizon", lambda params: 300.0)
+        monkeypatch.setattr(sweep, "_classify", undecided)
+        assert sweep._classify_from_equilibrium(params).kind == "undecided"
+        assert [horizon for _, horizon, _ in judged] == [300.0, 600.0, 1200.0, 2400.0]
+        for (start, horizon, marked), (restart, _, _) in zip(judged, judged[1:]):
+            end = integrate(params, start, IntegrationConfig(t_end=horizon / 2.0, output_stride=horizon / 2.0)).final
+            assert [v.hex() for v in restart.as_tuple()] == [v.hex() for v in end.as_tuple()]
+            assert marked is not None
