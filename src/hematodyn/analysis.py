@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .integrator import IntegrationConfig, Trajectory, integrate
-from .model import CellState, ModelParameters, steady_states
+from .model import CellState, ModelParameters, _real, steady_states
 from .stability import hopf_point
 
 __all__ = [
@@ -225,15 +225,16 @@ def _classify(
 ) -> Tuple[AttractorVerdict, Optional[CellState]]:
     # `classify`, which also returns the run's state at horizon / 2 (the
     # `marked` state of `integrate`, None where that cannot be read off)
+    # every setting follows the number rule before anything is integrated:
+    # NaN fails every tolerance comparison below and infinity passes every
+    # one, and either would yield a plausible-looking verdict
+    transient_fraction = _real("transient_fraction", transient_fraction)
     if not 0.0 < transient_fraction < 1.0:
         raise ValueError(f"transient_fraction must lie in (0, 1), got {transient_fraction}")
-    # NaN fails every tolerance comparison below and infinity passes every
-    # one; either would yield a plausible-looking verdict
     for name, tol in (("equilibrium_tol", equilibrium_tol), ("agreement_tol", agreement_tol)):
-        if not (math.isfinite(tol) and tol > 0.0):
+        if not _real(name, tol) > 0.0:
             raise ValueError(f"{name} must be positive and finite, got {tol}")
-    if horizon is None:
-        horizon = default_horizon(params)
+    horizon = default_horizon(params) if horizon is None else _real("horizon", horizon)
     stride = output_stride if output_stride is not None else horizon / 4000.0
     config = IntegrationConfig(
         t_end=horizon, rel_tol=rel_tol, abs_tol=abs_tol, output_stride=stride

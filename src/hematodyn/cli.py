@@ -137,8 +137,7 @@ def _write_text(out: Optional[str], text: str) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+def _cmd_simulate(args, cfg) -> None:
     params = _build_params(cfg, args.rescaled)
     initial = _build_initial(cfg)
     config = IntegrationConfig(**_floats(cfg, _INTEGRATION_KEYS, required=("t_end",)))
@@ -146,20 +145,16 @@ def _cmd_simulate(args) -> int:
     buffer = io.StringIO()
     write_trajectory_csv(traj, buffer)
     _write_text(args.out, buffer.getvalue())
-    return 0
 
 
-def _cmd_stability(args) -> int:
-    cfg = _load_config(args)
+def _cmd_stability(args, cfg) -> None:
     params = _build_params(cfg, args.rescaled)
     reports = stability_reports(params)
     payload = {label: stability_report_to_dict(reports[label]) for label in ("E0", "E1", "E2")}
     _write_text(args.out, dumps(payload))
-    return 0
 
 
-def _cmd_hopf(args) -> int:
-    cfg = _load_config(args)
+def _cmd_hopf(args, cfg) -> None:
     params = _build_params(cfg, args.rescaled)
     if not params.is_basic:
         raise ConfigError(
@@ -169,15 +164,12 @@ def _cmd_hopf(args) -> int:
         )
     report = hopf_point(params.a1, params.a2, params.d3, params.p1)
     _write_text(args.out, dumps(hopf_to_dict(report)))
-    return 0
 
 
-def _cmd_classify(args) -> int:
-    cfg = _load_config(args)
+def _cmd_classify(args, cfg) -> None:
     params = _build_params(cfg, args.rescaled)
     verdict = classify(params, _build_initial(cfg), **_floats(cfg, _CLASSIFY_KEYS))
     _write_text(args.out, dumps(verdict_to_dict(verdict)))
-    return 0
 
 
 def _parse_axes(cfg) -> SweepSpec:
@@ -202,8 +194,7 @@ def _parse_axes(cfg) -> SweepSpec:
     return SweepSpec(varied=tuple(axes), fixed=_build_params(cfg, rescaled=False))
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
+def _cmd_sweep(args, cfg) -> None:
     if not args.out:
         raise ConfigError("sweep writes CSV to --out; the JSON summary goes to stdout")
     spec = _parse_axes(cfg)
@@ -211,11 +202,9 @@ def _cmd_sweep(args) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_sweep_csv(result, fh)
     sys.stdout.write(dumps(sweep_summary(result)))
-    return 0
 
 
-def _cmd_constellations(args) -> int:
-    cfg = _load_config(args)
+def _cmd_constellations(args, cfg) -> None:
     run_classify = _get_bool(cfg, "classify", True)
     reports = check_constellations(run_classify=run_classify)
     payload = {}
@@ -223,7 +212,6 @@ def _cmd_constellations(args) -> int:
         key = "reference" if report.index == 0 else f"constellation_{report.index}"
         payload[key] = constellation_report_to_dict(report)
     _write_text(args.out, dumps(payload))
-    return 0
 
 
 # name: (handler, help, takes --rescaled); sweep and constellations work
@@ -267,13 +255,14 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser(frozenset(argv)).parse_args(argv)
     try:
-        return _COMMANDS[args.command][0](args)
+        _COMMANDS[args.command][0](args, _load_config(args))
     except IntegrationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def entrypoint() -> None:

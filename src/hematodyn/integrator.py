@@ -115,23 +115,18 @@ class IntegrationConfig:
     output_stride: Optional[float] = None
 
     def __post_init__(self):
-        # each number is stored as a float, so the step loop runs on floats
-        for name in ("t_end", "rel_tol", "abs_tol"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if not (math.isfinite(self.t_end) and self.t_end > 0):
-            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if not (math.isfinite(self.rel_tol) and 1e-12 <= self.rel_tol <= 1e-3):
-            raise ValueError(f"rel_tol must lie in [1e-12, 1e-3], got {self.rel_tol}")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
-            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
-        for name in ("max_step", "initial_step", "output_stride"):
+        # each setting is stored as a finite float, so the step loop runs on
+        # floats; the last three may be None
+        for name in ("t_end", "rel_tol", "abs_tol", "max_step", "initial_step", "output_stride"):
             value = getattr(self, name)
-            if value is None:
+            if value is None and name in ("max_step", "initial_step", "output_stride"):
                 continue
             value = _real(name, value)
             object.__setattr__(self, name, value)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite when given, got {value}")
+            if name == "rel_tol" and not 1e-12 <= value <= 1e-3:
+                raise ValueError(f"rel_tol must lie in [1e-12, 1e-3], got {value}")
+            if name != "rel_tol" and not value > 0:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.t_end / self.stride > _MAX_SAMPLES:
             raise ValueError(f"output_stride {self.stride} gives over {_MAX_SAMPLES} samples")
         # every accepted step is at most max_step long, so this many would hit the step limit

@@ -55,19 +55,23 @@ PARAM_NAMES = ("a1", "a2", "p1", "p2", "d1", "d2", "d3", "k")
 
 
 def _real(name: str, value) -> float:
-    """value as a float; a ValueError naming the field for anything else.
+    """value as a finite float; a ValueError naming the field for anything else.
 
-    One rule for every numeric field: a bool (an int subclass) or anything
-    that is not a real number is refused, and a numpy scalar is stored as
-    a float, so arithmetic on it stays plain float64.
+    One rule for every numeric input: a bool (an int subclass), anything
+    that is not a real number, NaN and +-inf are refused (range checks
+    compare, and NaN fails every comparison), and a numpy scalar is stored
+    as a float, so arithmetic on it stays plain float64.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
         # an int or Fraction too large for a float
         raise ValueError(f"{name} must be finite, got a number beyond float range") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -100,15 +104,12 @@ class ModelParameters:
     d2: float = 0.0
 
     def __post_init__(self):
-        # the range checks below compare, and every comparison with NaN is
-        # False, so non-finite values are rejected first and by name
+        # a finite float passes without a call: x - x is 0.0 exactly when x
+        # is finite (NaN for NaN and +-inf); anything else meets `_real`
         for name in PARAM_NAMES:
             value = getattr(self, name)
-            if type(value) is not float:
-                value = _real(name, value)
-                object.__setattr__(self, name, value)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if type(value) is not float or value - value != 0.0:
+                object.__setattr__(self, name, _real(name, value))
         if not (0.0 < self.a1 < 1.0 and 0.0 < self.a2 < 1.0):
             raise ValueError(
                 f"self-renewal fractions must lie in (0, 1), got a1={self.a1}, a2={self.a2}"
@@ -149,12 +150,10 @@ class CellState:
     def __post_init__(self):
         for name in ("u1", "u2", "u3"):
             value = getattr(self, name)
-            if type(value) is not float:
+            if type(value) is not float or value - value != 0.0:  # as in ModelParameters
                 object.__setattr__(self, name, _real(name, value))
         if self.u1 < 0.0 or self.u2 < 0.0 or self.u3 < 0.0:
             raise ValueError(f"cell counts must be nonnegative, got ({self.u1}, {self.u2}, {self.u3})")
-        if not (math.isfinite(self.u1) and math.isfinite(self.u2) and math.isfinite(self.u3)):
-            raise ValueError("cell counts must be finite")
 
     def as_tuple(self) -> Tuple[float, float, float]:
         return (self.u1, self.u2, self.u3)
@@ -329,14 +328,15 @@ def steady_states(params: ModelParameters) -> Tuple[SteadyState, ...]:
 def place_E2(target: CellState, a1: float, a2: float, p1: float) -> Tuple[float, float, float]:
     """Invert the basic E2 formulas: rates (k, d3, p2) placing E2 at `target`.
 
-    Requires a1 > 1/2, 0 < a2 < a1 and strictly positive target counts.
-    Round trip: steady_state_E2 with the returned rates (and d1 = d2 = 0)
-    reproduces `target` exactly up to floating point.
+    Requires 1/2 < a1 < 1, 0 < a2 < a1 and strictly positive target
+    counts. Round trip: steady_state_E2 with the returned rates (and
+    d1 = d2 = 0) reproduces `target` exactly up to floating point.
     """
-    if not a1 > 0.5:
-        raise ValueError(f"a positive steady state needs a1 > 1/2, got a1={a1}")
+    if not 0.5 < a1 < 1.0:
+        raise ValueError(f"a positive steady state needs 1/2 < a1 < 1, got a1={a1}")
     if not 0.0 < a2 < a1:
         raise ValueError(f"placement needs 0 < a2 < a1, got a1={a1}, a2={a2}")
+    p1 = _real("p1", p1)
     if not p1 > 0.0:
         raise ValueError(f"p1 must be positive, got {p1}")
     if not (target.u1 > 0.0 and target.u2 > 0.0 and target.u3 > 0.0):

@@ -28,6 +28,7 @@ from .model import (
     CellState,
     ModelParameters,
     SteadyState,
+    _real,
     jacobian,
     steady_state_E0,
     steady_state_E1,
@@ -124,14 +125,14 @@ class RegimeSummary:
 
 
 def beta_gamma(a1: float, a2: float) -> BetaGamma:
-    """Boundary constants for the basic variant; needs a1 > 1/2, 0 < a2 < a1.
+    """Boundary constants for the basic variant; needs 1/2 < a1 < 1, 0 < a2 < a1.
 
     In rescaled units the positive state is unstable iff
     p2 < (1/gamma - beta*d3) / (1 - a2/a1), so beta/gamma fix the straight
     stability boundary in the (d3, p2) plane.
     """
-    if not a1 > 0.5:
-        raise ValueError(f"boundary constants need a1 > 1/2, got a1={a1}")
+    if not 0.5 < a1 < 1.0:
+        raise ValueError(f"boundary constants need 1/2 < a1 < 1, got a1={a1}")
     if not 0.0 < a2 < a1:
         raise ValueError(f"boundary constants need 0 < a2 < a1, got a1={a1}, a2={a2}")
     r = a2 / a1
@@ -258,6 +259,7 @@ def hopf_point(a1: float, a2: float, d3: float, p1: float = 1.0) -> HopfReport:
     so lowering p2 through p2_star destabilizes the positive state.
     p2_star does not depend on the feedback strength k.
     """
+    p1, d3 = _real("p1", p1), _real("d3", d3)
     if not (p1 > 0.0 and d3 > 0.0):
         raise ValueError(f"rates must be positive, got p1={p1}, d3={d3}")
     bg = beta_gamma(a1, a2)

@@ -94,6 +94,15 @@ _CHUNK = 8192
 _MAX_GRID = 20_000_000
 
 
+def _count(name: str, value) -> int:
+    """value as an int (a bool is not one); anything else is a ValueError naming the field."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if not isinstance(value, bool):
+        _real(name, value)  # names a non-number or a non-finite number as such
+    raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AxisSpec:
     """One varied parameter: an open interval sampled at `count` points.
@@ -114,18 +123,11 @@ class AxisSpec:
             if self.name == "k":
                 raise ValueError("stability does not depend on k; it is not a sweep axis")
             raise ValueError(f"unknown sweep parameter {self.name!r}")
-        for label in ("low", "high", "count", "nudge"):
-            value = getattr(self, label)
-            if label == "count" and isinstance(value, bool):
-                continue  # refused as a count below
-            value = _real(f"{label} of the {self.name} axis", value)
-            if not math.isfinite(value):
-                raise ValueError(f"{label} of the {self.name} axis must be finite, got {value}")
-            if label != "count":
-                object.__setattr__(self, label, value)
-        # reject here what would otherwise fail inside run_sweep; bool is an int subclass
-        if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)):
-            raise ValueError(f"count of the {self.name} axis must be an int, got {self.count!r}")
+        # stored as plain floats and a plain int, so the grid and the summary
+        # see no numpy scalar
+        for label, rule in (("low", _real), ("high", _real), ("count", _count), ("nudge", _real)):
+            value = rule(f"{label} of the {self.name} axis", getattr(self, label))
+            object.__setattr__(self, label, value)
         if not self.low < self.high:
             raise ValueError(f"empty interval for {self.name}: ({self.low}, {self.high})")
         if self.count < 2:
@@ -324,8 +326,9 @@ def write_sweep_csv(result: SweepResult, fh) -> None:
 def sweep_summary(result: SweepResult, max_points: int = 1000) -> dict:
     """JSON-ready aggregate view: counts, unstable bounds, sample points.
 
-    At most `max_points` (>= 0) unstable points are listed.
+    At most `max_points` (an int >= 0) unstable points are listed.
     """
+    max_points = _count("max_points", max_points)
     if max_points < 0:
         raise ValueError(f"max_points must be >= 0, got {max_points}")
     pts = result.unstable_points

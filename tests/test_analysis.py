@@ -177,6 +177,20 @@ class TestClassify:
         with pytest.raises(ValueError, match="output_stride .* leaves 2 sample"):
             classify(params, SHOWCASE_IC_CYCLE_HIGH, output_stride=stride)
 
+    # each setting follows the number rule before anything is integrated:
+    # equilibrium_tol=True used to judge at a tolerance of 1.0, and
+    # horizon=True was blamed on t_end
+    @pytest.mark.parametrize("name", ["horizon", "transient_fraction", "equilibrium_tol", "agreement_tol"])
+    @pytest.mark.parametrize("value, message", [
+        (True, "must be a number, got True"), ("1", "must be a number, got '1'"),
+        (math.nan, "must be finite, got nan"), (math.inf, "must be finite, got inf"),
+    ], ids=repr)
+    def test_setting_refused_by_name_before_integrating(self, monkeypatch, name, value, message):
+        start = steady_state_E2(REFERENCE_PARAMETERS).state
+        monkeypatch.setattr(analysis, "integrate", _not_integrated)
+        with pytest.raises(ValueError, match=f"^{name} {message}$"):
+            classify(REFERENCE_PARAMETERS, start, **{name: value})
+
     # classify counts the sample grid before integrating; each count must be
     # that of the samples the run returns, also at the windows' edges
     @pytest.mark.parametrize("stride_per_horizon", [

@@ -1,5 +1,6 @@
 """Stability layer: coefficients, Routh-Hurwitz, Hopf point, regime table."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from conftest import (
     showcase_params,
 )
 from hematodyn import (
+    CellState,
     CharPolyCoeffs,
     ModelParameters,
     REFERENCE_PARAMETERS,
@@ -36,6 +38,7 @@ from hematodyn import (
     hurwitz_value,
     instability_region_bounds,
     jacobian,
+    place_E2,
     regime_table,
     stability_report,
     stability_reports,
@@ -92,6 +95,38 @@ class TestBetaGamma:
             beta_gamma(0.7, 0.7)
         with pytest.raises(ValueError):
             beta_gamma(0.7, 0.9)
+
+
+class TestBasicClosedFormDomain:
+    # the basic-variant closed forms used to return numbers for a1 >= 1,
+    # and hopf_point(True, ...) computed with a1 = 1
+    @pytest.mark.parametrize("closed_form", [
+        lambda a1: beta_gamma(a1, 0.5),
+        lambda a1: hopf_point(a1, 0.5, 0.1, 1.0),
+        lambda a1: instability_region_bounds(a1, 0.5),
+        lambda a1: hurwitz_factored(a1, 0.5, 0.3, 0.1),
+        lambda a1: place_E2(CellState(1.0, 1.0, 1.0), a1, 0.5, 1.0),
+    ], ids=["beta_gamma", "hopf_point", "instability_region_bounds", "hurwitz_factored", "place_E2"])
+    @pytest.mark.parametrize("a1", [1.0, 1.5, True, 0.5, math.nan, math.inf], ids=repr)
+    def test_a1_outside_half_to_one_refused(self, closed_form, a1):
+        with pytest.raises(ValueError, match="1/2 < a1 < 1"):
+            closed_form(a1)
+
+    # hopf_point(0.7, 0.5, 0.1337, inf) used to return p2_star=inf, omega=nan
+    @pytest.mark.parametrize("name", ["p1", "d3"])
+    @pytest.mark.parametrize("value, message", [
+        (math.inf, "must be finite"), (math.nan, "must be finite"),
+        (True, "must be a number"), ("1", "must be a number"),
+    ], ids=repr)
+    def test_hopf_rates_follow_the_number_rule(self, name, value, message):
+        rates = dict(a1=0.7, a2=0.5, d3=0.1337, p1=1.0)
+        rates[name] = value
+        with pytest.raises(ValueError, match=f"{name} {message}, got "):
+            hopf_point(**rates)
+
+    def test_place_E2_rate_follows_the_number_rule(self):
+        with pytest.raises(ValueError, match="p1 must be finite, got inf"):
+            place_E2(CellState(1.0, 1.0, 1.0), 0.7, 0.5, math.inf)
 
 
 class TestCharPoly:

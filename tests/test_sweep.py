@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 import math
 
 import numpy as np
@@ -126,6 +127,10 @@ class TestAxisSpec:
         axis = AxisSpec(name="d3", low=np.float32(0.5), high=1, count=np.int64(7), nudge=0)
         assert (axis.low, axis.high, axis.nudge) == (0.5, 1.0, 0.0)
         assert all(type(v) is float for v in (axis.low, axis.high, axis.nudge))
+        # a numpy count used to reach the summary, which then failed to serialize
+        assert type(axis.count) is int and axis.count == 7
+        summary = json.loads(dumps(sweep_summary(run_sweep(SweepSpec(varied=(axis,))))))
+        assert summary["axes"][0]["count"] == 7
 
     @pytest.mark.parametrize("count", [2.5, 3.0, True])
     def test_count_must_be_an_int(self, count):
@@ -338,8 +343,13 @@ class TestResultAccess:
         axes = (axis_for("p1", 23), axis_for("a2", 29), axis_for("d3", 17))
         result = run_sweep(SweepSpec(varied=axes))
         assert result.counts["unstable"] > 0
-        with pytest.raises(ValueError, match="max_points must be >= 0"):
-            sweep_summary(result, max_points=-1)
+        # max_points follows the count rule: True used to list one point, and
+        # 2.5 or "3" raised a TypeError that did not name it
+        for bad, message in [(-1, ">= 0"), (True, "an int, got True"), (2.5, "an int, got 2.5"),
+                             ("3", "a number, got '3'"), (math.nan, "finite, got nan")]:
+            with pytest.raises(ValueError, match=f"max_points must be {message}"):
+                sweep_summary(result, max_points=bad)
+        assert len(sweep_summary(result, max_points=np.int64(2))["unstable"]["points"]) == 2
         summary = sweep_summary(result, max_points=0)
         assert summary["unstable"]["points"] == []
         assert summary["unstable"]["points_truncated"] is True
