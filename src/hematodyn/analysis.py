@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .integrator import IntegrationConfig, Trajectory, integrate
-from .model import CellState, ModelParameters, _real, steady_states
+from .model import CellState, ModelParameters, _positive, _real, steady_states
 from .stability import hopf_point
 
 __all__ = [
@@ -231,10 +231,9 @@ def _classify(
     transient_fraction = _real("transient_fraction", transient_fraction)
     if not 0.0 < transient_fraction < 1.0:
         raise ValueError(f"transient_fraction must lie in (0, 1), got {transient_fraction}")
-    for name, tol in (("equilibrium_tol", equilibrium_tol), ("agreement_tol", agreement_tol)):
-        if not _real(name, tol) > 0.0:
-            raise ValueError(f"{name} must be positive and finite, got {tol}")
-    horizon = default_horizon(params) if horizon is None else _real("horizon", horizon)
+    equilibrium_tol = _positive("equilibrium_tol", equilibrium_tol)
+    agreement_tol = _positive("agreement_tol", agreement_tol)
+    horizon = default_horizon(params) if horizon is None else _positive("horizon", horizon)
     stride = output_stride if output_stride is not None else horizon / 4000.0
     config = IntegrationConfig(
         t_end=horizon, rel_tol=rel_tol, abs_tol=abs_tol, output_stride=stride

@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .model import CellState, ModelParameters, _real, rhs_closure
+from .model import CellState, ModelParameters, _positive, _real, rhs_closure
 
 __all__ = ["IntegrationConfig", "Trajectory", "IntegrationError", "integrate"]
 
@@ -121,12 +121,10 @@ class IntegrationConfig:
             value = getattr(self, name)
             if value is None and name in ("max_step", "initial_step", "output_stride"):
                 continue
-            value = _real(name, value)
-            object.__setattr__(self, name, value)
+            value = _real(name, value) if name == "rel_tol" else _positive(name, value)
             if name == "rel_tol" and not 1e-12 <= value <= 1e-3:
                 raise ValueError(f"rel_tol must lie in [1e-12, 1e-3], got {value}")
-            if name != "rel_tol" and not value > 0:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.t_end / self.stride > _MAX_SAMPLES:
             raise ValueError(f"output_stride {self.stride} gives over {_MAX_SAMPLES} samples")
         # every accepted step is at most max_step long, so this many would hit the step limit

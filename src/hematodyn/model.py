@@ -35,7 +35,6 @@ __all__ = [
     "CellState",
     "SteadyState",
     "InvariantBox",
-    "feedback_signal",
     "rhs",
     "rhs_closure",
     "nondimensionalize",
@@ -71,6 +70,14 @@ def _real(name: str, value) -> float:
         raise ValueError(f"{name} must be finite, got a number beyond float range") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _positive(name: str, value) -> float:
+    """value as a finite float above zero: the number rule of `_real`, then the sign."""
+    value = _real(name, value)
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 
 
@@ -197,15 +204,6 @@ class InvariantBox:
         return state.u1 <= self.c1 * f and state.u2 <= self.c2 * f and state.u3 <= self.c3 * f
 
 
-def feedback_signal(k: float, u3: float) -> float:
-    """Feedback level s = 1/(1 + k*u3), in (0, 1] for nonnegative u3."""
-    if k <= 0.0:
-        raise ValueError(f"feedback strength k must be positive, got {k}")
-    if u3 < 0.0:
-        raise ValueError(f"mature cell count must be nonnegative, got {u3}")
-    return 1.0 / (1.0 + k * u3)
-
-
 def rhs_closure(params: ModelParameters):
     """The right-hand side as a plain-float function f(u1, u2, u3) -> derivatives.
 
@@ -289,6 +287,15 @@ def e2_conditions(a1, a2, p1, p2, d1, d2):
     return s, a2s, excess, (s < 1.0) & (a2s < 1.0) & (excess > 0.0)
 
 
+def _basic_ratio(a1, a2) -> float:
+    """r = a2/a1 on the basic closed forms' domain 1/2 < a1 < 1, 0 < a2 < a1; else a ValueError."""
+    if not 0.5 < a1 < 1.0:
+        raise ValueError(f"the basic closed forms need 1/2 < a1 < 1, got a1={a1}")
+    if not 0.0 < a2 < a1:
+        raise ValueError(f"the basic closed forms need 0 < a2 < a1, got a1={a1}, a2={a2}")
+    return a2 / a1
+
+
 def steady_state_E2(params: ModelParameters) -> Optional[SteadyState]:
     """Fully positive steady state, or None when it does not exist.
 
@@ -332,16 +339,10 @@ def place_E2(target: CellState, a1: float, a2: float, p1: float) -> Tuple[float,
     counts. Round trip: steady_state_E2 with the returned rates (and
     d1 = d2 = 0) reproduces `target` exactly up to floating point.
     """
-    if not 0.5 < a1 < 1.0:
-        raise ValueError(f"a positive steady state needs 1/2 < a1 < 1, got a1={a1}")
-    if not 0.0 < a2 < a1:
-        raise ValueError(f"placement needs 0 < a2 < a1, got a1={a1}, a2={a2}")
-    p1 = _real("p1", p1)
-    if not p1 > 0.0:
-        raise ValueError(f"p1 must be positive, got {p1}")
+    r = _basic_ratio(a1, a2)
+    p1 = _positive("p1", p1)
     if not (target.u1 > 0.0 and target.u2 > 0.0 and target.u3 > 0.0):
         raise ValueError("target counts must be strictly positive")
-    r = a2 / a1
     k = (2.0 * a1 - 1.0) / target.u3
     d3 = (2.0 - r) / (1.0 - r) * (target.u1 / target.u3) * p1
     p2 = d3 / (2.0 - r) * (target.u3 / target.u2)
@@ -351,10 +352,11 @@ def place_E2(target: CellState, a1: float, a2: float, p1: float) -> Tuple[float,
 def jacobian(params: ModelParameters, state: CellState) -> np.ndarray:
     """3x3 Jacobian of the right-hand side at `state`.
 
-    Uses ds/du3 = -k*s^2. The (1,2) and (3,1) entries vanish identically:
-    stem cells do not react to progenitors, mature cells not to stem cells.
+    Uses s = 1/(1 + k*u3) and ds/du3 = -k*s^2. The (1,2) and (3,1)
+    entries vanish identically: stem cells do not react to progenitors,
+    mature cells not to stem cells.
     """
-    s = feedback_signal(params.k, state.u3)
+    s = 1.0 / (1.0 + params.k * state.u3)
     ds = -params.k * s * s
     a1, a2 = params.a1, params.a2
     p1, p2 = params.p1, params.p2

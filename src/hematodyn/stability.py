@@ -28,7 +28,8 @@ from .model import (
     CellState,
     ModelParameters,
     SteadyState,
-    _real,
+    _basic_ratio,
+    _positive,
     jacobian,
     steady_state_E0,
     steady_state_E1,
@@ -131,22 +132,23 @@ def beta_gamma(a1: float, a2: float) -> BetaGamma:
     p2 < (1/gamma - beta*d3) / (1 - a2/a1), so beta/gamma fix the straight
     stability boundary in the (d3, p2) plane.
     """
-    if not 0.5 < a1 < 1.0:
-        raise ValueError(f"boundary constants need 1/2 < a1 < 1, got a1={a1}")
-    if not 0.0 < a2 < a1:
-        raise ValueError(f"boundary constants need 0 < a2 < a1, got a1={a1}, a2={a2}")
-    r = a2 / a1
+    _, _, beta, gamma = _shape_constants(a1, a2)
+    return BetaGamma(beta=beta, gamma=gamma)
+
+
+def _shape_constants(a1, a2):
+    # (r, e, beta, gamma) of the basic variant: r = a2/a1, e = 1 - 1/(2*a1);
+    # a ValueError outside 1/2 < a1 < 1, 0 < a2 < a1
+    r = _basic_ratio(a1, a2)
     e = 1.0 - 1.0 / (2.0 * a1)
     beta = 1.0 - r * e / (2.0 - r)
     gamma = (1.0 / (2.0 * a1)) / e + r / ((2.0 - r) * (1.0 - r))
-    return BetaGamma(beta=beta, gamma=gamma)
+    return r, e, beta, gamma
 
 
 def _basic_coeffs_rescaled(a1, a2, p2, d3):
     # characteristic coefficients at E2 for d1 = d2 = 0, time rescaled by p1
-    r = a2 / a1
-    e = 1.0 - 1.0 / (2.0 * a1)
-    beta = 1.0 - r * e / (2.0 - r)
+    r, e, beta, _ = _shape_constants(a1, a2)
     b1 = (1.0 - r) * p2 + beta * d3
     b2 = ((1.0 - r) * beta - e * (1.0 - 2.0 * r)) * d3 * p2
     b3 = e * (1.0 - r) * d3 * p2
@@ -244,10 +246,9 @@ def hurwitz_factored(a1: float, a2: float, p2: float, d3: float) -> float:
     * d3 * p2, which matches hurwitz_value(char_poly_E2(...)) identically on
     p1 = 1 parameters. Useful as an independent route to the stability sign.
     """
-    bg = beta_gamma(a1, a2)
-    r = a2 / a1
-    e = 1.0 - 1.0 / (2.0 * a1)
-    return e * (1.0 - r) * (((1.0 - r) * p2 + bg.beta * d3) * bg.gamma - 1.0) * d3 * p2
+    p2, d3 = _positive("p2", p2), _positive("d3", d3)
+    r, e, beta, gamma = _shape_constants(a1, a2)
+    return e * (1.0 - r) * (((1.0 - r) * p2 + beta * d3) * gamma - 1.0) * d3 * p2
 
 
 def hopf_point(a1: float, a2: float, d3: float, p1: float = 1.0) -> HopfReport:
@@ -259,23 +260,19 @@ def hopf_point(a1: float, a2: float, d3: float, p1: float = 1.0) -> HopfReport:
     so lowering p2 through p2_star destabilizes the positive state.
     p2_star does not depend on the feedback strength k.
     """
-    p1, d3 = _real("p1", p1), _real("d3", d3)
-    if not (p1 > 0.0 and d3 > 0.0):
-        raise ValueError(f"rates must be positive, got p1={p1}, d3={d3}")
-    bg = beta_gamma(a1, a2)
-    d3_max = p1 / (bg.beta * bg.gamma)
+    p1, d3 = _positive("p1", p1), _positive("d3", d3)
+    r, e, beta, gamma = _shape_constants(a1, a2)
+    d3_max = p1 / (beta * gamma)
     if not d3 < d3_max:
         raise ValueError(
             f"no positive bifurcation point: d3={d3} is not below d3_max={d3_max}"
         )
-    r = a2 / a1
-    e = 1.0 - 1.0 / (2.0 * a1)
     d3t = d3 / p1
-    p2_star = (1.0 / bg.gamma - bg.beta * d3t) / (1.0 - r)
-    lambda3 = -1.0 / bg.gamma
-    omega = math.sqrt((1.0 / bg.gamma - bg.beta * d3t) * bg.gamma * e * d3t)
+    p2_star = (1.0 / gamma - beta * d3t) / (1.0 - r)
+    lambda3 = -1.0 / gamma
+    omega = math.sqrt((1.0 / gamma - beta * d3t) * gamma * e * d3t)
     mu_prime = -(
-        e * (1.0 - r) ** 2 * bg.gamma * d3t * p2_star
+        e * (1.0 - r) ** 2 * gamma * d3t * p2_star
     ) / (2.0 * (lambda3 * lambda3 + omega * omega))
     return HopfReport(
         p2_star=p2_star * p1,
@@ -301,11 +298,9 @@ def eigenvalues_at(
 
 
 def _classify_by_eigenvalues(eigenvalues) -> str:
+    # the Hurwitz rule on -(largest real part), marginal relative to max |lambda|
     top = max(z.real for z in eigenvalues)
-    scale = max(1.0, max(abs(z) for z in eigenvalues))
-    if abs(top) <= MARGINAL_TOL * scale:
-        return MARGINAL
-    return STABLE if top < 0.0 else UNSTABLE
+    return CLASS_NAMES[int(hurwitz_codes(-top, max(abs(z) for z in eigenvalues)))]
 
 
 def stability_report(params: ModelParameters, label: str) -> StabilityReport:
@@ -376,5 +371,5 @@ def instability_region_bounds(a1: float, a2: float) -> Tuple[float, float]:
     off by the line gamma*[(1 - a2/a1)*p2 + beta*d3] = 1; both intercepts
     are below 2 for every admissible (a1, a2).
     """
-    bg = beta_gamma(a1, a2)
-    return 1.0 / (bg.beta * bg.gamma), 1.0 / ((1.0 - a2 / a1) * bg.gamma)
+    r, _, beta, gamma = _shape_constants(a1, a2)
+    return 1.0 / (beta * gamma), 1.0 / ((1.0 - r) * gamma)

@@ -29,6 +29,9 @@ from hematodyn import (
     steady_state_E2,
 )
 
+# classify's own settings, which it checks by name before integrating
+CLASSIFY_SETTINGS = ("horizon", "transient_fraction", "equilibrium_tol", "agreement_tol")
+
 
 def sinusoid_trajectory(period, amplitude, offset, t_end, n):
     times = np.linspace(0.0, t_end, n)
@@ -179,13 +182,19 @@ class TestClassify:
 
     # each setting follows the number rule before anything is integrated:
     # equilibrium_tol=True used to judge at a tolerance of 1.0, and
-    # horizon=True was blamed on t_end
-    @pytest.mark.parametrize("name", ["horizon", "transient_fraction", "equilibrium_tol", "agreement_tol"])
-    @pytest.mark.parametrize("value, message", [
-        (True, "must be a number, got True"), ("1", "must be a number, got '1'"),
-        (math.nan, "must be finite, got nan"), (math.inf, "must be finite, got inf"),
-    ], ids=repr)
-    def test_setting_refused_by_name_before_integrating(self, monkeypatch, name, value, message):
+    # horizon=True and horizon=-5 were blamed on t_end
+    @pytest.mark.parametrize("value, message, name", [
+        *((value, message, name)
+          for value, message in [
+              (True, "must be a number, got True"), ("1", "must be a number, got '1'"),
+              (math.nan, "must be finite, got nan"), (math.inf, "must be finite, got inf"),
+          ]
+          for name in CLASSIFY_SETTINGS),
+        *((value, f"must be positive and finite, got {value}", name)
+          for value in (0.0, -5.0)
+          for name in ("horizon", "equilibrium_tol", "agreement_tol")),
+    ], ids=lambda arg: arg if arg in CLASSIFY_SETTINGS else repr(arg))
+    def test_setting_refused_by_name_before_integrating(self, monkeypatch, value, message, name):
         start = steady_state_E2(REFERENCE_PARAMETERS).state
         monkeypatch.setattr(analysis, "integrate", _not_integrated)
         with pytest.raises(ValueError, match=f"^{name} {message}$"):

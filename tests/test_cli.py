@@ -88,6 +88,7 @@ class TestArgumentErrors:
            "--set", "horizon=10", "--set", tol)
           for tol in ("equilibrium_tol=nan", "equilibrium_tol=-1", "equilibrium_tol=0",
                       "agreement_tol=nan", "agreement_tol=inf")),
+        ("classify", "--set", "u1=1", "--set", "u2=1", "--set", "u3=1", "--set", "horizon=-5"),
     ])
     def test_non_finite_input_rejected(self, capsys, monkeypatch, tmp_path, argv):
         monkeypatch.chdir(tmp_path)
@@ -95,6 +96,8 @@ class TestArgumentErrors:
         assert code == 2
         assert out == ""
         assert "must be" in err and "finite" in err
+        # no case gives a bad t_end; classify used to blame it for a bad horizon
+        assert "t_end" not in err
 
     def test_unreadable_config(self, capsys):
         code, _, err = run(capsys, "stability", "--config", "/nonexistent/x.cfg")
@@ -120,6 +123,7 @@ SHOWCASE_SET = ["--set", "a1=0.7", "--set", "a2=0.5", "--set", "p1=1",
 SHOWCASE_CYCLE_SET = [*SHOWCASE_SET, "--set", "p2=0.3", "--set", "u1=2717000",
                       "--set", "u2=26836000", "--set", "u3=91429000"]
 INITIAL_SET = ["--set", "u1=1", "--set", "u2=1", "--set", "u3=1"]
+CONSTELLATION_1_SET = ["--set", "p1=0.7171", "--set", "a2=0.32", "--set", "d3=0.132"]
 # keys that only the classifier reads; every other non-parameter float key
 # is an initial state or integration setting, which simulate reads
 CLASSIFY_ONLY = ("horizon", "transient_fraction", "equilibrium_tol", "agreement_tol")
@@ -447,8 +451,14 @@ class TestGoldenOutput:
          "5335ed7d18050cad5567d5b4289df7b80da4a94c1889a6525d19e49ce604e513"),
         (["constellations", "--set", "classify=false"],
          "fe0a672c39c44c52596ddab4cdc92167e7e6d0794c8107103afb0f804bcbd138"),
+        # constellation set 1: E2 unstable by the basic closed form at p1 != 1,
+        # E1 absent, E0 decided by its eigenvalues alone
+        (["stability", *CONSTELLATION_1_SET],
+         "fee8e921f5e37b6fbbb91480d64fe7368a78ba9e2781a38b6b6aefe4d17f2531"),
+        (["hopf", "--rescaled", *CONSTELLATION_1_SET],
+         "969517c3e552f033b8c7d0708c52f3e67f29a5dbfcf301ed9047b5d8bd12082b"),
     ], ids=["stability-reference", "stability-extended", "stability-no-E2", "hopf",
-            "simulate", "classify", "constellations"])
+            "simulate", "classify", "constellations", "stability-set-1", "hopf-rescaled-set-1"])
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
         assert code == 0

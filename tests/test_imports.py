@@ -1,5 +1,5 @@
-"""Every module of the package uses the names it imports, and the package
-exports exactly the public names it binds."""
+"""Every module of the package uses the names it imports and binds the names
+it exports, and the package exports exactly the public names it binds."""
 
 import ast
 import types
@@ -37,6 +37,28 @@ def unused_imports(source: str):
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unbound_exports(source: str):
+    # names in the module's __all__ that no top-level statement binds
+    bound, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {target.id for target in targets if isinstance(target, ast.Name)}
+            bound.update(names)
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_export_is_bound(path):
+    assert unbound_exports(path.read_text(encoding="utf-8")) == []
 
 
 def test_package_all_matches_its_public_names():

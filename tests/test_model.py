@@ -1,4 +1,4 @@
-"""Model-layer tests: feedback, right-hand side, steady states, Jacobian."""
+"""Model-layer tests: right-hand side, steady states, Jacobian."""
 
 import math
 
@@ -13,7 +13,6 @@ from hematodyn import (
     IntegrationConfig,
     ModelParameters,
     REFERENCE_PARAMETERS,
-    feedback_signal,
     invariant_box,
     jacobian,
     nondimensionalize,
@@ -50,31 +49,6 @@ def residual_norm(params, state):
 
 def state_norm(state):
     return np.linalg.norm(state.as_tuple())
-
-
-class TestFeedbackSignal:
-    def test_zero_count_gives_full_signal(self):
-        assert feedback_signal(1.75e-9, 0.0) == 1.0
-
-    def test_large_count_drives_signal_to_zero(self):
-        assert feedback_signal(1.75e-9, 1e30) < 1e-10
-
-    def test_value_at_positive_equilibrium_level(self):
-        # k * u3 = 0.4 at this point, so the signal is 1/1.4
-        assert feedback_signal(8.75e-9, 4.5714286e7) == pytest.approx(1.0 / 1.4, rel=1e-8)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            feedback_signal(1e-9, -1.0)
-
-    @given(k=st.floats(min_value=1e-12, max_value=1e-3), u3=counts)
-    def test_signal_in_unit_interval(self, k, u3):
-        s = feedback_signal(k, u3)
-        assert 0.0 < s <= 1.0
-
-    @given(k=st.floats(min_value=1e-12, max_value=1e-3), u3=st.floats(min_value=0.0, max_value=1e9))
-    def test_signal_strictly_decreasing(self, k, u3):
-        assert feedback_signal(k, u3 + 1.0) < feedback_signal(k, u3)
 
 
 class TestRhs:

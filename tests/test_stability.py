@@ -97,6 +97,10 @@ class TestBetaGamma:
             beta_gamma(0.7, 0.9)
 
 
+HOPF_RATES = dict(a1=0.7, a2=0.5, d3=0.1337, p1=1.0)
+FACTORED_RATES = dict(a1=0.7, a2=0.5, p2=0.3, d3=0.1337)
+
+
 class TestBasicClosedFormDomain:
     # the basic-variant closed forms used to return numbers for a1 >= 1,
     # and hopf_point(True, ...) computed with a1 = 1
@@ -112,17 +116,20 @@ class TestBasicClosedFormDomain:
         with pytest.raises(ValueError, match="1/2 < a1 < 1"):
             closed_form(a1)
 
-    # hopf_point(0.7, 0.5, 0.1337, inf) used to return p2_star=inf, omega=nan
-    @pytest.mark.parametrize("name", ["p1", "d3"])
+    # hopf_point(0.7, 0.5, 0.1337, inf) used to return p2_star=inf, omega=nan,
+    # and hurwitz_factored inf or nan for p2 = inf or d3 = nan
+    @pytest.mark.parametrize("closed_form, rates, name", [
+        (hopf_point, HOPF_RATES, "p1"), (hopf_point, HOPF_RATES, "d3"),
+        (hurwitz_factored, FACTORED_RATES, "p2"), (hurwitz_factored, FACTORED_RATES, "d3"),
+    ], ids=["p1", "d3", "hurwitz_factored-p2", "hurwitz_factored-d3"])
     @pytest.mark.parametrize("value, message", [
         (math.inf, "must be finite"), (math.nan, "must be finite"),
         (True, "must be a number"), ("1", "must be a number"),
+        (0.0, "must be positive and finite"), (-1.0, "must be positive and finite"),
     ], ids=repr)
-    def test_hopf_rates_follow_the_number_rule(self, name, value, message):
-        rates = dict(a1=0.7, a2=0.5, d3=0.1337, p1=1.0)
-        rates[name] = value
+    def test_hopf_rates_follow_the_number_rule(self, closed_form, rates, name, value, message):
         with pytest.raises(ValueError, match=f"{name} {message}, got "):
-            hopf_point(**rates)
+            closed_form(**{**rates, name: value})
 
     def test_place_E2_rate_follows_the_number_rule(self):
         with pytest.raises(ValueError, match="p1 must be finite, got inf"):
