@@ -226,34 +226,49 @@ _COMMANDS = {
 }
 
 
-# argparse reads a subcommand's own options only when that subcommand runs,
-# so main() gives them just to the commands named in argv: every command
-# still lists in --help and in errors, and every call skips building the
-# options of the commands it does not run (over a quarter of the build)
-def _build_parser(commands) -> argparse.ArgumentParser:
+def _add_options(parser: argparse.ArgumentParser, rescalable: bool) -> None:
+    parser.add_argument("--config", help="flat key = value configuration file")
+    parser.add_argument("--out", help="output path (default: stdout)")
+    if rescalable:
+        parser.add_argument("--rescaled", action="store_true",
+                            help="renormalize rates so the stem proliferation rate is 1")
+    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override one configuration entry (repeatable)")
+
+
+class _CommandParser:
+    """Stand-in for a subcommand parser; builds the real one when argparse runs it.
+
+    argparse lists the commands in help and errors from `add_parser`'s help
+    text and names, and calls a subcommand's parser only through
+    `parse_known_args`, for the one command it dispatches to. So a call
+    builds two parsers, the top one and its command's, not one per command.
+    """
+
+    def __init__(self, rescalable: bool, **kwargs):
+        self._rescalable = rescalable
+        self._kwargs = kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(**self._kwargs)
+        _add_options(parser, self._rescalable)
+        return parser.parse_known_args(args, namespace)
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hematodyn",
         description="Three-compartment white blood cell model: simulation, "
         "stability, bifurcation search.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, (_, text, rescalable) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        if name not in commands:
-            continue
-        p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--out", help="output path (default: stdout)")
-        if rescalable:
-            p.add_argument("--rescaled", action="store_true",
-                           help="renormalize rates so the stem proliferation rate is 1")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override one configuration entry (repeatable)")
+        sub.add_parser(name, help=text, rescalable=rescalable)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(frozenset(argv)).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _COMMANDS[args.command][0](args, _load_config(args))
     except IntegrationError as exc:

@@ -280,20 +280,31 @@ def e2_conditions(a1, a2, p1, p2, d1, d2):
     s = (p1 + d1)/(2*a1*p1) is the level the stem balance pins, excess is
     d2 - (2*a2*s - 1)*p2, and E2 exists where s < 1, a2*s < 1 and
     excess > 0. Plain arithmetic only, so scalars and arrays both work.
+
+    The sign of excess is judged on excess*a1*p1 = d2*a1*p1 -
+    (a2*(p1 + d1) - a1*p1)*p2, which has no rounded s in it: at a2 = a1
+    with d1 = d2 = 0 that is exactly 0, where a2*s can round just below 1/2
+    and leave excess a tiny positive number.
     """
     s = (p1 + d1) / (2.0 * a1 * p1)
     a2s = a2 * s
     excess = d2 - (2.0 * a2s - 1.0) * p2
-    return s, a2s, excess, (s < 1.0) & (a2s < 1.0) & (excess > 0.0)
+    a1p1 = a1 * p1
+    signed = d2 * a1p1 > (a2 * (p1 + d1) - a1p1) * p2
+    return s, a2s, excess, (s < 1.0) & (a2s < 1.0) & (excess > 0.0) & signed
 
 
-def _basic_ratio(a1, a2) -> float:
-    """r = a2/a1 on the basic closed forms' domain 1/2 < a1 < 1, 0 < a2 < a1; else a ValueError."""
+def _basic_ratio(a1, a2) -> Tuple[float, float]:
+    """(a1, r = a2/a1) as floats on the basic closed forms' domain 1/2 < a1 < 1, 0 < a2 < a1.
+
+    a1 and a2 meet the `_real` number rule first; outside the domain, a ValueError.
+    """
+    a1, a2 = _real("a1", a1), _real("a2", a2)
     if not 0.5 < a1 < 1.0:
         raise ValueError(f"the basic closed forms need 1/2 < a1 < 1, got a1={a1}")
     if not 0.0 < a2 < a1:
         raise ValueError(f"the basic closed forms need 0 < a2 < a1, got a1={a1}, a2={a2}")
-    return a2 / a1
+    return a1, a2 / a1
 
 
 def steady_state_E2(params: ModelParameters) -> Optional[SteadyState]:
@@ -339,7 +350,7 @@ def place_E2(target: CellState, a1: float, a2: float, p1: float) -> Tuple[float,
     counts. Round trip: steady_state_E2 with the returned rates (and
     d1 = d2 = 0) reproduces `target` exactly up to floating point.
     """
-    r = _basic_ratio(a1, a2)
+    a1, r = _basic_ratio(a1, a2)
     p1 = _positive("p1", p1)
     if not (target.u1 > 0.0 and target.u2 > 0.0 and target.u3 > 0.0):
         raise ValueError("target counts must be strictly positive")

@@ -30,6 +30,7 @@ from .model import (
     SteadyState,
     _basic_ratio,
     _positive,
+    _real,
     jacobian,
     steady_state_E0,
     steady_state_E1,
@@ -139,7 +140,7 @@ def beta_gamma(a1: float, a2: float) -> BetaGamma:
 def _shape_constants(a1, a2):
     # (r, e, beta, gamma) of the basic variant: r = a2/a1, e = 1 - 1/(2*a1);
     # a ValueError outside 1/2 < a1 < 1, 0 < a2 < a1
-    r = _basic_ratio(a1, a2)
+    a1, r = _basic_ratio(a1, a2)
     e = 1.0 - 1.0 / (2.0 * a1)
     beta = 1.0 - r * e / (2.0 - r)
     gamma = (1.0 / (2.0 * a1)) / e + r / ((2.0 - r) * (1.0 - r))
@@ -347,6 +348,7 @@ def regime_table(a1: float, a2: float) -> RegimeSummary:
     are rejected. E2's entry is 'exists' when a1 > 1/2 and a2 < a1; its
     stability then depends on (p2, d3) through `hurwitz_classify`.
     """
+    a1, a2 = _real("a1", a1), _real("a2", a2)
     if not (0.0 < a1 < 1.0 and 0.0 < a2 < 1.0):
         raise ValueError(f"fractions must lie in (0, 1), got a1={a1}, a2={a2}")
     if a1 == 0.5 or a2 == 0.5 or a1 == a2:

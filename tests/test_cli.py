@@ -1,5 +1,6 @@
 """CLI tests: config parsing, command plumbing, exit codes, determinism."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -283,6 +284,14 @@ class TestStability:
         assert code == 0
         assert json.loads(out)["E2"]["classification"] == "marginal"
 
+    # a2 = a1 is the edge where E2 ceases to exist; for 13 of these values
+    # a2*s used to round just below 1/2, E2 "existed" and the call exited 2
+    @pytest.mark.parametrize("a", [f"{a / 100:.2f}" for a in range(51, 99)])
+    def test_no_positive_state_at_a2_equal_a1(self, capsys, a):
+        code, out, err = run(capsys, "stability", "--set", f"a1={a}", "--set", f"a2={a}")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["E2"]["classification"] == "nonexistent"
+
 
 class TestHopf:
     def test_showcase_point(self, tmp_path, capsys):
@@ -473,20 +482,56 @@ def parse_outcome(capsys, parser, argv):
     return (namespace, code) + capsys.readouterr()
 
 
+def eager_parser():
+    # the plain argparse layout: every command's options built up front
+    parser = argparse.ArgumentParser(prog="hematodyn", description=cli._build_parser().description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, text, rescalable) in cli._COMMANDS.items():
+        cli._add_options(sub.add_parser(name, help=text), rescalable)
+    return parser
+
+
 class TestParserBuild:
-    # main() gives options only to the commands named in argv; every parse,
-    # help text and error must be what the parser with all options gives
+    # main() builds a command's options only when argparse dispatches to it;
+    # every parse, help text and error must be what the eager parser gives
     @pytest.mark.parametrize("argv", [
         [], ["--help"], ["bogus"], ["stab"], ["--set", "a1=1", "stability"],
         ["stability", "--bogus"], ["sweep", "--rescaled"], ["stability", "--set"],
         ["stability", "--set", "a1=0.8", "--set", "k=2", "--out", "x.json", "--rescaled"],
         ["simulate", "--config", "c.txt", "--out", "hopf"],
+        ["stability", "--res"], ["stability", "--set=a1=0.8"], ["stability", "extra"],
         *([name] for name in cli._COMMANDS),
         *([name, "--help"] for name in cli._COMMANDS),
     ], ids=" ".join)
     def test_same_as_full_parser(self, capsys, argv):
-        built_for_argv = parse_outcome(capsys, cli._build_parser(frozenset(argv)), argv)
-        assert built_for_argv == parse_outcome(capsys, cli._build_parser(cli._COMMANDS), argv)
+        lazy = parse_outcome(capsys, cli._build_parser(), argv)
+        assert lazy == parse_outcome(capsys, eager_parser(), argv)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        # wrap __init__ in place: argparse's own __init__ names its class
+        # through the module, so a replaced module attribute would break it
+        progs, init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        return progs
+
+    def test_a_call_builds_the_top_parser_and_its_command_only(self, capsys, built):
+        assert main(["stability"]) == 0
+        assert built == ["hematodyn", "hematodyn stability"]
+        # nothing is kept: the next call builds its own two
+        assert main(["hopf", "--set", "a1=0.7", "--set", "a2=0.5",
+                     "--set", "d3=0.1337", "--set", "p1=1"]) == 0
+        assert built == ["hematodyn", "hematodyn stability", "hematodyn", "hematodyn hopf"]
+
+    def test_top_level_help_builds_one_parser(self, capsys, built):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert built == ["hematodyn"]
 
     @pytest.mark.parametrize("call", [
         lambda: main(("stability",)),

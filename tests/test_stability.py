@@ -103,18 +103,42 @@ FACTORED_RATES = dict(a1=0.7, a2=0.5, p2=0.3, d3=0.1337)
 
 class TestBasicClosedFormDomain:
     # the basic-variant closed forms used to return numbers for a1 >= 1,
-    # and hopf_point(True, ...) computed with a1 = 1
-    @pytest.mark.parametrize("closed_form", [
-        lambda a1: beta_gamma(a1, 0.5),
-        lambda a1: hopf_point(a1, 0.5, 0.1, 1.0),
-        lambda a1: instability_region_bounds(a1, 0.5),
-        lambda a1: hurwitz_factored(a1, 0.5, 0.3, 0.1),
-        lambda a1: place_E2(CellState(1.0, 1.0, 1.0), a1, 0.5, 1.0),
+    # hopf_point(True, ...) computed with a1 = 1, and a string a1 or a2
+    # was a bare TypeError from the domain comparison
+    closed_forms = pytest.mark.parametrize("closed_form", [
+        lambda a1, a2: beta_gamma(a1, a2),
+        lambda a1, a2: hopf_point(a1, a2, 0.1, 1.0),
+        lambda a1, a2: instability_region_bounds(a1, a2),
+        lambda a1, a2: hurwitz_factored(a1, a2, 0.3, 0.1),
+        lambda a1, a2: place_E2(CellState(1.0, 1.0, 1.0), a1, a2, 1.0),
     ], ids=["beta_gamma", "hopf_point", "instability_region_bounds", "hurwitz_factored", "place_E2"])
-    @pytest.mark.parametrize("a1", [1.0, 1.5, True, 0.5, math.nan, math.inf], ids=repr)
-    def test_a1_outside_half_to_one_refused(self, closed_form, a1):
-        with pytest.raises(ValueError, match="1/2 < a1 < 1"):
-            closed_form(a1)
+
+    @closed_forms
+    @pytest.mark.parametrize("a1, message", [
+        (1.0, "the basic closed forms need 1/2 < a1 < 1, got a1=1.0"),
+        (1.5, "the basic closed forms need 1/2 < a1 < 1, got a1=1.5"),
+        (True, "a1 must be a number, got True"),
+        (0.5, "the basic closed forms need 1/2 < a1 < 1, got a1=0.5"),
+        (math.nan, "a1 must be finite, got nan"),
+        (math.inf, "a1 must be finite, got inf"),
+        ("0.7", "a1 must be a number, got '0.7'"),
+    ], ids=["1.0", "1.5", "True", "0.5", "nan", "inf", "'0.7'"])
+    def test_a1_outside_half_to_one_refused(self, closed_form, a1, message):
+        with pytest.raises(ValueError) as excinfo:
+            closed_form(a1, 0.5)
+        assert str(excinfo.value) == message
+
+    @closed_forms
+    @pytest.mark.parametrize("a2, message", [
+        ("0.7", "a2 must be a number, got '0.7'"),
+        (True, "a2 must be a number, got True"),
+        (math.nan, "a2 must be finite, got nan"),
+        (0.8, "the basic closed forms need 0 < a2 < a1, got a1=0.8, a2=0.8"),
+    ], ids=["'0.7'", "True", "nan", "0.8"])
+    def test_a2_outside_zero_to_a1_refused(self, closed_form, a2, message):
+        with pytest.raises(ValueError) as excinfo:
+            closed_form(0.8, a2)
+        assert str(excinfo.value) == message
 
     # hopf_point(0.7, 0.5, 0.1337, inf) used to return p2_star=inf, omega=nan,
     # and hurwitz_factored inf or nan for p2 = inf or d3 = nan
@@ -421,6 +445,16 @@ class TestRegimeTable:
         assert summary.e0 == "unstable"
         assert summary.e1 == "unstable"
         assert summary.e2 == "exists"
+
+    @pytest.mark.parametrize("a1, a2, message", [
+        ("0.7", 0.3, "a1 must be a number, got '0.7'"),
+        (0.7, "0.3", "a2 must be a number, got '0.3'"),
+        (0.7, math.nan, "a2 must be finite, got nan"),
+    ], ids=["a1-str", "a2-str", "a2-nan"])
+    def test_fractions_follow_the_number_rule(self, a1, a2, message):
+        with pytest.raises(ValueError) as excinfo:
+            regime_table(a1, a2)
+        assert str(excinfo.value) == message
 
     def test_degenerate_rejected(self):
         for a1, a2 in ((0.5, 0.3), (0.7, 0.5), (0.6, 0.6)):
