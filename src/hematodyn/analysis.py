@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .integrator import IntegrationConfig, Trajectory, integrate
+from .integrator import IntegrationConfig, Trajectory, _sample_grid, integrate
 from .model import CellState, ModelParameters, _positive, _real, steady_states
 from .stability import hopf_point
 
@@ -241,18 +241,14 @@ def _classify(
     # the cycle test judges the kept tail and the settle test the trailing
     # 5 % of the horizon; one or two samples show neither, so a stride too
     # coarse for either window is refused before integrating, not judged.
-    # integrate samples at 0, then at stride added repeatedly while short of
-    # t_end - 1e-9 * stride, and at t_end, which lies in both windows.
+    # integrate samples at 0, on its interior grid and at t_end, which lies
+    # in both windows.
     t_end = config.t_end
     keep_from = transient_fraction * horizon
     window_from = t_end - 0.05 * horizon
-    in_keep = in_window = 1
-    sample_t = grid_stride = config.stride
-    interior_end = t_end - 1e-9 * grid_stride
-    while sample_t < interior_end:
-        in_keep += sample_t >= keep_from
-        in_window += sample_t >= window_from
-        sample_t += grid_stride
+    grid = _sample_grid(config.stride, t_end)
+    in_keep = 1 + int(np.count_nonzero(grid >= keep_from))
+    in_window = 1 + int(np.count_nonzero(grid >= window_from))
     for part, count in ((f"the kept tail (t >= {transient_fraction} * horizon)", in_keep),
                         ("the trailing 5 % of the horizon", in_window)):
         if count < 3:

@@ -3,19 +3,26 @@
 Embedded Dormand-Prince 5(4) pair with proportional-integral step-size
 control and a quartic interpolant for dense output, specialized to the
 three-component right-hand side: plain float arithmetic written out per
-component, with no array or generator overhead in a step or in its dense
-output. A step that takes no sample and clamps nothing makes no call at
-all: each stage writes the right-hand side out in `rhs_closure`'s
-operation order, with the rates and the tableau in locals; max, min and
-abs are comparisons that keep the builtins' operand order; and each
-state's norm is computed once. `rhs_closure` stays the definition, and
-gives the first slope, the startup step guess and the slope after a
-clamp. The step loop is written once, in `_advance`, which starts from
-a given controller state: `integrate` runs it from t = 0 and, given a
-mark, once more from the state it kept there. The model is non-stiff
-across the studied parameter ranges (rates stay below ~27 in rescaled
-units); if a caller ever pushes it into a stiff corner, reducing
-max_step is the escape hatch.
+component, with no array or generator overhead in a step. A step that
+takes no sample and clamps nothing makes no call at all: each stage
+writes the right-hand side out in `rhs_closure`'s operation order, with
+the rates and the tableau in locals; max, min and abs are comparisons
+that keep the builtins' operand order; and each state's norm is computed
+once. `rhs_closure` stays the definition, and gives the first slope, the
+startup step guess and the slope after a clamp. The step loop is written
+once, in `_advance`, which starts from a given controller state:
+`integrate` runs it from t = 0 and, given a mark, once more from the
+state it kept there. The model is non-stiff across the studied parameter
+ranges (rates stay below ~27 in rescaled units); if a caller ever pushes
+it into a stiff corner, reducing max_step is the escape hatch.
+
+Dense output is evaluated in blocks, not in the step loop: a step that
+owns samples packs its loop-top state, its stage slopes and its sample
+count into one record, and `_flush` evaluates a block of records in one
+numpy pass, with the same elementwise operations in the same order, so
+every sample has the bits a scalar evaluation gives. A sample that dips
+past the clamp band rejects its step after the fact: the loop is resumed
+from that step's record as the rejection would have resumed it.
 
 Positivity: the closed positive octant is invariant for the exact flow,
 so negative values can only be discretization or roundoff noise. Small
@@ -26,6 +33,8 @@ dips below that band is rejected and retried at half the step size.
 from __future__ import annotations
 
 import math
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -90,8 +99,18 @@ _FAC_MAX = 10.0
 _PI_ALPHA = 0.17
 _PI_BETA = 0.04
 _MAX_STEPS = 10_000_000
-# samples are kept in Python lists, so a tiny stride would exhaust memory
+# every sample time and sample row is held in memory at once, so a tiny
+# stride would exhaust it
 _MAX_SAMPLES = 10_000_000
+# A step that owns samples is recorded as t, x, y, z, k1 (3), h as used,
+# norm_old, err_prev and steps at its loop top, then k3 ... k7 (3 each) and
+# its sample count, all as doubles; _BLOCK records are evaluated at a time
+_RECORD = struct.Struct("27d")
+_BLOCK = 256
+# the first block after a dip, in records: a run washing out to zero dips
+# again within one to three sampling steps, and the steps after a dip in
+# its block are taken again
+_REPLAY_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -201,7 +220,9 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
     run's clipped last steps are taken from it. `marked` is None when this
     run rejected a step for a dense-output dip before the mark (the
     shorter run takes no samples, so it keeps that step) or when those
-    last steps raise IntegrationError.
+    last steps raise IntegrationError. Samples are evaluated a block of
+    steps after they are taken, so a dip can come to light after the mark
+    is passed; the state kept there is then dropped.
     """
     if not isinstance(initial, CellState):
         raise TypeError(f"initial must be a CellState, got {type(initial).__name__}")
@@ -213,11 +234,10 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
     f = rhs_closure(params)
 
     x, y, z = initial.as_tuple()
-    times = [0.0]
-    samples = [(x, y, z)]
     k1x, k1y, k1z = f(x, y, z)
     if not (math.isfinite(k1x) and math.isfinite(k1y) and math.isfinite(k1z)):
-        raise IntegrationError("non-finite derivative", 0.0, (x, y, z), _partial(times, samples))
+        raise IntegrationError("non-finite derivative", 0.0, (x, y, z),
+                               Trajectory(np.zeros(1), np.array([(x, y, z)])))
 
     # max(|x|, |y|, |z|) of the current state; an accepted step hands its
     # end state's norm on, so each state's norm is computed once
@@ -228,32 +248,42 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
     h = min(h, max_step, t_end)
 
     start = (0.0, x, y, z, k1x, k1y, k1z, h, norm_old, 1e-4, _FAC_MAX, 0)
-    (x, y, z), at_mark = _advance(params, f, config, t_end, config.stride, mark, times, samples, start)
-    times.append(t_end)
-    samples.append((x, y, z))
+    times, states, at_mark = _advance(params, f, config, t_end, config.stride, mark, start)
     marked = None
     if at_mark is not None:
         # a stride of mark takes no samples, as in the shorter run
         try:
-            end, _ = _advance(params, f, config, mark, mark, None, [at_mark[0]], [at_mark[1:4]], at_mark)
+            _, end, _ = _advance(params, f, config, mark, mark, None, at_mark)
         except IntegrationError:
             pass
         else:
-            marked = CellState(*end)
-    return Trajectory(np.array(times), np.array(samples), marked)
+            marked = CellState(*end[-1].tolist())
+    return Trajectory(times, states, marked)
 
 
-def _advance(params, f, config, t_end, stride, mark, times, samples, state):
+def _sample_grid(stride: float, t_end: float) -> np.ndarray:
+    """The interior sample times of a run to t_end: stride, stride + stride, ...
+
+    while short of t_end - 1e-9 * stride. np.add.accumulate adds in
+    sequence, so each time has the bits of the running sum.
+    """
+    # t_end / stride is at most _MAX_SAMPLES, so the running sum's relative
+    # error stays below 2e-9 and two terms past t_end / stride reach the end
+    grid = np.add.accumulate(np.full(int(t_end / stride) + 2, stride))
+    return grid[:np.searchsorted(grid, t_end - 1e-9 * stride)]
+
+
+def _advance(params, f, config, t_end, stride, mark, state):
     """The DP5 step loop, from the controller state at a loop top to t_end.
 
     state is (t, x, y, z, k1x, k1y, k1z, h, norm_old, err_prev, fac_cap,
-    steps). Samples at stride, stride + stride, ... short of t_end are
-    appended to times and samples. Returns the end state and, when a mark
-    below t_end is given, the controller state at the first loop top whose
-    step would reach the mark, or None if a dense-output dip rejected a
-    step before that.
+    steps). Returns the sample times (state's t, `_sample_grid(stride,
+    t_end)`, t_end), the sample rows (state's, the interpolated ones, the
+    end state) and, when a mark below t_end is given, the controller state
+    at the first loop top whose step would reach the mark, or None if a
+    dense-output dip rejected a step before that.
     """
-    t, x, y, z, k1x, k1y, k1z, h, norm_old, err_prev, fac_cap, steps = state
+    t0, x, y, z = state[:4]
     abs_tol = config.abs_tol
     rel_tol = config.rel_tol
     max_step = config.max_step if config.max_step is not None else math.inf
@@ -274,9 +304,18 @@ def _advance(params, f, config, t_end, stride, mark, times, samples, state):
     safety, fac_min, fac_max = _SAFETY, _FAC_MIN, _FAC_MAX
     neg_alpha, pi_beta, max_steps = -_PI_ALPHA, _PI_BETA, _MAX_STEPS
 
-    next_sample = stride
-    # interior samples stop just short of t_end; the endpoint is appended once
-    interior_end = t_end - 1e-9 * stride
+    grid = _sample_grid(stride, t_end)
+    rows = np.empty((grid.size + 2, 3))
+    rows[0] = (x, y, z)
+    # the grid again as floats, closed by inf so that no step reaches past it
+    grid_list = grid.tolist() + [inf]
+    # samples kept so far: rows[1:kept + 1] holds those at grid[:kept]
+    kept = 0
+    records = bytearray()
+    # a block is _BLOCK records; after a dip it restarts at _REPLAY_BLOCK
+    # and doubles with each block that has none
+    block_bytes = limit = _BLOCK * _RECORD.size
+    pack = _RECORD.pack
     # a loop top with t + 1.01 * h >= t_end clips the step to end on t_end.
     # While a mark is pending, clip is the mark and the first loop top that
     # reaches it keeps the controller state, so the mark costs no test of
@@ -291,162 +330,207 @@ def _advance(params, f, config, t_end, stride, mark, times, samples, state):
     # test that leaves -0.0 as -0.0. That can only flip the sign of a zero
     # norm or error, which cannot show: abs_tol + rel_tol * -0.0 is abs_tol,
     # and a zero err only meets comparisons.
-    while t < t_end:
-        steps += 1
-        if steps > max_steps:
-            raise IntegrationError("step limit exceeded", t, (x, y, z), _partial(times, samples))
-        if h < h_min:
-            raise IntegrationError("step size underflow", t, (x, y, z), _partial(times, samples))
-        if t + 1.01 * h >= clip:
-            if clip < t_end:
-                # steps is counted again when the loop resumes from here
-                at_mark = (t, x, y, z, k1x, k1y, k1z, h, norm_old, err_prev, fac_cap, steps - 1)
-                clip = t_end
-            if t + 1.01 * h >= t_end:
-                h = t_end - t
+    while True:
+        t, x, y, z, k1x, k1y, k1z, h, norm_old, err_prev, fac_cap, steps = state
+        next_index = kept
+        next_sample = grid_list[kept]
+        fault = replay = None
+        while t < t_end:
+            steps += 1
+            if steps > max_steps:
+                fault = "step limit exceeded"
+                break
+            if h < h_min:
+                fault = "step size underflow"
+                break
+            if t + 1.01 * h >= clip:
+                if clip < t_end:
+                    # steps is counted again when the loop resumes from here
+                    at_mark = (t, x, y, z, k1x, k1y, k1z, h, norm_old, err_prev, fac_cap, steps - 1)
+                    clip = t_end
+                if t + 1.01 * h >= t_end:
+                    h = t_end - t
 
-        # each stage writes out rhs_closure's operations in its order, so
-        # every slope has the bits that f would return
-        u = x + h * (A21 * k1x)
-        v = y + h * (A21 * k1y)
-        w = z + h * (A21 * k1z)
-        s = 1.0 / (1.0 + fb * w)
-        k2x = ((a1x2 * s - 1.0) * p1 - d1) * u
-        k2y = ((a2x2 * s - 1.0) * p2 - d2) * v + 2.0 * (1.0 - a1 * s) * p1 * u
-        k2z = 2.0 * (1.0 - a2 * s) * p2 * v - d3 * w
-        u = x + h * (A31 * k1x + A32 * k2x)
-        v = y + h * (A31 * k1y + A32 * k2y)
-        w = z + h * (A31 * k1z + A32 * k2z)
-        s = 1.0 / (1.0 + fb * w)
-        k3x = ((a1x2 * s - 1.0) * p1 - d1) * u
-        k3y = ((a2x2 * s - 1.0) * p2 - d2) * v + 2.0 * (1.0 - a1 * s) * p1 * u
-        k3z = 2.0 * (1.0 - a2 * s) * p2 * v - d3 * w
-        u = x + h * (A41 * k1x + A42 * k2x + A43 * k3x)
-        v = y + h * (A41 * k1y + A42 * k2y + A43 * k3y)
-        w = z + h * (A41 * k1z + A42 * k2z + A43 * k3z)
-        s = 1.0 / (1.0 + fb * w)
-        k4x = ((a1x2 * s - 1.0) * p1 - d1) * u
-        k4y = ((a2x2 * s - 1.0) * p2 - d2) * v + 2.0 * (1.0 - a1 * s) * p1 * u
-        k4z = 2.0 * (1.0 - a2 * s) * p2 * v - d3 * w
-        u = x + h * (A51 * k1x + A52 * k2x + A53 * k3x + A54 * k4x)
-        v = y + h * (A51 * k1y + A52 * k2y + A53 * k3y + A54 * k4y)
-        w = z + h * (A51 * k1z + A52 * k2z + A53 * k3z + A54 * k4z)
-        s = 1.0 / (1.0 + fb * w)
-        k5x = ((a1x2 * s - 1.0) * p1 - d1) * u
-        k5y = ((a2x2 * s - 1.0) * p2 - d2) * v + 2.0 * (1.0 - a1 * s) * p1 * u
-        k5z = 2.0 * (1.0 - a2 * s) * p2 * v - d3 * w
-        u = x + h * (A61 * k1x + A62 * k2x + A63 * k3x + A64 * k4x + A65 * k5x)
-        v = y + h * (A61 * k1y + A62 * k2y + A63 * k3y + A64 * k4y + A65 * k5y)
-        w = z + h * (A61 * k1z + A62 * k2z + A63 * k3z + A64 * k4z + A65 * k5z)
-        s = 1.0 / (1.0 + fb * w)
-        k6x = ((a1x2 * s - 1.0) * p1 - d1) * u
-        k6y = ((a2x2 * s - 1.0) * p2 - d2) * v + 2.0 * (1.0 - a1 * s) * p1 * u
-        k6z = 2.0 * (1.0 - a2 * s) * p2 * v - d3 * w
-        xn = x + h * (B1 * k1x + B3 * k3x + B4 * k4x + B5 * k5x + B6 * k6x)
-        yn = y + h * (B1 * k1y + B3 * k3y + B4 * k4y + B5 * k5y + B6 * k6y)
-        zn = z + h * (B1 * k1z + B3 * k3z + B4 * k4z + B5 * k5z + B6 * k6z)
-        s = 1.0 / (1.0 + fb * zn)
-        k7x = ((a1x2 * s - 1.0) * p1 - d1) * xn
-        k7y = ((a2x2 * s - 1.0) * p2 - d2) * yn + 2.0 * (1.0 - a1 * s) * p1 * xn
-        k7z = 2.0 * (1.0 - a2 * s) * p2 * yn - d3 * zn
+            # each stage writes out rhs_closure's operations in its order, so
+            # every slope has the bits that f would return
+            u = x + h * (A21 * k1x)
+            v = y + h * (A21 * k1y)
+            w = z + h * (A21 * k1z)
+            s = 1.0 / (1.0 + fb * w)
+            k2x = ((a1x2 * s - 1.0) * p1 - d1) * u
+            k2y = ((a2x2 * s - 1.0) * p2 - d2) * v + 2.0 * (1.0 - a1 * s) * p1 * u
+            k2z = 2.0 * (1.0 - a2 * s) * p2 * v - d3 * w
+            u = x + h * (A31 * k1x + A32 * k2x)
+            v = y + h * (A31 * k1y + A32 * k2y)
+            w = z + h * (A31 * k1z + A32 * k2z)
+            s = 1.0 / (1.0 + fb * w)
+            k3x = ((a1x2 * s - 1.0) * p1 - d1) * u
+            k3y = ((a2x2 * s - 1.0) * p2 - d2) * v + 2.0 * (1.0 - a1 * s) * p1 * u
+            k3z = 2.0 * (1.0 - a2 * s) * p2 * v - d3 * w
+            u = x + h * (A41 * k1x + A42 * k2x + A43 * k3x)
+            v = y + h * (A41 * k1y + A42 * k2y + A43 * k3y)
+            w = z + h * (A41 * k1z + A42 * k2z + A43 * k3z)
+            s = 1.0 / (1.0 + fb * w)
+            k4x = ((a1x2 * s - 1.0) * p1 - d1) * u
+            k4y = ((a2x2 * s - 1.0) * p2 - d2) * v + 2.0 * (1.0 - a1 * s) * p1 * u
+            k4z = 2.0 * (1.0 - a2 * s) * p2 * v - d3 * w
+            u = x + h * (A51 * k1x + A52 * k2x + A53 * k3x + A54 * k4x)
+            v = y + h * (A51 * k1y + A52 * k2y + A53 * k3y + A54 * k4y)
+            w = z + h * (A51 * k1z + A52 * k2z + A53 * k3z + A54 * k4z)
+            s = 1.0 / (1.0 + fb * w)
+            k5x = ((a1x2 * s - 1.0) * p1 - d1) * u
+            k5y = ((a2x2 * s - 1.0) * p2 - d2) * v + 2.0 * (1.0 - a1 * s) * p1 * u
+            k5z = 2.0 * (1.0 - a2 * s) * p2 * v - d3 * w
+            u = x + h * (A61 * k1x + A62 * k2x + A63 * k3x + A64 * k4x + A65 * k5x)
+            v = y + h * (A61 * k1y + A62 * k2y + A63 * k3y + A64 * k4y + A65 * k5y)
+            w = z + h * (A61 * k1z + A62 * k2z + A63 * k3z + A64 * k4z + A65 * k5z)
+            s = 1.0 / (1.0 + fb * w)
+            k6x = ((a1x2 * s - 1.0) * p1 - d1) * u
+            k6y = ((a2x2 * s - 1.0) * p2 - d2) * v + 2.0 * (1.0 - a1 * s) * p1 * u
+            k6z = 2.0 * (1.0 - a2 * s) * p2 * v - d3 * w
+            xn = x + h * (B1 * k1x + B3 * k3x + B4 * k4x + B5 * k5x + B6 * k6x)
+            yn = y + h * (B1 * k1y + B3 * k3y + B4 * k4y + B5 * k5y + B6 * k6y)
+            zn = z + h * (B1 * k1z + B3 * k3z + B4 * k4z + B5 * k5z + B6 * k6z)
+            s = 1.0 / (1.0 + fb * zn)
+            k7x = ((a1x2 * s - 1.0) * p1 - d1) * xn
+            k7y = ((a2x2 * s - 1.0) * p2 - d2) * yn + 2.0 * (1.0 - a1 * s) * p1 * xn
+            k7z = 2.0 * (1.0 - a2 * s) * p2 * yn - d3 * zn
 
-        ex = h * (E1 * k1x + E3 * k3x + E4 * k4x + E5 * k5x + E6 * k6x + E7 * k7x)
-        ey = h * (E1 * k1y + E3 * k3y + E4 * k4y + E5 * k5y + E6 * k6y + E7 * k7y)
-        ez = h * (E1 * k1z + E3 * k3z + E4 * k4z + E5 * k5z + E6 * k6z + E7 * k7z)
-        norm_new = -xn if xn < 0.0 else xn
-        a = -yn if yn < 0.0 else yn
-        norm_new = a if a > norm_new else norm_new
-        a = -zn if zn < 0.0 else zn
-        norm_new = a if a > norm_new else norm_new
-        err = -ex if ex < 0.0 else ex
-        a = -ey if ey < 0.0 else ey
-        err = a if a > err else err
-        a = -ez if ez < 0.0 else ez
-        err = a if a > err else err
-        err /= abs_tol + rel_tol * (norm_new if norm_new > norm_old else norm_old)
+            ex = h * (E1 * k1x + E3 * k3x + E4 * k4x + E5 * k5x + E6 * k6x + E7 * k7x)
+            ey = h * (E1 * k1y + E3 * k3y + E4 * k4y + E5 * k5y + E6 * k6y + E7 * k7y)
+            ez = h * (E1 * k1z + E3 * k3z + E4 * k4z + E5 * k5z + E6 * k6z + E7 * k7z)
+            norm_new = -xn if xn < 0.0 else xn
+            a = -yn if yn < 0.0 else yn
+            norm_new = a if a > norm_new else norm_new
+            a = -zn if zn < 0.0 else zn
+            norm_new = a if a > norm_new else norm_new
+            err = -ex if ex < 0.0 else ex
+            a = -ey if ey < 0.0 else ey
+            err = a if a > err else err
+            a = -ez if ez < 0.0 else ez
+            err = a if a > err else err
+            err /= abs_tol + rel_tol * (norm_new if norm_new > norm_old else norm_old)
 
-        # err is NaN, +inf or >= 0 here, so this is `not math.isfinite(err)`
-        if not err < inf:
-            h *= 0.1
-            fac_cap = 1.0
-            continue
-        if err > 1.0:
-            factor = safety * err ** (-0.2)
-            h *= factor if factor > fac_min else fac_min
-            fac_cap = 1.0
-            continue
+            # err is NaN, +inf or >= 0 here, so this is `not math.isfinite(err)`
+            if not err < inf:
+                h *= 0.1
+                fac_cap = 1.0
+                continue
+            if err > 1.0:
+                factor = safety * err ** (-0.2)
+                h *= factor if factor > fac_min else fac_min
+                fac_cap = 1.0
+                continue
 
-        # a dip past the clamp band is treated as an overlong step, not an
-        # error: the octant is invariant for the exact flow, so shrinking h
-        # shrinks the undershoot. Only step underflow turns it fatal.
-        low = yn if yn < xn else xn
-        low = zn if zn < low else low
-        if low < -band:
-            h *= 0.5
-            fac_cap = 1.0
-            continue
-        t_new = t + h
-
-        if next_sample <= t_new and next_sample < interior_end:
-            # dense-output polynomial: y(theta) = y + h * sum_j q_j * theta^(j+1)
-            qx0, qx1, qx2, qx3 = _dense_coeffs(k1x, k3x, k4x, k5x, k6x, k7x)
-            qy0, qy1, qy2, qy3 = _dense_coeffs(k1y, k3y, k4y, k5y, k6y, k7y)
-            qz0, qz1, qz2, qz3 = _dense_coeffs(k1z, k3z, k4z, k5z, k6z, k7z)
-            pending = []
-            sample_t = next_sample
-            while sample_t <= t_new and sample_t < interior_end:
-                theta = (sample_t - t) / h
-                sx = x + h * (theta * (qx0 + theta * (qx1 + theta * (qx2 + theta * qx3))))
-                sy = y + h * (theta * (qy0 + theta * (qy1 + theta * (qy2 + theta * qy3))))
-                sz = z + h * (theta * (qz0 + theta * (qz1 + theta * (qz2 + theta * qz3))))
-                a = sy if sy < sx else sx
-                if (sz if sz < a else a) < -band:
-                    pending = None
-                    break
-                pending.append((sample_t, (0.0 if 0.0 > sx else sx,
-                                           0.0 if 0.0 > sy else sy,
-                                           0.0 if 0.0 > sz else sz)))
-                sample_t += stride
-            if pending is None:
+            # a dip past the clamp band is treated as an overlong step, not an
+            # error: the octant is invariant for the exact flow, so shrinking h
+            # shrinks the undershoot. Only step underflow turns it fatal.
+            low = yn if yn < xn else xn
+            low = zn if zn < low else low
+            if low < -band:
                 h *= 0.5
                 fac_cap = 1.0
-                # a run that takes no samples keeps this step, so from
-                # here its steps differ and the mark's state is lost
-                clip = t_end
                 continue
-            for sample_time, row in pending:
-                times.append(sample_time)
-                samples.append(row)
-            next_sample = sample_t
+            t_new = t + h
 
-        if low < 0.0:
-            xn = 0.0 if 0.0 > xn else xn
-            yn = 0.0 if 0.0 > yn else yn
-            zn = 0.0 if 0.0 > zn else zn
-            k7x, k7y, k7z = f(xn, yn, zn)
-            # the clamped components are >= 0 or NaN, so each is its own abs
-            norm_new = yn if yn > xn else xn
-            norm_new = zn if zn > norm_new else norm_new
-        x, y, z = xn, yn, zn
-        norm_old = norm_new
-        k1x, k1y, k1z = k7x, k7y, k7z
-        t = t_new
+            if next_sample <= t_new:
+                # the samples are evaluated a block at a time, and a dip
+                # among them resumes the loop from its step's record
+                end = bisect_right(grid_list, t_new, next_index)
+                records += pack(t, x, y, z, k1x, k1y, k1z, h, norm_old, err_prev, steps,
+                                k3x, k3y, k3z, k4x, k4y, k4z, k5x, k5y, k5z,
+                                k6x, k6y, k6z, k7x, k7y, k7z, end - next_index)
+                next_index = end
+                next_sample = grid_list[end]
+                if len(records) >= limit:
+                    kept, replay = _flush(records, grid, rows, kept, band)
+                    if replay is not None:
+                        break
+                    limit = min(2 * limit, block_bytes)
 
-        if err > 0.0:
-            factor = safety * err ** neg_alpha * err_prev ** pi_beta
-            factor = factor if factor > fac_min else fac_min
-        else:
-            factor = fac_cap  # 1 or 10, never below _FAC_MIN
-        h *= factor if factor < fac_cap else fac_cap
-        h = max_step if max_step < h else h
-        err_prev = 1e-4 if 1e-4 > err else err
-        fac_cap = fac_max
+            if low < 0.0:
+                xn = 0.0 if 0.0 > xn else xn
+                yn = 0.0 if 0.0 > yn else yn
+                zn = 0.0 if 0.0 > zn else zn
+                k7x, k7y, k7z = f(xn, yn, zn)
+                # the clamped components are >= 0 or NaN, so each is its own abs
+                norm_new = yn if yn > xn else xn
+                norm_new = zn if zn > norm_new else norm_new
+            x, y, z = xn, yn, zn
+            norm_old = norm_new
+            k1x, k1y, k1z = k7x, k7y, k7z
+            t = t_new
 
-    return (x, y, z), at_mark
+            if err > 0.0:
+                factor = safety * err ** neg_alpha * err_prev ** pi_beta
+                factor = factor if factor > fac_min else fac_min
+            else:
+                factor = fac_cap  # 1 or 10, never below _FAC_MIN
+            h *= factor if factor < fac_cap else fac_cap
+            h = max_step if max_step < h else h
+            err_prev = 1e-4 if 1e-4 > err else err
+            fac_cap = fac_max
+
+        if replay is None:
+            kept, replay = _flush(records, grid, rows, kept, band)
+        if replay is None:
+            if fault is not None:
+                times = np.concatenate(((t0,), grid[:kept]))
+                raise IntegrationError(fault, t, (x, y, z), Trajectory(times, rows[:kept + 1].copy()))
+            break
+        # a dense-output dip: the scalar rejection would have gone on from
+        # the dipping step's loop top. A run that takes no samples keeps
+        # that step, so from there its steps differ, and a mark kept after
+        # that loop top is lost.
+        state = replay
+        if at_mark is not None and at_mark[11] >= replay[11]:
+            at_mark = None
+        clip = t_end
+        limit = min(_REPLAY_BLOCK, _BLOCK) * _RECORD.size
+
+    rows[-1] = (x, y, z)
+    return np.concatenate(((t0,), grid, (t_end,))), rows, at_mark
 
 
-def _partial(times, samples) -> Trajectory:
-    return Trajectory(np.array(times), np.array(samples))
+def _flush(records, grid, rows, kept, band):
+    """Evaluate the samples of a block of step records, and clear the block.
+
+    The records' samples are grid[kept:]; each is written, clamped, to
+    rows[1 + its grid index]. Returns the new count of kept samples and
+    None, or, if a sample dips past the clamp band, the count up to the
+    first dipping record and the state to resume from: that record's loop
+    top with h halved and fac_cap 1, as the step loop rejects a step.
+    """
+    if not records:
+        return kept, None
+    # one row per record field and one column per record, each row contiguous
+    block = np.frombuffer(bytes(records)).reshape(-1, _RECORD.size // 8).T.copy()
+    records.clear()
+    counts = block[26].astype(np.intp)
+    owner = np.repeat(np.arange(counts.size), counts)
+    end = kept + owner.size
+    h = block[7, owner]
+    # each field triple is a component triple (x, y, z), so one pass does
+    # all three; Python float arithmetic raises no warning on overflow
+    with np.errstate(all="ignore"):
+        theta = (grid[kept:end] - block[0, owner]) / h
+        q0, q1, q2, q3 = (q[:, owner] for q in _dense_coeffs(
+            block[4:7], block[11:14], block[14:17], block[17:20], block[20:23], block[23:26]))
+        values = block[1:4, owner] + h * (theta * (q0 + theta * (q1 + theta * (q2 + theta * q3))))
+    sx, sy, sz = values
+    # the dip test min(sx, sy, sz) < -band and the clamp max(0.0, s) keep
+    # the step loop's operand order, so NaN and -0.0 pass as they do there
+    low = np.where(sy < sx, sy, sx)
+    dips = np.flatnonzero(np.where(sz < low, sz, low) < -band)
+    replay = None
+    if dips.size:
+        first = owner[dips[0]]
+        end = kept + int(counts[:first].sum())
+        r = block[:, first].tolist()
+        replay = (*r[:7], r[7] * 0.5, r[8], r[9], 1.0, int(r[10]))
+    values = values[:, :end - kept]
+    rows[1 + kept:1 + end] = np.where(0.0 > values, 0.0, values).T
+    return end, replay
 
 
 def _dense_coeffs(k1, k3, k4, k5, k6, k7):

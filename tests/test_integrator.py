@@ -120,6 +120,21 @@ class TestTrajectoryShape:
         # interior samples sit exactly on the stride grid
         assert np.allclose(traj.times, np.arange(41) * 0.5, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("t_end, stride", [
+        (1.0, 0.1), (20.0, 0.5), (1818.4, 1818.4 / 4000.0), (100.0, 100.0), (100.0, 100.0 / 3.0),
+        (300.0 / 0.5745702826844706, 300.0 / 0.5745702826844706 / 4000.0),
+    ])
+    def test_sample_grid_is_the_running_sum(self, t_end, stride):
+        # the interior times are stride added up one at a time while short
+        # of t_end - 1e-9 * stride, bit for bit
+        want = []
+        sample_t = stride
+        while sample_t < t_end - 1e-9 * stride:
+            want.append(sample_t)
+            sample_t += stride
+        got = integrator._sample_grid(stride, t_end).tolist()
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
     def test_final_state_accessor(self):
         params = showcase_params(p2=0.5)
         traj = integrate(params, SHOWCASE_IC_SETTLING, IntegrationConfig(t_end=5.0))
@@ -322,8 +337,15 @@ def _table_sum(k1, k2, k3, k4, k5, k6, k7):
     return tuple(sum(ks[s] * integrator._P[s][j] for s in range(7)) for j in range(4))
 
 
+def _digest(traj):
+    return hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest()
+
+
 _SET8 = REFERENCE_PARAMETERS.with_(**CONSTELLATIONS[8])
 _SET8_E2 = steady_state_E2(_SET8).state
+_CLAMP_AND_DIP = (ModelParameters(a1=0.55, a2=0.3, p1=0.9, p2=0.2, d3=0.4, k=1e-8, d1=0.5, d2=1.0),
+                  CellState(2e3, 5e2, 1e4), IntegrationConfig(t_end=400.0, abs_tol=1e-3))
+_CLAMP_AND_DIP_DIGEST = "c7674332bc2b32d304ed4bcfddd1e24250030598c36f7f9dacd052b2bad0c600"
 
 
 class TestDenseOutputBits:
@@ -338,9 +360,7 @@ class TestDenseOutputBits:
          "8810df4a02c1860508caa5c96312c3c46a24cc53916a28babdfd1e36b2967a25"),
         # decay through the noise floor: clamps undershoots and rejects
         # steps on both a step-end dip and a dense-output dip
-        (ModelParameters(a1=0.55, a2=0.3, p1=0.9, p2=0.2, d3=0.4, k=1e-8, d1=0.5, d2=1.0),
-         CellState(2e3, 5e2, 1e4), IntegrationConfig(t_end=400.0, abs_tol=1e-3),
-         "c7674332bc2b32d304ed4bcfddd1e24250030598c36f7f9dacd052b2bad0c600"),
+        (*_CLAMP_AND_DIP, _CLAMP_AND_DIP_DIGEST),
         # a 50 d first step: the error estimate rejects it (err > 1) six times
         (showcase_params(p2=0.3), SHOWCASE_IC_CYCLE_HIGH,
          IntegrationConfig(t_end=100.0, initial_step=50.0),
@@ -355,8 +375,7 @@ class TestDenseOutputBits:
     ], ids=["showcase-fine-stride", "set8-extended", "clamp-and-dip",
             "oversized-initial-step", "max-step-cap", "zero-state"])
     def test_samples_are_pinned(self, params, initial, config, digest):
-        traj = integrate(params, initial, config)
-        assert hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest() == digest
+        assert _digest(integrate(params, initial, config)) == digest
 
     def test_unrolled_coeffs_match_table_sum(self):
         rng = np.random.default_rng(9)
@@ -369,10 +388,17 @@ class TestDenseOutputBits:
         # all-zero slopes in every sign pattern: only the sum's start value
         # then decides the sign of a zero coefficient
         cases.extend(itertools.product((0.0, -0.0), repeat=7))
+        wants = []
         for k1, k2, k3, k4, k5, k6, k7 in cases:
             got = integrator._dense_coeffs(k1, k3, k4, k5, k6, k7)
             want = _table_sum(k1, k2, k3, k4, k5, k6, k7)
             assert [q.hex() for q in got] == [q.hex() for q in want]
+            wants.append(want)
+        # the block evaluation applies the same function to numpy columns
+        k1, _, k3, k4, k5, k6, k7 = np.array(cases).T
+        got = integrator._dense_coeffs(k1, k3, k4, k5, k6, k7)
+        for j, column in enumerate(got):
+            assert [q.hex() for q in column.tolist()] == [want[j].hex() for want in wants]
 
     def test_interpolant_ends_on_the_step_endpoint(self):
         # at theta = 1 the quartic sums each stage's row of _P, which must be
@@ -381,6 +407,17 @@ class TestDenseOutputBits:
                    integrator._B5, integrator._B6, 0.0)
         for row, weight in zip(integrator._P, weights):
             assert abs(math.fsum(row) - weight) <= 1e-15
+
+
+# E2 does not exist (2 * a1 * p1 < p1 + d1): the stem line washes out, and
+# near zero a fine stride's samples dip past the clamp band
+_WASHOUT = ModelParameters(
+    a1=0.804097900850991, a2=0.6257690665059411, p1=0.5745702826844706,
+    p2=0.45083640165882344, d3=1.2237066098584077, k=2.4655620557082846e-09,
+    d1=0.5132974960368444, d2=0.7406101406949239,
+)
+_WASHOUT_START = CellState(16736.934370118302, 7282.320334267583, 647437.1342604525)
+_WASHOUT_T_END = 300.0 / _WASHOUT.p1
 
 
 def _run_to_mark(params, initial, mark):
@@ -425,17 +462,10 @@ class TestMarkedState:
             assert traj.states.tobytes() == plain.states.tobytes()
 
     def test_dense_output_dip_before_the_mark_gives_none(self):
-        # E2 does not exist (2 * a1 * p1 < p1 + d1): the stem line washes
-        # out, and near zero a fine stride's samples dip past the clamp band
-        # and reject steps that a run taking no samples keeps
-        params = ModelParameters(
-            a1=0.804097900850991, a2=0.6257690665059411, p1=0.5745702826844706,
-            p2=0.45083640165882344, d3=1.2237066098584077, k=2.4655620557082846e-09,
-            d1=0.5132974960368444, d2=0.7406101406949239,
-        )
+        # the washing-out run's dips reject steps that a run taking no
+        # samples keeps
+        params, start, t_end = _WASHOUT, _WASHOUT_START, _WASHOUT_T_END
         assert steady_state_E2(params) is None
-        start = CellState(16736.934370118302, 7282.320334267583, 647437.1342604525)
-        t_end = 300.0 / params.p1
         fine = integrate(params, start, IntegrationConfig(t_end=t_end, output_stride=t_end / 4000.0),
                          mark=t_end / 2.0)
         assert fine.marked is None
@@ -449,3 +479,100 @@ class TestMarkedState:
         with pytest.raises(ValueError, match="mark must"):
             integrate(REFERENCE_PARAMETERS, CellState(1.0, 1.0, 1.0), IntegrationConfig(t_end=10.0),
                       mark=mark)
+
+
+def _outcome(params, initial, config, mark=None):
+    # every byte integrate hands back: the samples and the marked state, or
+    # the error's reason, time, state and partial samples
+    try:
+        traj = integrate(params, initial, config, mark=mark)
+    except IntegrationError as err:
+        return err.reason, err.time.hex(), tuple(v.hex() for v in err.state), _digest(err.trajectory)
+    return _digest(traj), None if traj.marked is None else _bits(traj.marked)
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """The resume states that evaluating the dense output returns, one per dip."""
+    found = []
+    flush = integrator._flush
+
+    def spy(*args):
+        kept, replay = flush(*args)
+        if replay is not None:
+            found.append(replay)
+        return kept, replay
+
+    monkeypatch.setattr(integrator, "_flush", spy)
+    return found
+
+
+def _washout_config(samples):
+    return IntegrationConfig(t_end=_WASHOUT_T_END, output_stride=_WASHOUT_T_END / samples)
+
+
+# what the step loop gave when it evaluated each sample in the step that
+# owns it and rejected the step at once on a dip
+_FAULT_AFTER_DIP = ("step limit exceeded", "0x1.110aabe78afd6p+8",
+                    ("0x1.a973a17303ddap-45", "0x1.15d1cfb8236aap-31", "0x0.0p+0"),
+                    "6ea64a79daefdbc867ce1625bf64ce80d7242b563bdad74f1137e0d604e55d54")
+_FAULT_BEFORE_DIP = ("step limit exceeded", "0x1.6ce55b3f488dbp+7",
+                     ("0x1.df1767bee54f4p-30", "0x1.d185cee65890fp-31", "0x0.0p+0"),
+                     "95c300de845f343d09803b9b222ab5abea24498de9e7fc57384291f5b23d007c")
+
+
+class TestDenseOutputReplay:
+    """Samples are evaluated a block of steps at a time, after the steps are
+    taken; a dip among them resumes the loop from its step, as rejecting
+    that step at once would have. Every pin is what the step loop gave when
+    it evaluated each sample in its own step."""
+
+    # At 20 and 50 samples the washing-out run has one dip, in the step from
+    # loop top 179, at the step's first and at its second sample. A mark at
+    # half the horizon is kept before that step, so marked is the run to the
+    # mark; one at 0.9 of it is still ahead, so the dip loses it.
+    @pytest.mark.parametrize("samples, mark_at, digest", [
+        (20, 0.5, "b5d8c110bfb90ce12f58f38d5ce6003398c9614d49b0e956bf6b1528b8749973"),
+        (50, 0.5, "f16047f1e129c2b8d7b5392e28bad699441d8e6fc16ed3483bfbc2ff27b9b9bf"),
+        (20, 0.9, "b5d8c110bfb90ce12f58f38d5ce6003398c9614d49b0e956bf6b1528b8749973"),
+        (50, 0.9, "f16047f1e129c2b8d7b5392e28bad699441d8e6fc16ed3483bfbc2ff27b9b9bf"),
+    ], ids=["first-sample-after-mark", "later-sample-after-mark",
+            "first-sample-before-mark", "later-sample-before-mark"])
+    def test_dip_resumes_from_its_step(self, replays, samples, mark_at, digest):
+        mark = mark_at * _WASHOUT_T_END
+        traj = integrate(_WASHOUT, _WASHOUT_START, _washout_config(samples), mark=mark)
+        assert len(replays) == 1
+        assert _digest(traj) == digest
+        if mark_at < 0.9:
+            assert _bits(traj.marked) == _bits(_run_to_mark(_WASHOUT, _WASHOUT_START, mark))
+        else:
+            assert traj.marked is None
+
+    def test_fault_with_records_pending(self, monkeypatch, replays):
+        # The step limit stops the 20-sample run while the records of its
+        # last steps wait for evaluation. At 185 steps those hold the dip at
+        # loop top 179, so the loop resumes from there and stops at the same
+        # loop top as before; at 170 they hold no dip, and their samples
+        # still reach the error's partial trajectory.
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 185)
+        assert _outcome(_WASHOUT, _WASHOUT_START, _washout_config(20)) == _FAULT_AFTER_DIP
+        assert len(replays) == 1
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 170)
+        assert _outcome(_WASHOUT, _WASHOUT_START, _washout_config(20)) == _FAULT_BEFORE_DIP
+        assert len(replays) == 1
+
+    @pytest.mark.parametrize("block", [1, 7, integrator._BLOCK])
+    def test_block_size_changes_no_byte(self, monkeypatch, replays, block):
+        monkeypatch.setattr(integrator, "_BLOCK", block)
+        # two dips, the first with err_prev above its 1e-4 floor
+        assert _outcome(*_CLAMP_AND_DIP) == (_CLAMP_AND_DIP_DIGEST, None)
+        assert len(replays) == 2
+        del replays[:]
+        # 4000 samples: 55 dips, the first before the mark
+        assert _outcome(_WASHOUT, _WASHOUT_START, _washout_config(4000), mark=_WASHOUT_T_END / 2.0) == (
+            "ba147b2ad67e76b93e438a01ac01be18600378f0b2a79eb40626d957f1e4683d", None)
+        assert len(replays) == 55
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 185)
+        assert _outcome(_WASHOUT, _WASHOUT_START, _washout_config(20)) == _FAULT_AFTER_DIP
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 170)
+        assert _outcome(_WASHOUT, _WASHOUT_START, _washout_config(20)) == _FAULT_BEFORE_DIP
