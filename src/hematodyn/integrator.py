@@ -22,7 +22,10 @@ count into one record, and `_flush` evaluates a block of records in one
 numpy pass, with the same elementwise operations in the same order, so
 every sample has the bits a scalar evaluation gives. A sample that dips
 past the clamp band rejects its step after the fact: the loop is resumed
-from that step's record as the rejection would have resumed it.
+from that step's record as the rejection would have resumed it. A run
+that dips, or that comes within abs_tol of zero, is likely to dip every
+few steps from then on, and so evaluates its later samples in the step
+that owns them, in floats, with the same operations again.
 
 Positivity: the closed positive octant is invariant for the exact flow,
 so negative values can only be discretization or roundoff noise. Small
@@ -107,10 +110,6 @@ _MAX_SAMPLES = 10_000_000
 # its sample count, all as doubles; _BLOCK records are evaluated at a time
 _RECORD = struct.Struct("27d")
 _BLOCK = 256
-# the first block after a dip, in records: a run washing out to zero dips
-# again within one to three sampling steps, and the steps after a dip in
-# its block are taken again
-_REPLAY_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -312,10 +311,17 @@ def _advance(params, f, config, t_end, stride, mark, state):
     # samples kept so far: rows[1:kept + 1] holds those at grid[:kept]
     kept = 0
     records = bytearray()
-    # a block is _BLOCK records; after a dip it restarts at _REPLAY_BLOCK
-    # and doubles with each block that has none
-    block_bytes = limit = _BLOCK * _RECORD.size
+    limit = _BLOCK * _RECORD.size
     pack = _RECORD.pack
+    # Once a run dips, or a sampling step ends with a component below
+    # abs_tol, where the interpolant's error can reach below zero, the run
+    # is in_step: it evaluates each later step's samples in that step, in
+    # floats, and rejects a dipping step at once. Such runs, those washing
+    # out to zero say, dip every few sampling steps, and in a block each
+    # dip would cost a numpy pass (the time of about five steps) and the
+    # steps taken after it.
+    in_step = False
+    flat = memoryview(rows.reshape(-1))
     # a loop top with t + 1.01 * h >= t_end clips the step to end on t_end.
     # While a mark is pending, clip is the mark and the first loop top that
     # reaches it keeps the controller state, so the mark costs no test of
@@ -434,19 +440,50 @@ def _advance(params, f, config, t_end, stride, mark, state):
             t_new = t + h
 
             if next_sample <= t_new:
-                # the samples are evaluated a block at a time, and a dip
-                # among them resumes the loop from its step's record
                 end = bisect_right(grid_list, t_new, next_index)
-                records += pack(t, x, y, z, k1x, k1y, k1z, h, norm_old, err_prev, steps,
-                                k3x, k3y, k3z, k4x, k4y, k4z, k5x, k5y, k5z,
-                                k6x, k6y, k6z, k7x, k7y, k7z, end - next_index)
-                next_index = end
-                next_sample = grid_list[end]
-                if len(records) >= limit:
+                if not in_step and low < abs_tol:
                     kept, replay = _flush(records, grid, rows, kept, band)
                     if replay is not None:
                         break
-                    limit = min(2 * limit, block_bytes)
+                    in_step = True
+                if in_step:
+                    # _flush's operations for one step, in the same order
+                    qx0, qx1, qx2, qx3 = _dense_coeffs(k1x, k3x, k4x, k5x, k6x, k7x)
+                    qy0, qy1, qy2, qy3 = _dense_coeffs(k1y, k3y, k4y, k5y, k6y, k7y)
+                    qz0, qz1, qz2, qz3 = _dense_coeffs(k1z, k3z, k4z, k5z, k6z, k7z)
+                    i = kept
+                    while i < end:
+                        theta = (grid_list[i] - t) / h
+                        sx = x + h * (theta * (qx0 + theta * (qx1 + theta * (qx2 + theta * qx3))))
+                        sy = y + h * (theta * (qy0 + theta * (qy1 + theta * (qy2 + theta * qy3))))
+                        sz = z + h * (theta * (qz0 + theta * (qz1 + theta * (qz2 + theta * qz3))))
+                        a = sy if sy < sx else sx
+                        if (sz if sz < a else a) < -band:
+                            break
+                        # rows[1 + the sample's grid index], through flat
+                        i += 1
+                        flat[3 * i] = 0.0 if 0.0 > sx else sx
+                        flat[3 * i + 1] = 0.0 if 0.0 > sy else sy
+                        flat[3 * i + 2] = 0.0 if 0.0 > sz else sz
+                    if i < end:
+                        # as on a dip found in a block (see below)
+                        h *= 0.5
+                        fac_cap = 1.0
+                        clip = t_end
+                        continue
+                    kept = end
+                else:
+                    # the samples are evaluated a block at a time, and a dip
+                    # among them resumes the loop from its step's record
+                    records += pack(t, x, y, z, k1x, k1y, k1z, h, norm_old, err_prev, steps,
+                                    k3x, k3y, k3z, k4x, k4y, k4z, k5x, k5y, k5z,
+                                    k6x, k6y, k6z, k7x, k7y, k7z, end - next_index)
+                    if len(records) >= limit:
+                        kept, replay = _flush(records, grid, rows, kept, band)
+                        if replay is not None:
+                            break
+                next_index = end
+                next_sample = grid_list[end]
 
             if low < 0.0:
                 xn = 0.0 if 0.0 > xn else xn
@@ -486,7 +523,7 @@ def _advance(params, f, config, t_end, stride, mark, state):
         if at_mark is not None and at_mark[11] >= replay[11]:
             at_mark = None
         clip = t_end
-        limit = min(_REPLAY_BLOCK, _BLOCK) * _RECORD.size
+        in_step = True
 
     rows[-1] = (x, y, z)
     return np.concatenate(((t0,), grid, (t_end,))), rows, at_mark

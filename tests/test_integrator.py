@@ -420,9 +420,10 @@ _WASHOUT_START = CellState(16736.934370118302, 7282.320334267583, 647437.1342604
 _WASHOUT_T_END = 300.0 / _WASHOUT.p1
 
 
-def _run_to_mark(params, initial, mark):
+def _run_to_mark(params, initial, mark, **tolerances):
     # the run a marked state stands for: to t_end = mark, with no interior samples
-    return integrate(params, initial, IntegrationConfig(t_end=mark, output_stride=mark)).final
+    config = IntegrationConfig(t_end=mark, output_stride=mark, **tolerances)
+    return integrate(params, initial, config).final
 
 
 def _bits(state):
@@ -493,18 +494,31 @@ def _outcome(params, initial, config, mark=None):
 
 @pytest.fixture
 def replays(monkeypatch):
-    """The resume states that evaluating the dense output returns, one per dip."""
+    """(record, resume state) for each dip that evaluating a block of records finds."""
     found = []
     flush = integrator._flush
 
-    def spy(*args):
-        kept, replay = flush(*args)
+    def spy(records, *args):
+        block = list(integrator._RECORD.iter_unpack(bytes(records)))
+        kept, replay = flush(records, *args)
         if replay is not None:
-            found.append(replay)
+            found.append((next(r for r in block if r[10] == replay[11]), replay))
         return kept, replay
 
     monkeypatch.setattr(integrator, "_flush", spy)
     return found
+
+
+# A washing-out set at a loose rel_tol: the large counts set the error
+# tolerance, so a small count dips below zero between samples while every
+# step still ends above abs_tol, and the dip is found in a block
+_LOOSE = ModelParameters(a1=0.92, a2=0.85, p1=0.32, p2=0.72, d3=1.0, k=1.5e-10, d1=1.08, d2=0.63)
+_LOOSE_START = CellState(3.0e5, 6.0, 1.6e6)
+_LOOSE_TOLERANCES = dict(rel_tol=9e-4, abs_tol=0.07)
+
+
+def _loose_config(samples):
+    return IntegrationConfig(t_end=64.0, output_stride=64.0 / samples, **_LOOSE_TOLERANCES)
 
 
 def _washout_config(samples):
@@ -513,6 +527,12 @@ def _washout_config(samples):
 
 # what the step loop gave when it evaluated each sample in the step that
 # owns it and rejected the step at once on a dip
+_LOOSE_FAULT_AFTER_DIP = ("step limit exceeded", "0x1.707449f824229p+4",
+                          ("0x1.145c98950adf4p-8", "0x1.343d5547718a1p+10", "0x1.30b6e095b7cf8p+8"),
+                          "593db590be4b6f55c7dbe3cf048ba3d83eb87591a16da887d74d376f34893c8b")
+_LOOSE_FAULT_BEFORE_DIP = ("step limit exceeded", "0x1.9978015680c8ep+3",
+                           ("0x1.2f4f8a233c1cap+3", "0x1.17b34ebd30a94p+12", "0x1.15918bdcd1047p+10"),
+                           "d2dd65d8895d28919f630aaee074957d9d5f50a8045f9b983f56b6e7ea76576e")
 _FAULT_AFTER_DIP = ("step limit exceeded", "0x1.110aabe78afd6p+8",
                     ("0x1.a973a17303ddap-45", "0x1.15d1cfb8236aap-31", "0x0.0p+0"),
                     "6ea64a79daefdbc867ce1625bf64ce80d7242b563bdad74f1137e0d604e55d54")
@@ -524,55 +544,102 @@ _FAULT_BEFORE_DIP = ("step limit exceeded", "0x1.6ce55b3f488dbp+7",
 class TestDenseOutputReplay:
     """Samples are evaluated a block of steps at a time, after the steps are
     taken; a dip among them resumes the loop from its step, as rejecting
-    that step at once would have. Every pin is what the step loop gave when
+    that step at once would have. From a run's first dip, or from the first
+    sampling step that ends within abs_tol of zero, samples are evaluated
+    in the step that owns them. Every pin is what the step loop gave when
     it evaluated each sample in its own step."""
 
-    # At 20 and 50 samples the washing-out run has one dip, in the step from
-    # loop top 179, at the step's first and at its second sample. A mark at
-    # half the horizon is kept before that step, so marked is the run to the
-    # mark; one at 0.9 of it is still ahead, so the dip loses it.
+    # At 20 and 50 samples the loose run has one dip, in the step from loop
+    # top 18 (t = 17.5), at the step's first and at its second sample, and
+    # the block that holds it is evaluated after t = 24.8. A mark at a
+    # quarter of the horizon is kept before that step, so marked is the run
+    # to the mark; one at 0.35 of it (22.4) is kept at a later loop top,
+    # before the dip comes to light, and the dip loses it.
     @pytest.mark.parametrize("samples, mark_at, digest", [
-        (20, 0.5, "b5d8c110bfb90ce12f58f38d5ce6003398c9614d49b0e956bf6b1528b8749973"),
-        (50, 0.5, "f16047f1e129c2b8d7b5392e28bad699441d8e6fc16ed3483bfbc2ff27b9b9bf"),
-        (20, 0.9, "b5d8c110bfb90ce12f58f38d5ce6003398c9614d49b0e956bf6b1528b8749973"),
-        (50, 0.9, "f16047f1e129c2b8d7b5392e28bad699441d8e6fc16ed3483bfbc2ff27b9b9bf"),
+        (20, 0.25, "1ce4d43046ca60e39d4ffb4e1775ff460f099fec17e73d9166eac31aac351e64"),
+        (50, 0.25, "09e4283d9207fd5de617a67930c22a001a3111ef455d08a04303c7080a1808e9"),
+        (20, 0.35, "1ce4d43046ca60e39d4ffb4e1775ff460f099fec17e73d9166eac31aac351e64"),
+        (50, 0.35, "09e4283d9207fd5de617a67930c22a001a3111ef455d08a04303c7080a1808e9"),
     ], ids=["first-sample-after-mark", "later-sample-after-mark",
             "first-sample-before-mark", "later-sample-before-mark"])
     def test_dip_resumes_from_its_step(self, replays, samples, mark_at, digest):
-        mark = mark_at * _WASHOUT_T_END
-        traj = integrate(_WASHOUT, _WASHOUT_START, _washout_config(samples), mark=mark)
-        assert len(replays) == 1
+        mark = mark_at * 64.0
+        traj = integrate(_LOOSE, _LOOSE_START, _loose_config(samples), mark=mark)
+        (record, replay), = replays
+        # the rejection's state: the step's loop top, with h halved and fac_cap 1
+        assert replay == (*record[:7], record[7] * 0.5, record[8], record[9], 1.0, 18)
         assert _digest(traj) == digest
-        if mark_at < 0.9:
-            assert _bits(traj.marked) == _bits(_run_to_mark(_WASHOUT, _WASHOUT_START, mark))
+        if mark_at < 0.3:
+            at_mark = _run_to_mark(_LOOSE, _LOOSE_START, mark, **_LOOSE_TOLERANCES)
+            assert _bits(traj.marked) == _bits(at_mark)
         else:
             assert traj.marked is None
 
     def test_fault_with_records_pending(self, monkeypatch, replays):
-        # The step limit stops the 20-sample run while the records of its
-        # last steps wait for evaluation. At 185 steps those hold the dip at
-        # loop top 179, so the loop resumes from there and stops at the same
-        # loop top as before; at 170 they hold no dip, and their samples
-        # still reach the error's partial trajectory.
+        # The step limit stops the 20-sample loose run while the records of
+        # its last steps wait for evaluation. At 22 steps those hold the dip
+        # at loop top 18, so the loop resumes from there; at 15 they hold no
+        # dip, and their samples still reach the error's partial trajectory.
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 22)
+        assert _outcome(_LOOSE, _LOOSE_START, _loose_config(20)) == _LOOSE_FAULT_AFTER_DIP
+        assert len(replays) == 1
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 15)
+        assert _outcome(_LOOSE, _LOOSE_START, _loose_config(20)) == _LOOSE_FAULT_BEFORE_DIP
+        assert len(replays) == 1
+
+    def test_samples_taken_in_the_step_after_a_dip(self, replays):
+        # a loose run whose counts stay above abs_tol through six dips: the
+        # first is found in a block, and the five after it are rejected in
+        # their steps, with the bytes a block evaluation of each gives
+        params = ModelParameters(a1=0.82, a2=0.47, p1=0.54, p2=0.88, d3=0.2, k=5.8e-7, d1=0.64, d2=1.46)
+        config = IntegrationConfig(t_end=466.0, rel_tol=2.9e-4, abs_tol=1.7e-3, output_stride=1.165)
+        traj = integrate(params, CellState(3.7e8, 1.8e4, 9.1e5), config)
+        assert len(replays) == 1
+        assert _digest(traj) == "213885a3a35c2ccacdac6b639e0827186afb99f1daae1105917bcd7f1d204596"
+
+    # The washing-out run ends a sampling step below abs_tol before its
+    # first dip, at every stride, so each of its dips rejects its step at
+    # once: at 20 and 50 samples one dip, at loop top 179, and with the
+    # mark at half the horizon kept before it; at 4000 samples 55 dips, the
+    # first before the mark.
+    @pytest.mark.parametrize("samples, mark_at, digest", [
+        (20, 0.5, "b5d8c110bfb90ce12f58f38d5ce6003398c9614d49b0e956bf6b1528b8749973"),
+        (50, 0.5, "f16047f1e129c2b8d7b5392e28bad699441d8e6fc16ed3483bfbc2ff27b9b9bf"),
+        (20, 0.9, "b5d8c110bfb90ce12f58f38d5ce6003398c9614d49b0e956bf6b1528b8749973"),
+        (4000, 0.5, "ba147b2ad67e76b93e438a01ac01be18600378f0b2a79eb40626d957f1e4683d"),
+    ], ids=["20-mark-kept", "50-mark-kept", "20-mark-lost", "4000-mark-lost"])
+    def test_dips_near_zero_rejected_in_the_step(self, replays, samples, mark_at, digest):
+        mark = mark_at * _WASHOUT_T_END
+        traj = integrate(_WASHOUT, _WASHOUT_START, _washout_config(samples), mark=mark)
+        assert not replays
+        assert _digest(traj) == digest
+        if samples < 4000 and mark_at < 0.9:
+            assert _bits(traj.marked) == _bits(_run_to_mark(_WASHOUT, _WASHOUT_START, mark))
+        else:
+            assert traj.marked is None
+
+    def test_fault_after_sampling_in_the_step(self, monkeypatch, replays):
+        # the step limit stops the 20-sample washing-out run after (185)
+        # and before (170) its dip at loop top 179
         monkeypatch.setattr(integrator, "_MAX_STEPS", 185)
         assert _outcome(_WASHOUT, _WASHOUT_START, _washout_config(20)) == _FAULT_AFTER_DIP
-        assert len(replays) == 1
         monkeypatch.setattr(integrator, "_MAX_STEPS", 170)
         assert _outcome(_WASHOUT, _WASHOUT_START, _washout_config(20)) == _FAULT_BEFORE_DIP
-        assert len(replays) == 1
+        assert not replays
 
     @pytest.mark.parametrize("block", [1, 7, integrator._BLOCK])
     def test_block_size_changes_no_byte(self, monkeypatch, replays, block):
         monkeypatch.setattr(integrator, "_BLOCK", block)
         # two dips, the first with err_prev above its 1e-4 floor
         assert _outcome(*_CLAMP_AND_DIP) == (_CLAMP_AND_DIP_DIGEST, None)
-        assert len(replays) == 2
-        del replays[:]
-        # 4000 samples: 55 dips, the first before the mark
         assert _outcome(_WASHOUT, _WASHOUT_START, _washout_config(4000), mark=_WASHOUT_T_END / 2.0) == (
             "ba147b2ad67e76b93e438a01ac01be18600378f0b2a79eb40626d957f1e4683d", None)
-        assert len(replays) == 55
-        monkeypatch.setattr(integrator, "_MAX_STEPS", 185)
-        assert _outcome(_WASHOUT, _WASHOUT_START, _washout_config(20)) == _FAULT_AFTER_DIP
-        monkeypatch.setattr(integrator, "_MAX_STEPS", 170)
-        assert _outcome(_WASHOUT, _WASHOUT_START, _washout_config(20)) == _FAULT_BEFORE_DIP
+        assert not replays
+        assert _outcome(_LOOSE, _LOOSE_START, _loose_config(50), mark=16.0)[0] == (
+            "09e4283d9207fd5de617a67930c22a001a3111ef455d08a04303c7080a1808e9")
+        assert len(replays) == 1
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 22)
+        assert _outcome(_LOOSE, _LOOSE_START, _loose_config(20)) == _LOOSE_FAULT_AFTER_DIP
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 15)
+        assert _outcome(_LOOSE, _LOOSE_START, _loose_config(20)) == _LOOSE_FAULT_BEFORE_DIP
+        assert len(replays) == 2
