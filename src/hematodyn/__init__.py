@@ -3,140 +3,30 @@
 Closed-form steady states and stability, an adaptive integrator, long-run
 trajectory classification, and parameter-space sweeps locating oscillatory
 (Hopf) regions.
+
+The package exports every name in its modules' `__all__`; a name is made
+public there and nowhere else. `cli` is left out, so importing the package
+does not load argparse.
 """
 
-from .analysis import (
-    AttractorVerdict,
-    OscillationReport,
-    classify,
-    default_horizon,
-    oscillation_report,
-)
-from .cubic import solve_cubic
-from .integrator import IntegrationConfig, IntegrationError, Trajectory, integrate
-from .model import (
-    REFERENCE_PARAMETERS,
-    CellState,
-    InvariantBox,
-    ModelParameters,
-    SteadyState,
-    invariant_box,
-    jacobian,
-    nondimensionalize,
-    place_E2,
-    rhs,
-    steady_state_E0,
-    steady_state_E1,
-    steady_state_E2,
-    steady_states,
-)
-from .serialize import (
-    constellation_report_to_dict,
-    dumps,
-    hopf_to_dict,
-    params_to_dict,
-    stability_report_to_dict,
-    verdict_to_dict,
-    write_trajectory_csv,
-)
-from .stability import (
-    BetaGamma,
-    CharPolyCoeffs,
-    HopfReport,
-    RegimeSummary,
-    StabilityReport,
-    beta_gamma,
-    char_poly_E2,
-    char_poly_at,
-    eigenvalues_at,
-    hopf_point,
-    hurwitz_classify,
-    hurwitz_factored,
-    hurwitz_value,
-    instability_region_bounds,
-    regime_table,
-    stability_report,
-    stability_reports,
-)
-from .sweep import (
-    CONSTELLATION_DIRECTIONS,
-    CONSTELLATIONS,
-    PLAUSIBLE_INTERVALS,
-    AxisSpec,
-    ConstellationReport,
-    SweepResult,
-    SweepSpec,
-    axis_for,
-    bifurcation_bracket,
-    check_constellations,
-    run_sweep,
-    sweep_summary,
-    write_sweep_csv,
-)
+from . import analysis, cubic, integrator, model, serialize, stability, sweep
+from .analysis import *
+from .cubic import *
+from .integrator import *
+from .model import *
+from .serialize import *
+from .stability import *
+from .sweep import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttractorVerdict",
-    "AxisSpec",
-    "BetaGamma",
-    "CellState",
-    "CharPolyCoeffs",
-    "ConstellationReport",
-    "CONSTELLATIONS",
-    "CONSTELLATION_DIRECTIONS",
-    "HopfReport",
-    "IntegrationConfig",
-    "IntegrationError",
-    "InvariantBox",
-    "ModelParameters",
-    "OscillationReport",
-    "PLAUSIBLE_INTERVALS",
-    "REFERENCE_PARAMETERS",
-    "RegimeSummary",
-    "StabilityReport",
-    "SteadyState",
-    "SweepResult",
-    "SweepSpec",
-    "Trajectory",
-    "axis_for",
-    "beta_gamma",
-    "bifurcation_bracket",
-    "char_poly_E2",
-    "char_poly_at",
-    "check_constellations",
-    "classify",
-    "constellation_report_to_dict",
-    "default_horizon",
-    "dumps",
-    "eigenvalues_at",
-    "hopf_point",
-    "hopf_to_dict",
-    "hurwitz_classify",
-    "hurwitz_factored",
-    "hurwitz_value",
-    "instability_region_bounds",
-    "integrate",
-    "invariant_box",
-    "jacobian",
-    "nondimensionalize",
-    "oscillation_report",
-    "params_to_dict",
-    "place_E2",
-    "regime_table",
-    "rhs",
-    "run_sweep",
-    "solve_cubic",
-    "stability_report",
-    "stability_report_to_dict",
-    "stability_reports",
-    "steady_state_E0",
-    "steady_state_E1",
-    "steady_state_E2",
-    "steady_states",
-    "sweep_summary",
-    "verdict_to_dict",
-    "write_sweep_csv",
-    "write_trajectory_csv",
+    *analysis.__all__,
+    *cubic.__all__,
+    *integrator.__all__,
+    *model.__all__,
+    *serialize.__all__,
+    *stability.__all__,
+    *sweep.__all__,
     "__version__",
 ]

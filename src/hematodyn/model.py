@@ -198,10 +198,9 @@ class InvariantBox:
     k2: float
     k3: float
 
-    def contains(self, state: CellState, rel_slack: float = 0.0) -> bool:
-        """Componentwise check, optionally with relative slack on the bounds."""
-        f = 1.0 + rel_slack
-        return state.u1 <= self.c1 * f and state.u2 <= self.c2 * f and state.u3 <= self.c3 * f
+    def contains(self, state: CellState) -> bool:
+        """Componentwise check against the upper bounds c1, c2, c3."""
+        return state.u1 <= self.c1 and state.u2 <= self.c2 and state.u3 <= self.c3
 
 
 def rhs_closure(params: ModelParameters):

@@ -92,6 +92,7 @@ CONSTELLATION_DIRECTIONS: Dict[int, Dict[str, int]] = {
 
 _CHUNK = 8192
 _MAX_GRID = 20_000_000
+_SUMMARY_POINTS = 1000
 
 
 def _count(name: str, value) -> int:
@@ -323,14 +324,11 @@ def write_sweep_csv(result: SweepResult, fh) -> None:
         fh.write(text)
 
 
-def sweep_summary(result: SweepResult, max_points: int = 1000) -> dict:
+def sweep_summary(result: SweepResult) -> dict:
     """JSON-ready aggregate view: counts, unstable bounds, sample points.
 
-    At most `max_points` (an int >= 0) unstable points are listed.
+    At most `_SUMMARY_POINTS` (1000) unstable points are listed.
     """
-    max_points = _count("max_points", max_points)
-    if max_points < 0:
-        raise ValueError(f"max_points must be >= 0, got {max_points}")
     pts = result.unstable_points
     summary = {
         "axes": [
@@ -345,8 +343,8 @@ def sweep_summary(result: SweepResult, max_points: int = 1000) -> dict:
             "bounds": {
                 name: [lo, hi] for name, (lo, hi) in (result.unstable_bounds or {}).items()
             },
-            "points": [[float(v) for v in row] for row in pts[:max_points]],
-            "points_truncated": bool(pts.shape[0] > max_points),
+            "points": [[float(v) for v in row] for row in pts[:_SUMMARY_POINTS]],
+            "points_truncated": bool(pts.shape[0] > _SUMMARY_POINTS),
         },
     }
     return summary

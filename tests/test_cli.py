@@ -4,10 +4,12 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -545,13 +547,20 @@ class TestParserBuild:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STABILITY_REFERENCE_DIGEST
 
 
+def child_env():
+    """The environment with the directory of the package under test first on
+    PYTHONPATH, so a child process imports it whether or not it is installed."""
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         result = subprocess.run(
             [sys.executable, "-m", "hematodyn", "hopf",
              "--set", "a1=0.7", "--set", "a2=0.5",
              "--set", "d3=0.1337", "--set", "p1=1"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=child_env(),
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["p2_star"] == pytest.approx(
@@ -567,5 +576,6 @@ class TestEntryPoints:
             # console script points at (pyproject: hematodyn.cli:entrypoint)
             command = [sys.executable, "-c",
                        "from hematodyn.cli import entrypoint; entrypoint()", *args]
-        result = subprocess.run(command, capture_output=True, text=True, timeout=120)
+        result = subprocess.run(command, capture_output=True, text=True, timeout=120,
+                                env=child_env())
         assert result.returncode == 2

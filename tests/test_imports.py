@@ -2,6 +2,7 @@
 it exports, and the package exports exactly the public names it binds."""
 
 import ast
+import importlib
 import types
 from pathlib import Path
 
@@ -59,6 +60,15 @@ def unbound_exports(source: str):
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_export_is_bound(path):
     assert unbound_exports(path.read_text(encoding="utf-8")) == []
+
+
+PACKAGE_MODULES = [path.stem for path in MODULES if path.stem not in {"__main__", "cli"}]
+
+
+@pytest.mark.parametrize("name", PACKAGE_MODULES)
+def test_package_exports_every_module_export(name):
+    module = importlib.import_module(f"hematodyn.{name}")
+    assert [n for n in module.__all__ if getattr(hematodyn, n, None) is not getattr(module, n)] == []
 
 
 def test_package_all_matches_its_public_names():

@@ -327,10 +327,11 @@ class TestResultAccess:
         assert {line.rsplit(",", 1)[1] for line in text.splitlines()[1:]} == set(CLASS_NAMES)
         assert [line.split(",")[-2] for line in text.splitlines()[5:7]] == ["0", "-0"]
 
-    def test_summary_structure_and_truncation(self):
+    def test_summary_structure_and_truncation(self, monkeypatch):
         axes = (axis_for("p1", 40), axis_for("a2", 40), axis_for("d3", 40))
         result = run_sweep(SweepSpec(varied=axes))
-        summary = sweep_summary(result, max_points=5)
+        monkeypatch.setattr("hematodyn.sweep._SUMMARY_POINTS", 5)
+        summary = sweep_summary(result)
         assert summary["total_points"] == 64000
         assert summary["counts"] == result.counts
         assert summary["unstable"]["count"] == result.counts["unstable"]
@@ -338,21 +339,6 @@ class TestResultAccess:
         assert summary["unstable"]["points_truncated"] is True
         assert set(summary["unstable"]["bounds"]) == {"p1", "a2", "d3"}
         assert [a["name"] for a in summary["axes"]] == ["p1", "a2", "d3"]
-
-    def test_negative_max_points_rejected(self):
-        axes = (axis_for("p1", 23), axis_for("a2", 29), axis_for("d3", 17))
-        result = run_sweep(SweepSpec(varied=axes))
-        assert result.counts["unstable"] > 0
-        # max_points follows the count rule: True used to list one point, and
-        # 2.5 or "3" raised a TypeError that did not name it
-        for bad, message in [(-1, ">= 0"), (True, "an int, got True"), (2.5, "an int, got 2.5"),
-                             ("3", "a number, got '3'"), (math.nan, "finite, got nan")]:
-            with pytest.raises(ValueError, match=f"max_points must be {message}"):
-                sweep_summary(result, max_points=bad)
-        assert len(sweep_summary(result, max_points=np.int64(2))["unstable"]["points"]) == 2
-        summary = sweep_summary(result, max_points=0)
-        assert summary["unstable"]["points"] == []
-        assert summary["unstable"]["points_truncated"] is True
 
 
 class TestBifurcationBracket:
