@@ -7,6 +7,11 @@ Configuration is a flat key = value text file ('#' starts a comment);
 the stem-cell proliferation rate is 1 before dispatch, which makes times
 come out in rescaled units.
 
+A plain call (the command, then whole option names each followed by a
+value that does not start with '-') is read without argparse. argparse,
+imported only then, takes every other argv: help, errors, abbreviations,
+--set=key=value, values starting with '-' and tokens before the command.
+
 Only the keys a configuration gives are passed on: missing model
 parameters take the reference values, and missing integration and
 classifier settings take the defaults of IntegrationConfig and classify.
@@ -16,10 +21,10 @@ configuration, 3 numerical failure.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import io
 import sys
+import types
 from typing import Dict, Optional
 
 from .analysis import classify
@@ -226,7 +231,7 @@ _COMMANDS = {
 }
 
 
-def _add_options(parser: argparse.ArgumentParser, rescalable: bool) -> None:
+def _add_options(parser, rescalable: bool) -> None:
     parser.add_argument("--config", help="flat key = value configuration file")
     parser.add_argument("--out", help="output path (default: stdout)")
     if rescalable:
@@ -236,39 +241,43 @@ def _add_options(parser: argparse.ArgumentParser, rescalable: bool) -> None:
                         help="override one configuration entry (repeatable)")
 
 
-class _CommandParser:
-    """Stand-in for a subcommand parser; builds the real one when argparse runs it.
+def _build_parser():
+    import argparse
 
-    argparse lists the commands in help and errors from `add_parser`'s help
-    text and names, and calls a subcommand's parser only through
-    `parse_known_args`, for the one command it dispatches to. So a call
-    builds two parsers, the top one and its command's, not one per command.
-    """
-
-    def __init__(self, rescalable: bool, **kwargs):
-        self._rescalable = rescalable
-        self._kwargs = kwargs
-
-    def parse_known_args(self, args=None, namespace=None):
-        parser = argparse.ArgumentParser(**self._kwargs)
-        _add_options(parser, self._rescalable)
-        return parser.parse_known_args(args, namespace)
-
-
-def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hematodyn",
         description="Three-compartment white blood cell model: simulation, "
         "stability, bifurcation search.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, text, rescalable) in _COMMANDS.items():
-        sub.add_parser(name, help=text, rescalable=rescalable)
+        _add_options(sub.add_parser(name, help=text), rescalable)
     return parser
 
 
+def _plain_args(argv):
+    """argparse's attributes for a plain call (see the module docstring), else None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    rescalable = _COMMANDS[argv[0]][2]
+    args = types.SimpleNamespace(command=argv[0], config=None, out=None, set=None)
+    if rescalable:
+        args.rescaled = False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--rescaled" and rescalable:
+            args.rescaled = True
+            continue
+        value = next(tokens, "-")  # a missing value is refused like a dash
+        if token not in ("--config", "--out", "--set") or value.startswith("-"):
+            return None
+        setattr(args, token[2:], (args.set or []) + [value] if token == "--set" else value)
+    return args
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv) or _build_parser().parse_args(argv)
     try:
         _COMMANDS[args.command][0](args, _load_config(args))
     except IntegrationError as exc:

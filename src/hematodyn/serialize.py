@@ -9,9 +9,9 @@ The module only writes: json.loads gives back exactly the emitted dicts.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -44,14 +44,15 @@ def _emit(obj, level: int) -> str:
     if isinstance(obj, float):
         return _format_float(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        # the C encoder json.dumps calls for a str under its default settings
+        return encode_basestring_ascii(obj)
     pad = "  " * level
     inner = "  " * (level + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = (
-            f"{inner}{json.dumps(str(key))}: {_emit(value, level + 1)}"
+            f"{inner}{encode_basestring_ascii(str(key))}: {_emit(value, level + 1)}"
             for key, value in obj.items()
         )
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"

@@ -1,6 +1,7 @@
 """CLI tests: config parsing, command plumbing, exit codes, determinism."""
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     SHOWCASE_BASE,
@@ -476,14 +479,6 @@ class TestGoldenOutput:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def parse_outcome(capsys, parser, argv):
-    try:
-        namespace, code = parser.parse_args(argv), None
-    except SystemExit as exc:
-        namespace, code = None, exc.code
-    return (namespace, code) + capsys.readouterr()
-
-
 def eager_parser():
     # the plain argparse layout: every command's options built up front
     parser = argparse.ArgumentParser(prog="hematodyn", description=cli._build_parser().description)
@@ -493,9 +488,31 @@ def eager_parser():
     return parser
 
 
+def eager_outcome(capsys, argv):
+    """(attributes or None, exit code, stdout, stderr) of the eager parser on argv."""
+    try:
+        parsed, code = vars(eager_parser().parse_args(argv)), 0
+    except SystemExit as exc:
+        parsed, code = None, exc.code
+    return (parsed, code) + capsys.readouterr()
+
+
+# tokens argparse treats apart from a plain call, and option-value pairs
+# drawn as often, so that many draws are plain calls
+TRICKY_TOKENS = [
+    "stability", "sweep", "constellations", "stab", "bogus", "a1=0.7", "",
+    "--config", "--out", "--set", "--rescaled", "--res", "--con", "--set=a=1",
+    "-h", "--help", "--", "-", "-0.5",
+]
+OPTION_PAIRS = [
+    ["--config", "c.txt"], ["--config", ""], ["--out", "hopf"], ["--out", "x.json"],
+    ["--set", "a1=0.7"], ["--set", "k=2"], ["--set", ""],
+]
+
+
 class TestParserBuild:
-    # main() builds a command's options only when argparse dispatches to it;
-    # every parse, help text and error must be what the eager parser gives
+    # main() reads a plain call itself and hands every other argv to
+    # argparse; either way it must parse, print and exit as the eager parser does
     @pytest.mark.parametrize("argv", [
         [], ["--help"], ["bogus"], ["stab"], ["--set", "a1=1", "stability"],
         ["stability", "--bogus"], ["sweep", "--rescaled"], ["stability", "--set"],
@@ -505,9 +522,37 @@ class TestParserBuild:
         *([name] for name in cli._COMMANDS),
         *([name, "--help"] for name in cli._COMMANDS),
     ], ids=" ".join)
-    def test_same_as_full_parser(self, capsys, argv):
-        lazy = parse_outcome(capsys, cli._build_parser(), argv)
-        assert lazy == parse_outcome(capsys, eager_parser(), argv)
+    def test_same_as_full_parser(self, capsys, monkeypatch, argv):
+        # the commands only record what they are given: the parse is under test
+        seen = []
+        monkeypatch.setattr(cli, "_COMMANDS", {
+            name: (lambda args, cfg: seen.append(dict(vars(args))), text, rescalable)
+            for name, (_, text, rescalable) in cli._COMMANDS.items()
+        })
+        monkeypatch.setattr(cli, "_load_config", lambda args: {})
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        outcome = (seen[0] if seen else None, code) + capsys.readouterr()
+        assert outcome == eager_outcome(capsys, argv)
+
+    @settings(max_examples=300)
+    @given(st.builds(
+        lambda head, pieces: head + sum(pieces, []),
+        st.sampled_from([[], ["stability"], ["hopf"], ["sweep"], ["constellations"], ["bogus"]]),
+        st.lists(st.one_of(st.sampled_from(TRICKY_TOKENS).map(lambda token: [token]),
+                           st.sampled_from(OPTION_PAIRS)), max_size=5),
+    ))
+    def test_reader_agrees_with_argparse(self, argv):
+        plain = cli._plain_args(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                parsed = vars(eager_parser().parse_args(argv))
+        except SystemExit:
+            assert plain is None
+        else:
+            assert plain is None or vars(plain) == parsed
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -522,18 +567,22 @@ class TestParserBuild:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         return progs
 
-    def test_a_call_builds_the_top_parser_and_its_command_only(self, capsys, built):
+    def test_a_plain_call_builds_no_parser(self, capsys, built):
         assert main(["stability"]) == 0
-        assert built == ["hematodyn", "hematodyn stability"]
-        # nothing is kept: the next call builds its own two
-        assert main(["hopf", "--set", "a1=0.7", "--set", "a2=0.5",
-                     "--set", "d3=0.1337", "--set", "p1=1"]) == 0
-        assert built == ["hematodyn", "hematodyn stability", "hematodyn", "hematodyn hopf"]
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STABILITY_REFERENCE_DIGEST
+        assert main(["hopf", *SHOWCASE_SET]) == 0
+        assert built == []
 
-    def test_top_level_help_builds_one_parser(self, capsys, built):
-        with pytest.raises(SystemExit):
-            main(["--help"])
-        assert built == ["hematodyn"]
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["stability", "--bogus"], 2)],
+                             ids=["help", "unknown-option"])
+    def test_help_and_errors_build_the_eager_parser(self, capsys, built, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        assert (out if code == 0 else err).startswith("usage: hematodyn [-h]")
+        assert built == ["hematodyn", *(f"hematodyn {name}" for name in cli._COMMANDS)]
 
     @pytest.mark.parametrize("call", [
         lambda: main(("stability",)),
@@ -566,6 +615,22 @@ class TestEntryPoints:
         assert json.loads(result.stdout)["p2_star"] == pytest.approx(
             SHOWCASE_P2_STAR, rel=1e-12
         )
+
+    @pytest.mark.parametrize("argv, loaded", [(["stability"], False), (["--help"], True)],
+                             ids=["stability", "help"])
+    def test_argparse_imported_only_when_it_parses(self, argv, loaded):
+        script = (
+            "import sys\n"
+            "from hematodyn import cli\n"
+            "try:\n"
+            "    cli.main(sys.argv[1:])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "sys.stderr.write(repr('argparse' in sys.modules))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script, *argv],
+                                capture_output=True, text=True, timeout=120, env=child_env())
+        assert result.stderr == repr(loaded)
 
     def test_console_script_failure_code(self):
         args = ["stability", "--config", "/nonexistent/x.cfg"]

@@ -78,6 +78,12 @@ class TestDumps:
             '  "t": [\n    2,\n    "x"\n  ]\n}\n'
         )
 
+    @given(st.text())
+    def test_strings_quoted_as_json_dumps_quotes_them(self, text):
+        quoted = json.dumps(text)
+        assert dumps(text) == quoted + "\n"
+        assert dumps({text: "v"}) == "{\n  " + quoted + ': "v"\n}\n'
+
     def test_unserializable_type_rejected(self):
         with pytest.raises(TypeError):
             dumps({"x": object()})
