@@ -359,13 +359,9 @@ def place_E2(target: CellState, a1: float, a2: float, p1: float) -> Tuple[float,
     return k, d3, p2
 
 
-def jacobian(params: ModelParameters, state: CellState) -> np.ndarray:
-    """3x3 Jacobian of the right-hand side at `state`.
-
-    Uses s = 1/(1 + k*u3) and ds/du3 = -k*s^2. The (1,2) and (3,1)
-    entries vanish identically: stem cells do not react to progenitors,
-    mature cells not to stem cells.
-    """
+def _jacobian_entries(params: ModelParameters, state: CellState):
+    # the seven entries (j11, j13, j21, j22, j23, j32, j33) of `jacobian` that
+    # are not identically zero, as Python floats
     s = 1.0 / (1.0 + params.k * state.u3)
     ds = -params.k * s * s
     a1, a2 = params.a1, params.a2
@@ -377,6 +373,17 @@ def jacobian(params: ModelParameters, state: CellState) -> np.ndarray:
     j23 = (2.0 * a2 * p2 * state.u2 - 2.0 * a1 * p1 * state.u1) * ds
     j32 = 2.0 * (1.0 - a2 * s) * p2
     j33 = -2.0 * a2 * p2 * state.u2 * ds - params.d3
+    return j11, j13, j21, j22, j23, j32, j33
+
+
+def jacobian(params: ModelParameters, state: CellState) -> np.ndarray:
+    """3x3 Jacobian of the right-hand side at `state`.
+
+    Uses s = 1/(1 + k*u3) and ds/du3 = -k*s^2. The (1,2) and (3,1)
+    entries vanish identically: stem cells do not react to progenitors,
+    mature cells not to stem cells.
+    """
+    j11, j13, j21, j22, j23, j32, j33 = _jacobian_entries(params, state)
     return np.array([[j11, 0.0, j13], [j21, j22, j23], [0.0, j32, j33]])
 
 

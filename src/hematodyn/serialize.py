@@ -9,8 +9,6 @@ The module only writes: json.loads gives back exactly the emitted dicts.
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -31,35 +29,32 @@ __all__ = [
 ]
 
 
-def _format_float(value: float) -> str:
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    return "%.17g" % value
-
-
-def _emit(obj, level: int) -> str:
+def _emit(obj, pad: str) -> str:
+    # pad is the indent of obj's line, and a container builds its items' once;
     # floats first: they are most of every payload, and bool and int are not floats
     if isinstance(obj, float):
-        return _format_float(obj)
+        if obj - obj == 0.0:  # finite: inf - inf and NaN - NaN are NaN
+            return "%.17g" % obj
+        if obj != obj:
+            return "NaN"
+        return "Infinity" if obj > 0 else "-Infinity"
     if isinstance(obj, str):
         # the C encoder json.dumps calls for a str under its default settings
         return encode_basestring_ascii(obj)
-    pad = "  " * level
-    inner = "  " * (level + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = (
-            f"{inner}{encode_basestring_ascii(str(key))}: {_emit(value, level + 1)}"
+        inner = pad + "  "
+        items = [
+            f"{inner}{encode_basestring_ascii(str(key))}: {_emit(value, inner)}"
             for key, value in obj.items()
-        )
+        ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = (f"{inner}{_emit(value, level + 1)}" for value in obj)
+        inner = pad + "  "
+        items = [inner + _emit(value, inner) for value in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if obj is None:
         return "null"
@@ -72,7 +67,7 @@ def _emit(obj, level: int) -> str:
 
 def dumps(obj) -> str:
     """Deterministic JSON text (trailing newline included)."""
-    return _emit(obj, 0) + "\n"
+    return _emit(obj, "") + "\n"
 
 
 def write_trajectory_csv(traj, fh) -> None:
@@ -96,14 +91,20 @@ def _complex_pairs(values) -> list:
     return [[z.real, z.imag] for z in values]
 
 
+def _fields(obj) -> dict:
+    # a shallow copy of a flat dataclass's fields, in declaration order (the
+    # generated __init__ sets them in that order); `asdict` would deep-copy
+    return vars(obj).copy()
+
+
 def stability_report_to_dict(report: StabilityReport) -> dict:
     eq = report.equilibrium
     coeffs = report.coeffs
     return {
         "label": report.label,
         "exists": eq is not None,
-        "equilibrium": asdict(eq.state) if eq else None,
-        "coeffs": asdict(coeffs) if coeffs else None,
+        "equilibrium": _fields(eq.state) if eq else None,
+        "coeffs": _fields(coeffs) if coeffs else None,
         "hurwitz": report.hurwitz,
         "eigenvalues": _complex_pairs(report.eigenvalues) if report.eigenvalues else None,
         "classification": report.classification,
@@ -111,11 +112,11 @@ def stability_report_to_dict(report: StabilityReport) -> dict:
 
 
 def hopf_to_dict(report: HopfReport) -> dict:
-    return asdict(report)
+    return _fields(report)
 
 
 def verdict_to_dict(verdict: AttractorVerdict) -> dict:
-    return asdict(verdict)
+    return _fields(verdict)
 
 
 def constellation_report_to_dict(report: ConstellationReport) -> dict:

@@ -21,17 +21,15 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from .cubic import solve_cubic
 from .model import (
     CellState,
     ModelParameters,
     SteadyState,
     _basic_ratio,
+    _jacobian_entries,
     _positive,
     _real,
-    jacobian,
     steady_state_E0,
     steady_state_E1,
     steady_state_E2,
@@ -196,19 +194,22 @@ def char_poly_E2(params: ModelParameters) -> CharPolyCoeffs:
 
 def char_poly_at(params: ModelParameters, state: CellState) -> CharPolyCoeffs:
     """Characteristic coefficients of the Jacobian at an arbitrary state."""
-    j = jacobian(params, state)
-    b1 = -(j[0, 0] + j[1, 1] + j[2, 2])
+    j11, j13, j21, j22, j23, j32, j33 = _jacobian_entries(params, state)
+    # the full 3x3 expressions, structural zeros included, so that -0.0,
+    # inf*0 and NaN give the bits the ndarray of `jacobian` gives
+    j12 = j31 = 0.0
+    b1 = -(j11 + j22 + j33)
     b2 = (
-        (j[1, 1] * j[2, 2] - j[1, 2] * j[2, 1])
-        + (j[0, 0] * j[2, 2] - j[0, 2] * j[2, 0])
-        + (j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0])
+        (j22 * j33 - j23 * j32)
+        + (j11 * j33 - j13 * j31)
+        + (j11 * j22 - j12 * j21)
     )
     det = (
-        j[0, 0] * (j[1, 1] * j[2, 2] - j[1, 2] * j[2, 1])
-        - j[0, 1] * (j[1, 0] * j[2, 2] - j[1, 2] * j[2, 0])
-        + j[0, 2] * (j[1, 0] * j[2, 1] - j[1, 1] * j[2, 0])
+        j11 * (j22 * j33 - j23 * j32)
+        - j12 * (j21 * j33 - j23 * j31)
+        + j13 * (j21 * j32 - j22 * j31)
     )
-    return CharPolyCoeffs(float(b1), float(b2), float(-det))
+    return CharPolyCoeffs(b1, b2, -det)
 
 
 def hurwitz_value(coeffs: CharPolyCoeffs) -> float:
@@ -227,17 +228,18 @@ def hurwitz_classify(coeffs: CharPolyCoeffs) -> str:
             f"sign criterion needs b1 > 0 and b3 > 0, got b1={coeffs.b1}, b3={coeffs.b3}"
         )
     prod = coeffs.b1 * coeffs.b2
-    return CLASS_NAMES[int(hurwitz_codes(prod - coeffs.b3, prod))]
+    return CLASS_NAMES[hurwitz_codes(prod - coeffs.b3, prod)]
 
 
 def hurwitz_codes(h, prod):
-    """Class codes of margins h = b1*b2 - b3 given prod = b1*b2; array-safe.
+    """Class codes of margins h = b1*b2 - b3 given prod = b1*b2.
 
     0 stable (h > 0), 1 unstable, 2 marginal (|h| within MARGINAL_TOL of
-    max(1, |prod|)); the codes index CLASS_NAMES.
+    max(1, |prod|)); the codes index CLASS_NAMES. Plain operators only, so
+    floats give an int and ndarrays an integer array.
     """
-    marginal = np.abs(h) <= MARGINAL_TOL * np.maximum(1.0, np.abs(prod))
-    return np.where(marginal, 2, np.where(h > 0.0, 0, 1))
+    marginal = (abs(h) <= MARGINAL_TOL) | (abs(h) <= MARGINAL_TOL * abs(prod))
+    return 2 * marginal + (1 - marginal) * (1 - (h > 0.0))
 
 
 def hurwitz_factored(a1: float, a2: float, p2: float, d3: float) -> float:
@@ -301,7 +303,7 @@ def eigenvalues_at(
 def _classify_by_eigenvalues(eigenvalues) -> str:
     # the Hurwitz rule on -(largest real part), marginal relative to max |lambda|
     top = max(z.real for z in eigenvalues)
-    return CLASS_NAMES[int(hurwitz_codes(-top, max(abs(z) for z in eigenvalues)))]
+    return CLASS_NAMES[hurwitz_codes(-top, max(abs(z) for z in eigenvalues))]
 
 
 def stability_report(params: ModelParameters, label: str) -> StabilityReport:

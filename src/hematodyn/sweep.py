@@ -141,7 +141,7 @@ class AxisSpec:
                 f"interval ({self.low}, {self.high}) for {self.name} leaves the "
                 f"plausible range ({lo}, {hi})",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the AxisSpec(...) call
             )
 
     def grid(self) -> np.ndarray:

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,19 @@ class TestStability:
         code, out, _ = run(capsys, "stability", "--config", cfg)
         assert code == 0
         assert json.loads(out)["E2"]["classification"] == "marginal"
+
+    def test_overflowing_rates_write_nothing_to_stderr(self, capsys):
+        # the coefficients overflow to inf and NaN; computed on Python floats,
+        # that raises no numpy overflow or invalid-value warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                capsys, "stability", "--set", "p1=1e200", "--set", "p2=1e200", "--set", "d3=1e200"
+            )
+        assert (code, err, caught) == (0, "", [])
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "4debec2197763cece0130ee2180e44938b1d32b58cf45d63d7ad6a88ade733cd"
+        )
 
     # a2 = a1 is the edge where E2 ceases to exist; for 13 of these values
     # a2*s used to round just below 1/2, E2 "existed" and the call exited 2

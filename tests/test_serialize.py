@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -201,6 +202,24 @@ class TestReportRoundTrips:
             data = parse_back(verdict_to_dict(verdict))
             assert list(data) == ["kind", "label", "period", "amplitude_u3", "final_distance"]
             assert AttractorVerdict(**data) == verdict
+
+    def test_field_copies_match_asdict(self):
+        # the writers copy a dataclass's fields shallowly; asdict is the
+        # reference for content and key order
+        report = stability_reports(CN_A)["E2"]
+        verdict = AttractorVerdict(kind="limit_cycle", period=45.0, amplitude_u3=1e7)
+        hopf = hopf_point(0.7, 0.5, 0.1337, 1.0)
+        data = stability_report_to_dict(report)
+        pairs = [
+            (data["equilibrium"], report.equilibrium.state),
+            (data["coeffs"], report.coeffs),
+            (hopf_to_dict(hopf), hopf),
+            (verdict_to_dict(verdict), verdict),
+        ]
+        for copied, obj in pairs:
+            assert list(copied.items()) == list(asdict(obj).items())
+            copied["extra"] = None
+            assert "extra" not in vars(obj)
 
     def test_constellation_report_payload(self):
         report = check_constellations(run_classify=False)[1]

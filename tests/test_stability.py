@@ -1,6 +1,7 @@
 """Stability layer: coefficients, Routh-Hurwitz, Hopf point, regime table."""
 
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,7 @@ from hematodyn import (
     eigenvalues_at,
     hopf_point,
     hurwitz_classify,
+    hurwitz_codes,
     hurwitz_factored,
     hurwitz_value,
     instability_region_bounds,
@@ -42,10 +44,11 @@ from hematodyn import (
     regime_table,
     stability_report,
     stability_reports,
+    steady_state_E0,
     steady_state_E1,
     steady_state_E2,
 )
-from hematodyn.stability import _basic_coeffs_rescaled, _extended_coeffs
+from hematodyn.stability import MARGINAL_TOL, _basic_coeffs_rescaled, _extended_coeffs
 
 
 def numpy_char_coeffs(params, state):
@@ -58,6 +61,33 @@ def numpy_char_coeffs(params, state):
         b2 += np.linalg.det(jac[np.ix_(rows, rows)])
     b3 = -np.linalg.det(jac)
     return b1, b2, b3
+
+
+def ndarray_char_coeffs(params, state):
+    """The 9-entry expressions on the ndarray of `jacobian`, as numpy scalars."""
+    j = jacobian(params, state)
+    b1 = -(j[0, 0] + j[1, 1] + j[2, 2])
+    b2 = (
+        (j[1, 1] * j[2, 2] - j[1, 2] * j[2, 1])
+        + (j[0, 0] * j[2, 2] - j[0, 2] * j[2, 0])
+        + (j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0])
+    )
+    det = (
+        j[0, 0] * (j[1, 1] * j[2, 2] - j[1, 2] * j[2, 1])
+        - j[0, 1] * (j[1, 0] * j[2, 2] - j[1, 2] * j[2, 0])
+        + j[0, 2] * (j[1, 0] * j[2, 1] - j[1, 1] * j[2, 0])
+    )
+    return float(b1), float(b2), float(-det)
+
+
+def numpy_hurwitz_codes(h, prod):
+    """Reference: the Hurwitz class rule written with numpy calls."""
+    marginal = np.abs(h) <= MARGINAL_TOL * np.maximum(1.0, np.abs(prod))
+    return np.where(marginal, 2, np.where(h > 0.0, 0, 1))
+
+
+def bits(*values):
+    return struct.pack(f"<{len(values)}d", *values)
 
 
 class TestBetaGamma:
@@ -259,6 +289,92 @@ class TestHurwitzClassify:
                 assert top < 0.0
             elif verdict == "unstable":
                 assert top > 0.0
+
+
+class TestHurwitzCodes:
+    @staticmethod
+    def edge_pairs():
+        # margins at and a few ulps either side of both thresholds, signed
+        # zeros, infinities and NaN, against products below, at and above 1
+        prods = [0.0, -0.0, 0.5, -0.5, 1.0, 3.7, -3.7, 1e10, 1e300, math.inf, -math.inf]
+        hs = [0.0, -0.0, 1.0, -1.0, 1e-300, math.inf, -math.inf, math.nan]
+        for threshold in {MARGINAL_TOL * max(1.0, abs(p)) for p in prods} | {MARGINAL_TOL}:
+            for steps in range(-3, 4):
+                x = threshold
+                for _ in range(abs(steps)):
+                    x = math.nextafter(x, math.inf if steps > 0 else 0.0)
+                hs += [x, -x]
+        prods += [math.nan]
+        return [(h, p) for h in hs for p in prods]
+
+    @staticmethod
+    def differs(h, prod):
+        # the one known difference: a margin within MARGINAL_TOL of zero with
+        # a NaN product is marginal now, since |h| <= tol is tested apart from
+        # |h| <= tol*|prod|; the numpy rule took max(1, NaN) = NaN and went by
+        # the sign of h. No caller passes such a pair. hurwitz_classify and
+        # the sweep take h = prod - b3, NaN with prod. In
+        # _classify_by_eigenvalues a NaN prod = max(|z|) means the first
+        # eigenvalue has a NaN part; solve_cubic's Newton polish turns that
+        # into a NaN real part, so h = -(largest real part) is NaN as well.
+        return abs(h) <= MARGINAL_TOL and math.isnan(prod)
+
+    def test_matches_numpy_rule_on_edges(self):
+        pinned = 0
+        for h, prod in self.edge_pairs():
+            want = int(numpy_hurwitz_codes(h, prod))
+            got = hurwitz_codes(h, prod)
+            assert type(got) is int
+            if self.differs(h, prod):
+                assert (want, got) == (0 if h > 0.0 else 1, 2)
+                pinned += 1
+            else:
+                assert got == want, (h, prod)
+        assert pinned == 11  # +-0.0, 1e-300, and +-tol with its three ulp neighbours below
+
+    def test_matches_numpy_rule_on_arrays_and_floats(self):
+        rng = np.random.default_rng(211)
+        edges = [pair for pair in self.edge_pairs() if not self.differs(*pair)]
+        edge_h, edge_prod = np.array(edges).T
+        # seeded margins spanning the marginal band, with products of any sign
+        prod = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-3.0, 6.0, 4000)
+        h = rng.normal(size=4000) * MARGINAL_TOL * 10.0 ** rng.uniform(-1.0, 7.0, 4000)
+        h, prod = np.concatenate([h, edge_h]), np.concatenate([prod, edge_prod])
+        want = numpy_hurwitz_codes(h, prod)
+        assert np.array_equal(hurwitz_codes(h, prod), want)
+        assert set(np.unique(want).tolist()) == {0, 1, 2}
+        assert [hurwitz_codes(x, y) for x, y in zip(h.tolist(), prod.tolist())] == want.tolist()
+
+
+class TestFloatPath:
+    @staticmethod
+    def draws():
+        rng = np.random.default_rng(212)
+        for _ in range(200):
+            # a2 on both sides of 1/2, so that E1 exists for about half the draws
+            params = draw_basic_admissible(rng).with_(a2=rng.uniform(0.02, 0.98))
+            yield params
+            yield draw_extended_admissible(rng)
+
+    def test_char_poly_at_has_the_ndarray_bits(self):
+        seen = set()
+        for params in self.draws():
+            for eq in (steady_state_E0(), steady_state_E1(params), steady_state_E2(params)):
+                if eq is None:
+                    continue
+                seen.add(eq.label)
+                c = char_poly_at(params, eq.state)
+                assert bits(c.b1, c.b2, c.b3) == bits(*ndarray_char_coeffs(params, eq.state))
+        assert seen == {"E0", "E1", "E2"}
+
+    def test_reports_hold_python_floats_and_complexes(self):
+        for params in self.draws():
+            for report in stability_reports(params).values():
+                if report.equilibrium is None:
+                    continue
+                values = (report.coeffs.b1, report.coeffs.b2, report.coeffs.b3, report.hurwitz)
+                assert [type(v) for v in values] == [float] * 4
+                assert [type(z) for z in report.eigenvalues] == [complex] * 3
 
 
 class TestFactoredIdentity:

@@ -138,8 +138,10 @@ class TestAxisSpec:
             AxisSpec(name="d3", low=0.5, high=1.0, count=count)
 
     def test_leaving_plausible_range_warns(self):
-        with pytest.warns(UserWarning, match="plausible range"):
+        with pytest.warns(UserWarning, match="plausible range") as record:
             AxisSpec(name="d3", low=0.5, high=5.0)
+        # the warning names the AxisSpec(...) call, not the generated __init__
+        assert record[0].filename == __file__
 
     def test_grid_nudges_open_endpoints_inward(self):
         axis = axis_for("d3")
