@@ -9,6 +9,8 @@ __all__ = ["solve_cubic"]
 
 # relative threshold below which the discriminant is treated as zero
 _DISC_TOL = 1e-14
+# 2*pi*k for k = 1, 2 is _TWO_PI and 2.0*_TWO_PI, both exact
+_TWO_PI = 2.0 * math.pi
 
 
 def _cbrt(x: float) -> float:
@@ -59,16 +61,18 @@ def solve_cubic(b: float, c: float, d: float) -> Tuple[complex, complex, complex
         # boundary: repeated roots
         y1 = 3.0 * qn / pn * s        # simple root
         y2 = -1.5 * qn / pn * s       # double root
-        roots = tuple(complex(y - shift) for y in (y1, y2, y2))
+        r0 = complex(y1 - shift)
+        r1 = r2 = complex(y2 - shift)
     elif disc > 0.0:
-        # three distinct real roots
+        # three distinct real roots, at angles (phi - 2*pi*k)/3 for k = 0, 1, 2
         m = 2.0 * math.sqrt(-pn / 3.0)
         arg = 3.0 * qn / (pn * m)
         arg = min(1.0, max(-1.0, arg))
         phi = math.acos(arg)
-        roots = tuple(
-            complex(s * m * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift) for k in range(3)
-        )
+        sm = s * m
+        r0 = complex(sm * math.cos(phi / 3.0) - shift)
+        r1 = complex(sm * math.cos((phi - _TWO_PI) / 3.0) - shift)
+        r2 = complex(sm * math.cos((phi - 2.0 * _TWO_PI) / 3.0) - shift)
     else:
         # one real root and a conjugate pair
         rad = math.sqrt(qn * qn / 4.0 + pn * pn * pn / 27.0)
@@ -78,10 +82,8 @@ def solve_cubic(b: float, c: float, d: float) -> Tuple[complex, complex, complex
         v = -pn / (3.0 * u) if u != 0.0 else _cbrt(-qn / 2.0 - rad)
         y_re = s * (u + v)
         y_im = s * (math.sqrt(3.0) / 2.0) * (u - v)
-        roots = (
-            complex(y_re - shift),
-            complex(-y_re / 2.0 - shift, y_im),
-            complex(-y_re / 2.0 - shift, -y_im),
-        )
+        r0 = complex(y_re - shift)
+        r1 = complex(-y_re / 2.0 - shift, y_im)
+        r2 = complex(-y_re / 2.0 - shift, -y_im)
 
-    return tuple(_polish(r, b, c, d) for r in roots)  # type: ignore[return-value]
+    return _polish(r0, b, c, d), _polish(r1, b, c, d), _polish(r2, b, c, d)

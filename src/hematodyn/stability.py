@@ -180,6 +180,11 @@ def char_poly_E2(params: ModelParameters) -> CharPolyCoeffs:
     """
     if steady_state_E2(params) is None:
         raise ValueError("the positive steady state does not exist for these parameters")
+    return _char_poly_E2(params)
+
+
+def _char_poly_E2(params: ModelParameters) -> CharPolyCoeffs:
+    # `char_poly_E2` without its existence check, for a caller that has found E2
     if params.is_basic:
         p1 = params.p1
         b1, b2, b3 = _basic_coeffs_rescaled(
@@ -286,18 +291,23 @@ def hopf_point(a1: float, a2: float, d3: float, p1: float = 1.0) -> HopfReport:
     )
 
 
+def _sorted_roots(c: CharPolyCoeffs) -> Tuple[complex, complex, complex]:
+    # the roots of c by real part descending, then imaginary part descending
+    roots = solve_cubic(c.b1, c.b2, c.b3)
+    return tuple(sorted(roots, key=lambda z: (-z.real, -z.imag)))  # type: ignore[return-value]
+
+
 def eigenvalues_at(
     params: ModelParameters, equilibrium: SteadyState
 ) -> Tuple[complex, complex, complex]:
     """Eigenvalues at a steady state, sorted by real part descending.
 
-    Closed-form cubic solve of the characteristic polynomial; ties in the
+    The closed-form cubic roots of `char_poly_at` at the state; ties in the
     real part are broken by descending imaginary part, so a conjugate pair
-    appears as (mu + i*omega, mu - i*omega).
+    appears as (mu + i*omega, mu - i*omega). `stability_report` gives the
+    same tuple, bit for bit.
     """
-    c = char_poly_at(params, equilibrium.state)
-    roots = solve_cubic(c.b1, c.b2, c.b3)
-    return tuple(sorted(roots, key=lambda z: (-z.real, -z.imag)))  # type: ignore[return-value]
+    return _sorted_roots(char_poly_at(params, equilibrium.state))
 
 
 def _classify_by_eigenvalues(eigenvalues) -> str:
@@ -309,8 +319,12 @@ def _classify_by_eigenvalues(eigenvalues) -> str:
 def stability_report(params: ModelParameters, label: str) -> StabilityReport:
     """Full report (coefficients, eigenvalues, classification) for one state.
 
-    E2 is classified through the Routh-Hurwitz sign; E0 and E1 through
-    eigenvalue real parts (their b1, b3 need not be positive).
+    The eigenvalues are those of `eigenvalues_at`. E0 and E1 report the
+    `char_poly_at` coefficients their eigenvalues are the roots of, and are
+    classified by the eigenvalue real parts (their b1, b3 need not be
+    positive). E2 reports the closed-form `char_poly_E2` coefficients and is
+    classified by their Routh-Hurwitz sign. Each polynomial is built once,
+    and E2's existence is checked once.
     """
     if label == "E0":
         eq = steady_state_E0()
@@ -322,11 +336,13 @@ def stability_report(params: ModelParameters, label: str) -> StabilityReport:
         raise ValueError(f"unknown steady state label {label!r}")
     if eq is None:
         return StabilityReport(label, None, None, None, None, NONEXISTENT)
-    coeffs = char_poly_E2(params) if label == "E2" else char_poly_at(params, eq.state)
-    eigenvalues = eigenvalues_at(params, eq)
+    at_state = char_poly_at(params, eq.state)
+    eigenvalues = _sorted_roots(at_state)
     if label == "E2":
+        coeffs = _char_poly_E2(params)
         classification = hurwitz_classify(coeffs)
     else:
+        coeffs = at_state
         classification = _classify_by_eigenvalues(eigenvalues)
     return StabilityReport(
         label=label,

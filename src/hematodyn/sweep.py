@@ -19,7 +19,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -186,8 +186,10 @@ class SweepSpec:
 class SweepResult:
     """Per-point flags in C grid order (last axis fastest) plus aggregates.
 
-    hurwitz holds NaN where the positive state does not exist. Content and
-    ordering are deterministic for a given spec.
+    Point i sits at np.unravel_index(i, spec.shape) on the axis grids, and
+    its class is CLASS_NAMES[class_codes[i]]. hurwitz holds NaN where the
+    positive state does not exist. Content and ordering are deterministic
+    for a given spec.
     """
 
     spec: SweepSpec
@@ -203,22 +205,6 @@ class SweepResult:
     @property
     def n_points(self) -> int:
         return int(self.exists.size)
-
-    def point_at(self, index: int) -> Tuple[float, ...]:
-        multi = np.unravel_index(index, self.spec.shape)
-        return tuple(float(g[i]) for g, i in zip(self._grids, multi))
-
-    def classification_at(self, index: int) -> str:
-        return CLASS_NAMES[self.class_codes[index]]
-
-    def iter_rows(self) -> Iterator[Tuple[Tuple[float, ...], bool, float, str]]:
-        for i in range(self.n_points):
-            yield (
-                self.point_at(i),
-                bool(self.exists[i]),
-                float(self.hurwitz[i]),
-                self.classification_at(i),
-            )
 
 
 def _eval_columns(cols):

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -462,6 +463,23 @@ class TestConstellations:
 STABILITY_REFERENCE_DIGEST = "e2b85c290ca3771c2c128d44c71fd8cd8c4dd260efc71d1562421fda4330a913"
 
 
+def seeded_stability_argv(count, seed):
+    """`stability` argv drawn over the benchmark's query ranges; every other one extended."""
+    rng = random.Random(seed)
+    u = rng.uniform
+    drawn = []
+    for index in range(count):
+        values = dict(a1=u(0.6, 0.95), a2=u(0.2, 0.98), p1=u(0.05, 1.0), p2=u(0.01, 1.0),
+                      d3=u(0.1, 3.0), k=10.0 ** u(-9.5, -7.5))
+        if index % 2:
+            values.update(d1=u(0.0, 0.05), d2=u(0.0, 1.0))
+        argv = ["stability"]
+        for key, value in values.items():
+            argv += ["--set", f"{key}={value!r}"]
+        drawn.append(argv)
+    return drawn
+
+
 class TestGoldenOutput:
     # SHA-256 of stdout, frozen from the release before the parameter names
     # and the reference set moved into hematodyn.model
@@ -491,6 +509,17 @@ class TestGoldenOutput:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_seeded_stability_digest(self, capsys):
+        # one SHA-256 over the exit code and stdout of 300 seeded calls
+        digest = hashlib.sha256()
+        for argv in seeded_stability_argv(300, seed=7919):
+            code, out, _ = run(capsys, *argv)
+            digest.update(b"%d\n" % code)
+            digest.update(out.encode("utf-8"))
+        assert digest.hexdigest() == (
+            "12416a107e614a73b8cb4510d952bf5d0d47ff2bfc69c8edc8221fcdea51eadb"
+        )
 
 
 def eager_parser():

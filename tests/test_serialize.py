@@ -60,7 +60,8 @@ class TestDumps:
         assert lines[1].startswith('  "z"')
 
     def test_mixed_payload_bytes(self):
-        # every value kind the reports hold, pinned byte for byte
+        # every value kind the reports hold, pinned byte for byte, both as a
+        # list item and directly under a dict key
         payload = {
             'é"': 'é"',
             "f": [math.nan, math.inf, -math.inf, np.float64(0.1), 1.5],
@@ -70,13 +71,27 @@ class TestDumps:
             "l": [],
             "d": {},
             "t": (2, "x"),
+            "nan": math.nan,
+            "inf": math.inf,
+            "-inf": -math.inf,
+            "zero": -0.0,
+            "np": np.float64(-2.5),
+            "yes": True,
+            "none": None,
+            "int": 7,
+            "s": "é",
+            "nest": [{"in": [-0.0, "y", 0.25]}, 3],
         }
         assert dumps(payload) == (
             '{\n  "\\u00e9\\"": "\\u00e9\\"",\n'
             '  "f": [\n    NaN,\n    Infinity,\n    -Infinity,\n    0.10000000000000001,\n    1.5\n  ],\n'
             '  "b": [\n    true,\n    false\n  ],\n'
             '  "i": -3,\n  "n": null,\n  "l": [],\n  "d": {},\n'
-            '  "t": [\n    2,\n    "x"\n  ]\n}\n'
+            '  "t": [\n    2,\n    "x"\n  ],\n'
+            '  "nan": NaN,\n  "inf": Infinity,\n  "-inf": -Infinity,\n  "zero": -0,\n'
+            '  "np": -2.5,\n  "yes": true,\n  "none": null,\n  "int": 7,\n  "s": "\\u00e9",\n'
+            '  "nest": [\n    {\n      "in": [\n        -0,\n        "y",\n        0.25\n'
+            '      ]\n    },\n    3\n  ]\n}\n'
         )
 
     @given(st.text())

@@ -536,6 +536,27 @@ class TestReports:
         assert reports["E2"].classification == "stable"
         assert reports["E0"].classification == "unstable"
 
+    @pytest.mark.parametrize("draw", [draw_basic_admissible, draw_extended_admissible],
+                             ids=["basic", "extended"])
+    def test_reports_match_public_route(self, draw):
+        # a report's coefficients and eigenvalues are what the public functions
+        # give, bit for bit (repr keeps the sign of a zero)
+        rng = np.random.default_rng(43)
+        e1_exists = set()
+        for _ in range(300):
+            params = draw(rng)
+            reports = stability_reports(params)
+            e1_exists.add(reports["E1"].equilibrium is not None)
+            for label, report in reports.items():
+                eq = report.equilibrium
+                if eq is None:
+                    continue
+                expected = eigenvalues_at(params, eq)
+                assert [repr(z) for z in report.eigenvalues] == [repr(z) for z in expected]
+                coeffs = char_poly_E2(params) if label == "E2" else char_poly_at(params, eq.state)
+                assert repr(report.coeffs) == repr(coeffs)
+        assert e1_exists == {True, False}
+
     def test_nonexistent_reported_as_such(self):
         params = ModelParameters(a1=0.4, a2=0.3, p1=1.0, p2=0.5, d3=0.5, k=1e-9)
         reports = stability_reports(params)

@@ -48,13 +48,20 @@ from hematodyn.stability import CLASS_NAMES
 from hematodyn.sweep import _CHUNK
 
 
+def point_at(grids, shape, index):
+    """Coordinates of the grid point at a flat index (C order, last axis fastest)."""
+    return tuple(float(g[i]) for g, i in zip(grids, np.unravel_index(index, shape)))
+
+
 def reference_csv(result):
-    """Row-by-row CSV through the public accessors, the writer's oracle."""
+    """Row-by-row CSV from the axis grids and the result arrays, the writer's oracle."""
+    grids = [axis.grid() for axis in result.spec.varied]
     out = io.StringIO()
     out.write(",".join(result.spec.names) + ",e2_exists,hurwitz,class\n")
-    for coords, exists, h, label in result.iter_rows():
-        out.write(",".join("%.17g" % v for v in coords))
-        out.write(",%d,%.17g,%s\n" % (exists, h, label))
+    for index in range(result.n_points):
+        out.write(",".join("%.17g" % v for v in point_at(grids, result.spec.shape, index)))
+        label = CLASS_NAMES[result.class_codes[index]]
+        out.write(",%d,%.17g,%s\n" % (result.exists[index], result.hurwitz[index], label))
     return out.getvalue()
 
 
@@ -197,15 +204,18 @@ class TestRunSweep:
         if overrides:
             # the extended grids cross both the existence and the Hopf boundary
             assert min(result.counts[name] for name in ("stable", "unstable", "nonexistent")) > 0
+        grids = [axis.grid() for axis in axes]
         for index in range(result.n_points):
-            params = spec.fixed.with_(**dict(zip(spec.names, result.point_at(index))))
+            point = point_at(grids, spec.shape, index)
+            params = spec.fixed.with_(**dict(zip(spec.names, point)))
             exists = steady_state_E2(params) is not None
             assert result.exists[index] == exists
+            label = CLASS_NAMES[result.class_codes[index]]
             if not exists:
-                assert result.classification_at(index) == "nonexistent"
+                assert label == "nonexistent"
                 continue
             coeffs = char_poly_E2(params)
-            assert result.classification_at(index) == hurwitz_classify(coeffs)
+            assert label == hurwitz_classify(coeffs)
             assert result.hurwitz[index] == pytest.approx(hurwitz_value(coeffs), rel=1e-9)
 
     def test_three_parameter_box_contains_reported_unstable_point(self):
@@ -245,18 +255,23 @@ class TestRunSweep:
 
 
 class TestResultAccess:
-    def test_point_at_follows_c_order(self):
+    def test_flat_index_follows_c_order(self):
         spec = SweepSpec(varied=(axis_for("p1", 5), axis_for("d3", 4)))
         result = run_sweep(spec)
         g1 = spec.varied[0].grid()
         g2 = spec.varied[1].grid()
-        assert result.point_at(0) == (g1[0], g2[0])
-        assert result.point_at(7) == (g1[1], g2[3])
-        rows = list(result.iter_rows())
+        assert point_at((g1, g2), spec.shape, 0) == (g1[0], g2[0])
+        assert point_at((g1, g2), spec.shape, 7) == (g1[1], g2[3])
+        # the arrays hold point 7's values, and the CSV writes them on row 7
+        params = spec.fixed.with_(p1=g1[1], d3=g2[3])
+        assert result.hurwitz[7] == pytest.approx(hurwitz_value(char_poly_E2(params)), rel=1e-9)
+        out = io.StringIO()
+        write_sweep_csv(result, out)
+        rows = out.getvalue().splitlines()[1:]
         assert len(rows) == 20
-        coords, exists, h, label = rows[7]
-        assert coords == result.point_at(7)
-        assert label == result.classification_at(7)
+        cells = rows[7].split(",")
+        assert (float(cells[0]), float(cells[1])) == (g1[1], g2[3])
+        assert cells[-1] == CLASS_NAMES[result.class_codes[7]]
 
     def test_csv_layout(self):
         spec = SweepSpec(varied=(axis_for("d3", 3),))
