@@ -113,14 +113,14 @@ def _extrema(times: np.ndarray, values: np.ndarray, sign: float):
         hits = np.nonzero((inner >= values[:-2]) & (inner > values[2:]))[0] + 1
     else:
         hits = np.nonzero((inner <= values[:-2]) & (inner < values[2:]))[0] + 1
+    # each hit with its two neighbors, refined on Python floats, which
+    # round as numpy scalars do
+    around = hits[:, None] + np.arange(-1, 2)
     out_t, out_v = [], []
-    for i in hits:
-        t_star, v_star = _refine_extremum(
-            times[i - 1], times[i], times[i + 1],
-            values[i - 1], values[i], values[i + 1], sign,
-        )
-        out_t.append(float(t_star))
-        out_v.append(float(v_star))
+    for (t0, t1, t2), (v0, v1, v2) in zip(times[around].tolist(), values[around].tolist()):
+        t_star, v_star = _refine_extremum(t0, t1, t2, v0, v1, v2, sign)
+        out_t.append(t_star)
+        out_v.append(v_star)
     return out_t, out_v
 
 
@@ -183,6 +183,16 @@ def _relative_distance(state_row, reference) -> float:
     return float(np.sqrt(diff @ diff) / max(float(np.sqrt(reference @ reference)), 1.0))
 
 
+def _relative_distances(states: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    # `_relative_distance` of every row in one pass. The stacked matmul
+    # takes each row's diff @ diff as the same dot product, so every
+    # distance has its bits; (diff * diff).sum(1) and einsum add in
+    # another order and do not.
+    diff = states - reference
+    squares = (diff[:, None, :] @ diff[:, :, None]).ravel()
+    return np.sqrt(squares) / max(float(np.sqrt(reference @ reference)), 1.0)
+
+
 def classify(
     params: ModelParameters,
     initial: CellState,
@@ -201,7 +211,7 @@ def classify(
     from `default_horizon` does. Integration failures propagate. An
     output_stride that leaves fewer than 3 samples in the kept tail or in
     the trailing 5 % of the horizon is a ValueError, raised before
-    integrating.
+    integrating. The run to the horizon is `integrate`'s, without a mark.
     """
     return _classify(
         params, initial, horizon,
@@ -222,9 +232,11 @@ def _classify(
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-3,
     output_stride: Optional[float] = None,
+    marked: bool = False,
 ) -> Tuple[AttractorVerdict, Optional[CellState]]:
-    # `classify`, which also returns the run's state at horizon / 2 (the
-    # `marked` state of `integrate`, None where that cannot be read off)
+    # `classify`, which with marked=True also returns the run's state at
+    # horizon / 2 (the `marked` state of `integrate`, None where that
+    # cannot be read off, and always None with marked=False)
     # every setting follows the number rule before anything is integrated:
     # NaN fails every tolerance comparison below and infinity passes every
     # one, and either would yield a plausible-looking verdict
@@ -255,7 +267,7 @@ def _classify(
             raise ValueError(
                 f"output_stride {stride} leaves {count} sample(s) in {part}; classify needs at least 3"
             )
-    traj = integrate(params, initial, config, mark=0.5 * t_end)
+    traj = integrate(params, initial, config, mark=0.5 * t_end if marked else None)
     keep = traj.times >= keep_from
     window = traj.times >= window_from
 
@@ -269,7 +281,8 @@ def _classify(
     best_label = None
     best_worst = math.inf
     for label, ref in targets:
-        worst = max(_relative_distance(row, ref) for row in tail_states)
+        # max over Python floats, as the row-by-row test took it
+        worst = max(_relative_distances(tail_states, ref).tolist())
         if worst < best_worst:
             best_worst = worst
             best_label = label

@@ -221,7 +221,9 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
     shorter run takes no samples, so it keeps that step) or when those
     last steps raise IntegrationError. Samples are evaluated a block of
     steps after they are taken, so a dip can come to light after the mark
-    is passed; the state kept there is then dropped.
+    is passed; the state kept there is then dropped. A mark costs one
+    more short run of the step loop; the constellation audit's restarts
+    ask for one, and `classify` does not.
     """
     if not isinstance(initial, CellState):
         raise TypeError(f"initial must be a CellState, got {type(initial).__name__}")
@@ -440,7 +442,11 @@ def _advance(params, f, config, t_end, stride, mark, state):
             t_new = t + h
 
             if next_sample <= t_new:
-                end = bisect_right(grid_list, t_new, next_index)
+                # most sampling steps own one sample; the grid is closed by
+                # inf, so grid_list[end] exists
+                end = next_index + 1
+                if grid_list[end] <= t_new:
+                    end = bisect_right(grid_list, t_new, end)
                 if not in_step and low < abs_tol:
                     kept, replay = _flush(records, grid, rows, kept, band)
                     if replay is not None:
@@ -541,7 +547,8 @@ def _flush(records, grid, rows, kept, band):
     if not records:
         return kept, None
     # one row per record field and one column per record, each row contiguous
-    block = np.frombuffer(bytes(records)).reshape(-1, _RECORD.size // 8).T.copy()
+    # the copy ends the view of records, which can then be cleared
+    block = np.frombuffer(records).reshape(-1, _RECORD.size // 8).T.copy()
     records.clear()
     counts = block[26].astype(np.intp)
     owner = np.repeat(np.arange(counts.size), counts)

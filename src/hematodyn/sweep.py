@@ -360,7 +360,7 @@ def _classify_from_equilibrium(params) -> Optional[AttractorVerdict]:
     state = eq.state
     start = CellState(1.25 * state.u1, 1.25 * state.u2, 1.25 * state.u3)
     horizon = default_horizon(params)
-    verdict, marked = _classify(params, start, horizon)
+    verdict, marked = _classify(params, start, horizon, marked=True)
     attempts = 0
     # weakly unstable sets drift off the equilibrium slowly; each restart
     # starts from the state the run just judged reached at half its horizon
@@ -372,7 +372,7 @@ def _classify_from_equilibrium(params) -> Optional[AttractorVerdict]:
         attempts += 1
         horizon *= 2.0
         start = marked if marked is not None else _last_state(params, start, horizon / 4.0)
-        verdict, marked = _classify(params, start, horizon)
+        verdict, marked = _classify(params, start, horizon, marked=True)
     return verdict
 
 

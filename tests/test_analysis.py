@@ -27,6 +27,7 @@ from hematodyn import (
     oscillation_report,
     rhs,
     steady_state_E2,
+    steady_states,
 )
 
 # classify's own settings, which it checks by name before integrating
@@ -230,6 +231,63 @@ class TestClassify:
     def test_transient_fraction_validated(self):
         with pytest.raises(ValueError):
             classify(showcase_params(p2=0.5), SHOWCASE_IC_SETTLING, transient_fraction=1.0)
+
+
+def _bits(state):
+    return tuple(v.hex() for v in state.as_tuple())
+
+
+class TestMark:
+    def test_public_classify_asks_for_no_mark(self, monkeypatch):
+        marks = []
+
+        def spy(*args, **kwargs):
+            marks.append(kwargs.get("mark"))
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "integrate", spy)
+        verdict = classify(showcase_params(p2=0.3), SHOWCASE_IC_CYCLE_HIGH)
+        assert verdict.kind == "limit_cycle"
+        assert marks == [None]
+
+    @pytest.mark.parametrize("params, start", [
+        (showcase_params(p2=0.3), SHOWCASE_IC_CYCLE_HIGH),
+        (showcase_params(p2=0.5), SHOWCASE_IC_SETTLING),
+        (CN_A, CellState(*(1.25 * v for v in steady_state_E2(CN_A).state.as_tuple()))),
+    ], ids=["showcase-cycle", "showcase-settling", "extended"])
+    def test_marked_state_is_the_end_of_the_run_to_half_the_horizon(self, params, start):
+        # the constellation audit restarts from it instead of integrating
+        # that half again
+        horizon = default_horizon(params)
+        verdict, marked = analysis._classify(params, start, horizon, marked=True)
+        assert verdict == classify(params, start, horizon)
+        half = integrate(params, start, IntegrationConfig(t_end=horizon / 2.0, output_stride=horizon / 2.0))
+        assert _bits(marked) == _bits(half.final)
+        assert analysis._classify(params, start, horizon) == (verdict, None)
+
+
+class TestSettleDistances:
+    # E0, E1 and E2 all exist: d2 lies below (2 * a2 - 1) * p2
+    PARAMS = ModelParameters(a1=0.85, a2=0.841, p1=1.0, p2=0.4, d1=0.01, d2=0.1, d3=0.36765, k=3.5e-8)
+
+    @pytest.mark.parametrize("scale", [1e7, 1e11, 1e12], ids=["scale-1e7", "scale-1e11", "scale-1e12"])
+    def test_stacked_distances_have_the_bits_of_relative_distance(self, scale):
+        # the settle test's one array pass against the row-by-row form; E0's
+        # zero reference takes the 1.0 floor of the norm
+        targets = steady_states(self.PARAMS)
+        assert [eq.label for eq in targets] == ["E0", "E1", "E2"]
+        rng = np.random.default_rng(2301)
+        rows = rng.uniform(0.0, scale, (4000, 3))
+        rows[rng.random((4000, 3)) < 0.1] = 0.0
+        rows[:3] = 0.0
+        for eq in targets:
+            ref = eq.state.as_array()
+            # rows on and next to the reference, and the reference scaled up
+            near = ref * rng.uniform(0.999, 1.001, (500, 3))
+            states = np.vstack([rows, ref, near, ref * scale / max(ref.max(), 1.0)])
+            got = analysis._relative_distances(states, ref).tolist()
+            want = [analysis._relative_distance(row, ref) for row in states]
+            assert [v.hex() for v in got] == [v.hex() for v in want], eq.label
 
 
 class _Integrated(Exception):

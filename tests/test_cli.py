@@ -480,6 +480,38 @@ def seeded_stability_argv(count, seed):
     return drawn
 
 
+def seeded_classify_argv(seed):
+    """30 `classify` argv: 12 showcase cycles in the benchmark's ranges, 8
+    settling starts above the onset, 8 extended sets with E1 and E2, and 2
+    sets without E2 whose stem line washes out."""
+    rng = random.Random(seed)
+    u = rng.uniform
+    drawn = []
+    for index in range(30):
+        if index < 12:
+            values = dict(SHOWCASE_BASE, p2=0.3 * u(0.98, 1.02), d3=0.1337 * u(0.98, 1.02))
+            start = SHOWCASE_IC_CYCLE_HIGH.as_tuple()
+        elif index < 20:
+            values = dict(SHOWCASE_BASE, p2=u(0.45, 0.6))
+            start = SHOWCASE_IC_SETTLING.as_tuple()
+        elif index < 28:
+            values = dict(a1=0.85, a2=0.841, p1=1.0, p2=u(0.35, 0.45), d1=u(0.0, 0.02),
+                          d2=u(0.05, 0.2), d3=u(0.3, 0.4), k=3.5e-8)
+            start = (3.0e6, 1.0e7, 3.0e7)
+        else:
+            values = dict(SHOWCASE_BASE, a1=u(0.4, 0.48), p2=u(0.25, 0.55))
+            if index == 29:
+                values["a2"] = u(0.2, 0.4)
+            start = SHOWCASE_IC_CYCLE_HIGH.as_tuple()
+        for name, base in zip(("u1", "u2", "u3"), start):
+            values[name] = base * u(0.95, 1.05)
+        argv = ["classify"]
+        for key, value in values.items():
+            argv += ["--set", f"{key}={value!r}"]
+        drawn.append(argv)
+    return drawn
+
+
 class TestGoldenOutput:
     # SHA-256 of stdout, frozen from the release before the parameter names
     # and the reference set moved into hematodyn.model
@@ -519,6 +551,18 @@ class TestGoldenOutput:
             digest.update(out.encode("utf-8"))
         assert digest.hexdigest() == (
             "12416a107e614a73b8cb4510d952bf5d0d47ff2bfc69c8edc8221fcdea51eadb"
+        )
+
+    def test_seeded_classify_digest(self, capsys):
+        # one SHA-256 over the exit code and stdout of 30 seeded calls, with
+        # every verdict kind and E0, E1 and E2 as settle targets
+        digest = hashlib.sha256()
+        for argv in seeded_classify_argv(seed=4099):
+            code, out, _ = run(capsys, *argv)
+            digest.update(b"%d\n" % code)
+            digest.update(out.encode("utf-8"))
+        assert digest.hexdigest() == (
+            "01c4a9dc453b52f0331c7e1625f5d7cacb135f4d863017bc5891b8c9422eeee1"
         )
 
 

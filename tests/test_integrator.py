@@ -372,8 +372,18 @@ class TestDenseOutputBits:
         # zero state: every error estimate is exactly 0, so each step grows by fac_cap
         (REFERENCE_PARAMETERS, CellState(0.0, 0.0, 0.0), IntegrationConfig(t_end=50.0),
          "4804a3e643d0874bdec712673441f622ff50529f4aeffed37e28f8fe9bfeb81b"),
+        # every step is max_step = output_stride long, so t + h adds up as
+        # the sample grid does and each step's one sample lies on its end
+        (showcase_params(p2=0.3), SHOWCASE_IC_CYCLE_HIGH,
+         IntegrationConfig(t_end=60.0, initial_step=0.1, max_step=0.1, output_stride=0.1),
+         "d764b73a02076812f2287580c735e349f7cbc537b53c0609ed796940cc6c30c0"),
+        # every step is two strides long, and its second sample lies on its end
+        (showcase_params(p2=0.3), SHOWCASE_IC_CYCLE_HIGH,
+         IntegrationConfig(t_end=60.0, initial_step=0.125, max_step=0.125, output_stride=0.0625),
+         "c10579d1493eb015b7fe7f6ac2800ed6b3de756f8072c1dc957c9b63f322ac45"),
     ], ids=["showcase-fine-stride", "set8-extended", "clamp-and-dip",
-            "oversized-initial-step", "max-step-cap", "zero-state"])
+            "oversized-initial-step", "max-step-cap", "zero-state",
+            "one-sample-on-each-step-end", "two-samples-second-on-the-step-end"])
     def test_samples_are_pinned(self, params, initial, config, digest):
         assert _digest(integrate(params, initial, config)) == digest
 

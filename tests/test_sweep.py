@@ -449,8 +449,10 @@ class TestRestarts:
         judged = []
         classify_and_mark = sweep._classify
 
-        def undecided(params, start, horizon):
-            verdict, marked = classify_and_mark(params, start, horizon)
+        def undecided(params, start, horizon, **kwargs):
+            # the audit, and only the audit, asks for the state at horizon / 2
+            assert kwargs == {"marked": True}
+            verdict, marked = classify_and_mark(params, start, horizon, **kwargs)
             judged.append((start, horizon, marked))
             return AttractorVerdict(kind="undecided"), marked if keep_marked else None
 
