@@ -199,6 +199,10 @@ class IntegrationError(RuntimeError):
         self.state = state
         self.trajectory = trajectory
 
+    def __reduce__(self):
+        # the default rebuilds from self.args, the formatted message alone
+        return type(self), (self.reason, self.time, self.state, self.trajectory)
+
 
 def integrate(params: ModelParameters, initial: CellState, config: IntegrationConfig,
               *, mark: Optional[float] = None) -> Trajectory:

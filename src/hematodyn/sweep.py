@@ -7,7 +7,13 @@ coefficients. Oscillatory (Hopf) regions show up where the margin
 changes sign between adjacent points that both have an existing positive
 state. Evaluation is vectorized over fixed-size chunks; every point is
 computed from its own coordinates alone, so results are bit-identical
-however the grid is chunked.
+however the grid is chunked and however the work is split between
+processes.
+
+The two long jobs, the CSV text of a sweep and the constellation audit's
+classifications, run in lanes (`_lanes`): the calling process and up to
+one forked helper per further usable CPU take the next item in turn and
+the results come back in order.
 
 Stability does not depend on the feedback strength k, so k is not a
 sweepable axis; it only scales the steady-state cell counts.
@@ -15,8 +21,9 @@ sweepable axis; it only scales the steady-state cell counts.
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -277,37 +284,214 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _lanes(fn, n):
+    """Yield fn(0), ..., fn(n - 1) in order, computed in up to one lane per usable CPU.
+
+    The calling process is one lane; each other lane is a forked helper.
+    Every lane claims the lowest unclaimed index from one shared counter.
+    While the caller's next result has not arrived, the caller claims and
+    computes the next index itself, so it blocks only once every index is
+    claimed. Helpers only compute and send their values back; they write
+    to no file. An index whose helper raised or died is computed by the
+    caller, so the caller yields and raises exactly what the serial loop
+    would. With one usable CPU, one item, no fork start method, or a
+    second thread running, that serial loop runs in the caller and no
+    process starts. Every helper is joined before the generator returns,
+    raises or is closed.
+    """
+    helpers = min(_usable_cpus(), n) - 1
+    if helpers > 0:
+        import multiprocessing
+        import threading
+
+        # a daemonic process (a pool worker, say) may not start processes,
+        # and a fork copies no thread but every lock another thread holds
+        if (
+            "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1
+        ):
+            helpers = 0
+    if helpers <= 0:
+        for index in range(n):
+            yield fn(index)
+        return
+
+    import fcntl
+    import mmap
+
+    ctx = multiprocessing.get_context("fork")
+    lock = ctx.Lock()
+    # slot 0 is the next unclaimed index; slot i + 1 the lane that claimed i
+    # (0 for the caller, or not yet claimed)
+    shared = mmap.mmap(-1, 8 * (n + 1))
+    slots = memoryview(shared).cast("q")
+
+    def claim(lane):
+        with lock:
+            index = slots[0]
+            if index >= n:
+                return None
+            slots[0] = index + 1
+            slots[index + 1] = lane
+        return index
+
+    procs, readers, held = [], {}, {}
+    more = True  # the caller stops claiming once one of its own items raised
+
+    def compute(index):
+        nonlocal more
+        try:
+            held[index] = (True, fn(index))
+        except Exception as exc:
+            held[index] = (False, exc)
+            more = False
+
+    try:
+        for lane in range(1, helpers + 1):
+            reader, writer = ctx.Pipe(duplex=False)
+            # room for a whole CSV block, so that a helper goes on to its next
+            # item instead of waiting until the caller reads this one
+            with contextlib.suppress(AttributeError, OSError):
+                fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
+            # the helper closes its copies of every read end, so that it
+            # cannot block forever on a pipe that only it still reads
+            inherited = [reader, *readers.values()]
+            proc = ctx.Process(target=_lane, args=(fn, claim, lane, writer, inherited), daemon=True)
+            try:
+                proc.start()
+            except OSError:  # no fork to be had: the lanes started so far do the work
+                reader.close()
+                break
+            finally:
+                # started later, a helper must not hold this write end open,
+                # or the caller would never see this helper's end of file
+                writer.close()
+            procs.append(proc)
+            readers[lane] = reader
+        for index in range(n):
+            while index not in held:
+                lane = slots[index + 1]
+                if lane == 0:  # unclaimed as far as this process has seen
+                    nxt = claim(0)
+                    if nxt is not None:
+                        compute(nxt)
+                    continue
+                reader = readers.get(lane)
+                if reader is None:  # its helper is gone without delivering
+                    compute(index)
+                    continue
+                if more and not reader.poll():
+                    nxt = claim(0)
+                    if nxt is not None:
+                        compute(nxt)
+                        continue
+                try:
+                    held[index] = (True, reader.recv())
+                except (EOFError, OSError):
+                    readers.pop(lane).close()
+            ok, value = held.pop(index)
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for reader in readers.values():
+            reader.close()
+        for proc in procs:
+            proc.kill()  # whatever a helper still computes is not wanted
+            proc.join()
+        slots.release()
+        shared.close()
+
+
+def _lane(fn, claim, lane, writer, inherited):
+    """A helper's whole life: claim, compute and send until nothing is left.
+
+    It leaves through os._exit, so it never flushes or closes a copy of the
+    caller's files and buffers; an exception ends it quietly, and the
+    caller computes the index it held.
+    """
+    try:
+        for reader in inherited:
+            reader.close()
+        while True:
+            index = claim(lane)
+            if index is None:
+                break
+            writer.send(fn(index))
+    finally:
+        os._exit(0)
+
+
+def _row_coordinates(axes, grids, shape, start, stop):
+    """Coordinate text of rows start .. stop - 1, in C order (last axis fastest).
+
+    Each run of rows that shares its outer-axis values is one prefix
+    followed by a slice of the last axis. `axes` holds each axis's value
+    strings, or None for an axis formatted here as needed.
+    """
+    count = shape[-1]
+    last = axes[-1]
+    rows = []
+    for outer in range(start // count, (stop - 1) // count + 1):
+        lo = max(start - outer * count, 0)
+        hi = min(stop - outer * count, count)
+        tail = last[lo:hi] if last is not None else ["%.17g" % v for v in grids[-1][lo:hi].tolist()]
+        parts = []
+        rest = outer
+        for pos in range(len(shape) - 2, -1, -1):
+            rest, digit = divmod(rest, shape[pos])
+            parts.append(axes[pos][digit] if axes[pos] is not None else "%.17g" % grids[pos][digit])
+        if parts:
+            prefix = ",".join(reversed(parts)) + ","
+            rows += [prefix + text for text in tail]
+        else:
+            rows += tail
+    return rows
+
+
 def write_sweep_csv(result: SweepResult, fh) -> None:
     """Stream the per-point rows as CSV: coordinates, existence, margin, class.
 
     Floats use 17 significant digits and '.' decimals so two runs of the
     same sweep produce byte-identical files. Each block of `_CHUNK` rows is
-    formatted by one `%` call and written by one `fh.write`, so memory
-    stays bounded by the block size rather than the grid size.
+    formatted by one `%` call, in one of the lanes (`_lanes`), and written
+    by one `fh.write` in this process, in order, so memory stays bounded by
+    the block size rather than the grid size.
     """
     fh.write(",".join(result.spec.names) + ",e2_exists,hurwitz,class\n")
-    # each axis value is formatted once; the product runs the last axis
-    # fastest, the same C order as the flat result arrays
-    axes = [["%.17g" % value for value in grid.tolist()] for grid in result._grids]
-    coords = map(",".join, itertools.product(*axes))
+    grids, shape, total, chunk = result._grids, result.spec.shape, result.n_points, _CHUNK
+    # an axis of at most one block's values is formatted once; a longer one
+    # block by block, so no list of strings grows with the grid
+    axes = [["%.17g" % v for v in grid.tolist()] if grid.size <= chunk else None for grid in grids]
     # one row template per class code; run_sweep gives code 3 exactly where
     # E2 does not exist, so the class also fixes the e2_exists digit
     templates = [
         "%%s,%d,%%.17g,%s\n" % (name != NONEXISTENT, name) for name in CLASS_NAMES
     ]
-    for start in range(0, result.n_points, _CHUNK):
-        stop = start + _CHUNK
+
+    def block(number):
+        start = number * chunk
+        stop = min(start + chunk, total)
         codes = result.class_codes[start:stop].tolist()
         # coordinates go in as %s arguments, never into the format string,
         # so no text needs escaping
         args = [None] * (2 * len(codes))
-        args[0::2] = itertools.islice(coords, _CHUNK)
+        args[0::2] = _row_coordinates(axes, grids, shape, start, stop)
         args[1::2] = result.hurwitz[start:stop].tolist()
-        text = "".join([templates[k] for k in codes]) % tuple(args)
-        # the block's coordinate and margin objects go before the sink takes
-        # the text, so they do not add to the sink's own peak memory
-        del args
-        fh.write(text)
+        return "".join([templates[k] for k in codes]) % tuple(args)
+
+    with contextlib.closing(_lanes(block, -(-total // chunk))) as blocks:
+        for text in blocks:
+            fh.write(text)
 
 
 def sweep_summary(result: SweepResult) -> dict:
@@ -388,15 +572,17 @@ def check_constellations(run_classify: bool = True) -> Tuple[ConstellationReport
     classification, and (unless run_classify is False) the long-run
     verdict when started from a 25% overshoot of the positive state.
     """
+    overrides = [{} if index == 0 else dict(CONSTELLATIONS[index]) for index in range(10)]
+    sets = [REFERENCE_PARAMETERS.with_(**values) for values in overrides]
+    verdicts = [None] * len(sets)
+    if run_classify:
+        verdicts = list(_lanes(lambda index: _classify_from_equilibrium(sets[index]), len(sets)))
     reports = []
-    for index in range(0, 10):
-        overrides = {} if index == 0 else dict(CONSTELLATIONS[index])
-        params = REFERENCE_PARAMETERS.with_(**overrides)
+    for index, (params, verdict) in enumerate(zip(sets, verdicts)):
         report = stability_report(params, "E2")
-        verdict = _classify_from_equilibrium(params) if run_classify else None
         reports.append(
             ConstellationReport(
-                index, overrides, params, report.equilibrium is not None,
+                index, overrides[index], params, report.equilibrium is not None,
                 report.hurwitz, report.classification, verdict,
             )
         )

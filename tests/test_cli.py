@@ -719,6 +719,61 @@ class TestEntryPoints:
                                 capture_output=True, text=True, timeout=120, env=child_env())
         assert result.stderr == repr(loaded)
 
+    def test_multiprocessing_imported_only_for_lanes(self):
+        # point queries and an audit without classification start no helper
+        # and never load multiprocessing; only sweep and constellations do
+        script = (
+            "import io, os, sys, contextlib\n"
+            "import hematodyn\n"
+            "from hematodyn import cli\n"
+            "def no_fork():\n"
+            "    raise AssertionError('forked')\n"
+            "os.fork = no_fork\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['stability']) == 0\n"
+            f"    assert cli.main(['classify', *{SHOWCASE_CYCLE_SET!r}]) == 0\n"
+            "hematodyn.check_constellations(run_classify=False)\n"
+            "sys.stderr.write(repr('multiprocessing' in sys.modules))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True, timeout=120, env=child_env())
+        assert result.stderr == "False"
+
+    # a forked helper must not flush its copy of a buffered file or of stdout:
+    # both commands, run with helpers and stdout a pipe, give the serial bytes
+    LANES_SCRIPT = (
+        "import sys\n"
+        "from hematodyn import cli, sweep\n"
+        "sweep._usable_cpus = lambda: int(sys.argv[1])\n"
+        "sweep.default_horizon = lambda params: 300.0\n"  # a quick audit
+        "sys.stdout.write('buffered before the command\\n')\n"
+        "sys.exit(cli.main(sys.argv[2:]))\n"
+    )
+
+    def run_lanes(self, cpus, *argv):
+        result = subprocess.run([sys.executable, "-c", self.LANES_SCRIPT, str(cpus), *argv],
+                                capture_output=True, timeout=120, env=child_env())
+        assert (result.returncode, result.stderr) == (0, b"")
+        return result.stdout
+
+    def test_sweep_file_and_stdout_independent_of_lanes(self, tmp_path):
+        vary = "vary=p1:0.1:0.9:40;a2:0.1:0.9:40;d3:0.2:2.0:20"  # 32000 rows, 4 blocks
+        outputs = {}
+        for cpus in (1, 4):
+            path = tmp_path / f"sweep-{cpus}.csv"
+            stdout = self.run_lanes(cpus, "sweep", "--set", vary, "--out", str(path))
+            outputs[cpus] = (stdout, path.read_bytes())
+        assert outputs[4] == outputs[1]
+        stdout, csv = outputs[1]
+        assert stdout.startswith(b"buffered before the command\n{")
+        assert csv.count(b"\n") == 32001 and csv.count(b"p1,a2,d3,") == 1
+
+    def test_constellations_to_a_pipe_independent_of_lanes(self):
+        outputs = {cpus: self.run_lanes(cpus, "constellations") for cpus in (1, 4)}
+        assert outputs[4] == outputs[1]
+        assert outputs[1].count(b"buffered before the command\n") == 1
+        assert len(json.loads(outputs[1].split(b"\n", 1)[1])) == 10
+
     def test_console_script_failure_code(self):
         args = ["stability", "--config", "/nonexistent/x.cfg"]
         if shutil.which("hematodyn") is not None:

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -267,6 +268,21 @@ class TestFailureModes:
         assert err.reason == "step size underflow"
         assert err.time.hex() == "0x1.50f60e89b63f3p+2"
         assert len(err.trajectory) == 211
+
+    @pytest.mark.parametrize("partial", [False, True], ids=["no-trajectory", "trajectory"])
+    def test_error_survives_pickling(self, partial):
+        trajectory = Trajectory(np.array([0.0, 0.5]), np.array([[1.0, 2.0, 3.0], [1.5, 2.5, 3.5]]))
+        err = IntegrationError("step size underflow", 1.0, (1.0, 2.0, 3.0),
+                               trajectory if partial else None)
+        copy = pickle.loads(pickle.dumps(err))
+        assert type(copy) is IntegrationError
+        assert str(copy) == str(err) == "step size underflow at t=1.0, state=(1.0, 2.0, 3.0)"
+        assert (copy.reason, copy.time, copy.state) == (err.reason, err.time, err.state)
+        if partial:
+            assert np.array_equal(copy.trajectory.times, trajectory.times)
+            assert np.array_equal(copy.trajectory.states, trajectory.states)
+        else:
+            assert copy.trajectory is None
 
     def test_initial_state_type_checked(self):
         with pytest.raises(TypeError):

@@ -4,6 +4,10 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from hematodyn import (
     CONSTELLATIONS,
     CONSTELLATION_DIRECTIONS,
     IntegrationConfig,
+    IntegrationError,
     ModelParameters,
     PLAUSIBLE_INTERVALS,
     REFERENCE_PARAMETERS,
@@ -34,6 +39,7 @@ from hematodyn import (
     bifurcation_bracket,
     char_poly_E2,
     check_constellations,
+    constellation_report_to_dict,
     dumps,
     hopf_point,
     hurwitz_classify,
@@ -45,7 +51,7 @@ from hematodyn import (
     write_sweep_csv,
 )
 from hematodyn.stability import CLASS_NAMES
-from hematodyn.sweep import _CHUNK
+from hematodyn.sweep import _CHUNK, _lanes
 
 
 def point_at(grids, shape, index):
@@ -63,6 +69,23 @@ def reference_csv(result):
         label = CLASS_NAMES[result.class_codes[index]]
         out.write(",%d,%.17g,%s\n" % (result.exists[index], result.hurwitz[index], label))
     return out.getvalue()
+
+
+def assert_golden_digests():
+    # frozen from the row-by-row writer; 11339 points (not a multiple of
+    # the chunk size) with stable, unstable and nonexistent rows
+    axes = (axis_for("p1", 23), axis_for("a2", 29), axis_for("d3", 17))
+    result = run_sweep(SweepSpec(varied=axes))
+    assert result.n_points % _CHUNK != 0
+    assert result.counts["nonexistent"] > 0 and result.counts["unstable"] > 0
+    out = io.StringIO()
+    write_sweep_csv(result, out)
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == (
+        "126b9eaa56e83fc5d25930459a40908f8d1bb192b816a1abd8ac2298e3e47b7e"
+    )
+    assert hashlib.sha256(dumps(sweep_summary(result)).encode("utf-8")).hexdigest() == (
+        "30131a192ac8d9251bb257b0f565dc3f25bfb057eaf63ce61755bfb1ba7822d3"
+    )
 
 
 class RecordingSink:
@@ -283,20 +306,7 @@ class TestResultAccess:
         assert lines[1].endswith(",stable")
 
     def test_golden_digests(self):
-        # frozen from the row-by-row writer; 11339 points (not a multiple of
-        # the chunk size) with stable, unstable and nonexistent rows
-        axes = (axis_for("p1", 23), axis_for("a2", 29), axis_for("d3", 17))
-        result = run_sweep(SweepSpec(varied=axes))
-        assert result.n_points % _CHUNK != 0
-        assert result.counts["nonexistent"] > 0 and result.counts["unstable"] > 0
-        out = io.StringIO()
-        write_sweep_csv(result, out)
-        assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == (
-            "126b9eaa56e83fc5d25930459a40908f8d1bb192b816a1abd8ac2298e3e47b7e"
-        )
-        assert hashlib.sha256(dumps(sweep_summary(result)).encode("utf-8")).hexdigest() == (
-            "30131a192ac8d9251bb257b0f565dc3f25bfb057eaf63ce61755bfb1ba7822d3"
-        )
+        assert_golden_digests()
 
     @pytest.mark.parametrize("axes", [
         (("a2", 80),),
@@ -356,6 +366,187 @@ class TestResultAccess:
         assert summary["unstable"]["points_truncated"] is True
         assert set(summary["unstable"]["bounds"]) == {"p1", "a2", "d3"}
         assert [a["name"] for a in summary["axes"]] == ["p1", "a2", "d3"]
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """Set the usable-CPU count that _lanes sees; no helper may outlive a test."""
+    # with a second thread running, _lanes runs everything in the caller
+    assert threading.active_count() == 1
+
+    def use(cpus):
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+
+    yield use
+    assert multiprocessing.active_children() == []
+
+
+def caller_waits_first(fn, seconds=0.3):
+    """fn, except that the first item the calling process computes takes
+    `seconds` longer, so that the helpers claim every other index meanwhile."""
+    caller, slow = os.getpid(), []
+
+    def wrapped(index):
+        if os.getpid() == caller and not slow:
+            slow.append(index)
+            time.sleep(seconds)
+        return fn(index)
+
+    return wrapped
+
+
+def square(index):
+    return index, index * index
+
+
+def failing_at_4(marks, in_caller=True):
+    """square, except that index 4 raises an IntegrationError (in a helper
+    only, unless in_caller) and leaves a file named after the raising pid."""
+    caller = os.getpid()
+
+    def fn(index):
+        if index == 4 and (in_caller or os.getpid() != caller):
+            (marks / str(os.getpid())).touch()
+            raise IntegrationError("step size underflow", 1.5, (1.0, 2.0, 3.0))
+        return square(index)
+
+    return fn
+
+
+class TestLanes:
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 400])
+    def test_results_in_order(self, lanes, cpus, n):
+        lanes(cpus)
+        assert list(_lanes(square, n)) == [square(i) for i in range(n)]
+
+    def test_work_is_split_between_processes(self, lanes):
+        lanes(2)
+        pids = list(_lanes(caller_waits_first(lambda index: os.getpid()), 6))
+        assert len(set(pids)) == 2
+        assert pids.count(os.getpid()) == 1
+
+    @pytest.mark.parametrize("cpus, n, thread", [(1, 5, False), (2, 1, False), (2, 5, True)],
+                             ids=["one-cpu", "one-item", "second-thread"])
+    def test_no_process_for_one_cpu_one_item_or_a_thread(self, lanes, monkeypatch, cpus, n, thread):
+        lanes(cpus)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, daemon=True)
+        if thread:
+            other.start()
+        try:
+            assert list(_lanes(square, n)) == [square(i) for i in range(n)]
+        finally:
+            release.set()
+            if thread:
+                other.join(timeout=10.0)
+        assert not other.is_alive()
+
+    def test_exception_in_a_helper_is_raised_by_the_caller_as_serial(self, lanes, tmp_path):
+        with pytest.raises(IntegrationError) as serial:
+            list(_lanes(failing_at_4(tmp_path), 7))
+        (tmp_path / str(os.getpid())).unlink()
+        lanes(2)
+        got = []
+        with pytest.raises(IntegrationError) as info:
+            for value in _lanes(caller_waits_first(failing_at_4(tmp_path)), 7):
+                got.append(value)
+        # a helper met the failure first, and the caller met it again
+        assert sorted(path.name for path in tmp_path.iterdir()) != [str(os.getpid())]
+        assert len(list(tmp_path.iterdir())) == 2
+        assert got == [square(i) for i in range(4)]
+        err, ref = info.value, serial.value
+        assert type(err) is type(ref)
+        assert (str(err), err.args, err.reason, err.time, err.state, err.trajectory) == (
+            str(ref), ref.args, ref.reason, ref.time, ref.state, ref.trajectory)
+
+    def test_failure_only_in_a_helper_changes_nothing(self, lanes, tmp_path):
+        lanes(2)
+        fn = caller_waits_first(failing_at_4(tmp_path, in_caller=False))
+        assert list(_lanes(fn, 7)) == [square(i) for i in range(7)]
+        raised = [path.name for path in tmp_path.iterdir()]
+        assert len(raised) == 1 and raised != [str(os.getpid())]
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_helper_that_dies_changes_nothing(self, lanes, cpus):
+        lanes(cpus)
+        caller = os.getpid()
+
+        def dies_at_3(index):
+            if index == 3 and os.getpid() != caller:
+                os._exit(7)
+            return square(index)
+
+        assert list(_lanes(caller_waits_first(dies_at_3), 8)) == [square(i) for i in range(8)]
+
+    def test_consumer_closes_early(self, lanes):
+        lanes(2)
+        caller = os.getpid()
+
+        def slow_in_helpers(index):
+            if index > 0 and os.getpid() != caller:
+                time.sleep(60.0)
+            return square(index)
+
+        results = _lanes(slow_in_helpers, 6)
+        assert next(results) == square(0)
+        t0 = time.perf_counter()
+        results.close()
+        # the helper still in its item is stopped, not waited for
+        assert time.perf_counter() - t0 < 10.0
+
+    def test_writer_whose_sink_raises_stops_the_helpers(self, lanes, monkeypatch):
+        lanes(2)
+        monkeypatch.setattr(sweep, "_CHUNK", 100)
+        result = run_sweep(SweepSpec(varied=(axis_for("p1", 40), axis_for("d3", 30))))
+
+        class FullDisk:
+            def write(self, text):
+                if text.count("\n") > 1:
+                    raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_sweep_csv(result, FullDisk())
+
+
+class TestLaneCountInvariance:
+    # the usable-CPU count decides how many lanes run; bytes must not move
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("chunk, axes", [
+        (5, (("a2", 23),)),
+        (5, tuple((name, 2) for name in PLAUSIBLE_INTERVALS)),
+        (5, (("p1", 7), ("a2", 6))),
+        (_CHUNK, (("a2", 3 * _CHUNK // 2),)),
+        (_CHUNK, tuple((name, 3 if name != "d3" else 13) for name in PLAUSIBLE_INTERVALS)),
+        (_CHUNK, (("p1", 23), ("a2", 29), ("d3", 17))),
+    ], ids=["5-1-axis", "5-7-axes", "5-long-axes", "chunk-1-axis", "chunk-7-axes", "chunk-3-axes"])
+    def test_csv_bytes(self, lanes, monkeypatch, cpus, chunk, axes):
+        monkeypatch.setattr(sweep, "_CHUNK", chunk)
+        lanes(cpus)
+        result = run_sweep(SweepSpec(varied=tuple(axis_for(n, c) for n, c in axes)))
+        assert result.n_points % chunk != 0  # a partial last block
+        sink = RecordingSink()
+        write_sweep_csv(result, sink)
+        assert "".join(sink.blocks) == reference_csv(result)
+        assert [block.count("\n") for block in sink.blocks[1:-1]] == [chunk] * (len(sink.blocks) - 2)
+        assert len(sink.blocks) == 1 + -(-result.n_points // chunk)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_golden_digests(self, lanes, cpus):
+        lanes(cpus)
+        assert_golden_digests()
+
+    def test_constellation_reports(self, lanes, monkeypatch):
+        # a short first horizon keeps the ten sets quick and still takes
+        # every set through classification and its restarts
+        monkeypatch.setattr(sweep, "default_horizon", lambda params: 300.0)
+        texts = {}
+        for cpus in (1, 2, 4):
+            lanes(cpus)
+            texts[cpus] = [dumps(constellation_report_to_dict(r)) for r in check_constellations()]
+        assert texts[2] == texts[1] and texts[4] == texts[1]
+        assert len({json.loads(text)["verdict"]["kind"] for text in texts[1]}) > 1
 
 
 class TestBifurcationBracket:
