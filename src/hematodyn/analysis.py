@@ -178,16 +178,11 @@ def _agree(values, tol: float) -> bool:
     return bool(np.all(np.abs(values - mean) <= tol * abs(mean)))
 
 
-def _relative_distance(state_row, reference) -> float:
-    diff = state_row - reference
-    return float(np.sqrt(diff @ diff) / max(float(np.sqrt(reference @ reference)), 1.0))
-
-
 def _relative_distances(states: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    # `_relative_distance` of every row in one pass. The stacked matmul
-    # takes each row's diff @ diff as the same dot product, so every
-    # distance has its bits; (diff * diff).sum(1) and einsum add in
-    # another order and do not.
+    # |row - reference| / max(|reference|, 1) of every row in one pass. The
+    # stacked matmul takes each row's diff @ diff as the same dot product
+    # that diff @ diff on the row alone takes, so every distance has its
+    # bits; (diff * diff).sum(1) and einsum add in another order and do not.
     diff = states - reference
     squares = (diff[:, None, :] @ diff[:, :, None]).ravel()
     return np.sqrt(squares) / max(float(np.sqrt(reference @ reference)), 1.0)
@@ -211,7 +206,7 @@ def classify(
     from `default_horizon` does. Integration failures propagate. An
     output_stride that leaves fewer than 3 samples in the kept tail or in
     the trailing 5 % of the horizon is a ValueError, raised before
-    integrating. The run to the horizon is `integrate`'s, without a mark.
+    integrating.
     """
     return _classify(
         params, initial, horizon,
@@ -232,11 +227,9 @@ def _classify(
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-3,
     output_stride: Optional[float] = None,
-    marked: bool = False,
-) -> Tuple[AttractorVerdict, Optional[CellState]]:
-    # `classify`, which with marked=True also returns the run's state at
-    # horizon / 2 (the `marked` state of `integrate`, None where that
-    # cannot be read off, and always None with marked=False)
+) -> Tuple[AttractorVerdict, CellState]:
+    # `classify`, which also returns the final state of the run it judged
+
     # every setting follows the number rule before anything is integrated:
     # NaN fails every tolerance comparison below and infinity passes every
     # one, and either would yield a plausible-looking verdict
@@ -267,29 +260,31 @@ def _classify(
             raise ValueError(
                 f"output_stride {stride} leaves {count} sample(s) in {part}; classify needs at least 3"
             )
-    traj = integrate(params, initial, config, mark=0.5 * t_end if marked else None)
+    traj = integrate(params, initial, config)
     keep = traj.times >= keep_from
     window = traj.times >= window_from
+    final = traj.final
 
-    equilibria = steady_states(params)
-    targets = [(eq.label, eq.state.as_array()) for eq in equilibria]
-    final_row = traj.states[-1]
-    final_distance = min(_relative_distance(final_row, ref) for _, ref in targets)
-
-    # settle test on the trailing 5% of the horizon
+    # settle test on the trailing 5% of the horizon, whose last sample is
+    # the final one, so its last distance to each steady state gives
+    # final_distance as well
     tail_states = traj.states[window]
     best_label = None
     best_worst = math.inf
-    for label, ref in targets:
+    last_distances = []
+    for eq in steady_states(params):
         # max over Python floats, as the row-by-row test took it
-        worst = max(_relative_distances(tail_states, ref).tolist())
+        distances = _relative_distances(tail_states, eq.state.as_array()).tolist()
+        last_distances.append(distances[-1])
+        worst = max(distances)
         if worst < best_worst:
             best_worst = worst
-            best_label = label
+            best_label = eq.label
+    final_distance = min(last_distances)
     if best_worst <= equilibrium_tol:
         return AttractorVerdict(
             kind=EQUILIBRIUM, label=best_label, final_distance=final_distance
-        ), traj.marked
+        ), final
 
     tail = Trajectory(traj.times[keep], traj.states[keep])
     report = oscillation_report(tail)
@@ -305,5 +300,5 @@ def _classify(
             period=report.period,
             amplitude_u3=report.amplitude,
             final_distance=final_distance,
-        ), traj.marked
-    return AttractorVerdict(kind=UNDECIDED, final_distance=final_distance), traj.marked
+        ), final
+    return AttractorVerdict(kind=UNDECIDED, final_distance=final_distance), final

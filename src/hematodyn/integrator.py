@@ -10,11 +10,10 @@ the rates and the tableau in locals; max, min and abs are comparisons
 that keep the builtins' operand order; and each state's norm is computed
 once. `rhs_closure` stays the definition, and gives the first slope, the
 startup step guess and the slope after a clamp. The step loop is written
-once, in `_advance`, which starts from a given controller state:
-`integrate` runs it from t = 0 and, given a mark, once more from the
-state it kept there. The model is non-stiff across the studied parameter
-ranges (rates stay below ~27 in rescaled units); if a caller ever pushes
-it into a stiff corner, reducing max_step is the escape hatch.
+once, in `_advance`, which `integrate` runs from t = 0. The model is
+non-stiff across the studied parameter ranges (rates stay below ~27 in
+rescaled units); if a caller ever pushes it into a stiff corner, reducing
+max_step is the escape hatch.
 
 Dense output is evaluated in blocks, not in the step loop: a step that
 owns samples packs its loop-top state, its stage slopes and its sample
@@ -47,7 +46,8 @@ from .model import CellState, ModelParameters, _positive, _real, rhs_closure
 
 __all__ = ["IntegrationConfig", "Trajectory", "IntegrationError", "integrate"]
 
-# Dormand-Prince coefficients. A/B/C define the embedded 5(4) pair; E is
+# Dormand-Prince coefficients. A and B define the embedded 5(4) pair (the
+# right-hand side does not depend on t, so the stage times go unused); E is
 # the difference between the 5th and 4th order weights; P maps stage
 # slopes to the quartic dense-output polynomial in the step fraction.
 _A21 = 1.0 / 5.0
@@ -68,7 +68,6 @@ _B1, _B3, _B4, _B5, _B6 = (
     -2187.0 / 6784.0,
     11.0 / 84.0,
 )
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
 _E1, _E3, _E4, _E5, _E6, _E7 = (
     71.0 / 57600.0,
     -71.0 / 16695.0,
@@ -158,13 +157,11 @@ class IntegrationConfig:
 class Trajectory:
     """Sampled solution: strictly increasing times, nonnegative states.
 
-    states has one row (u1, u2, u3) per time, in cells/kg. marked is the
-    state at the mark of a marked `integrate` run (see there), else None.
+    states has one row (u1, u2, u3) per time, in cells/kg.
     """
 
     times: np.ndarray
     states: np.ndarray
-    marked: Optional[CellState] = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -204,8 +201,7 @@ class IntegrationError(RuntimeError):
         return type(self), (self.reason, self.time, self.state, self.trajectory)
 
 
-def integrate(params: ModelParameters, initial: CellState, config: IntegrationConfig,
-              *, mark: Optional[float] = None) -> Trajectory:
+def integrate(params: ModelParameters, initial: CellState, config: IntegrationConfig) -> Trajectory:
     """Integrate from t = 0 to t = config.t_end and sample at the stride.
 
     Reentrant and stateless; any number of calls may run concurrently.
@@ -214,28 +210,10 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
     Raises IntegrationError on step-size underflow (below 1e-14 * t_end),
     a step-count blowup, or non-finite arithmetic; the exception carries
     the samples collected so far.
-
-    Given a mark in (0, t_end), the trajectory's `marked` is the final
-    state of the same run to t_end = mark with output_stride = mark, bit
-    for bit, without integrating up to the mark a second time: the two
-    runs take the same steps up to the first loop top whose step would
-    reach the mark, so the controller state there is kept and the shorter
-    run's clipped last steps are taken from it. `marked` is None when this
-    run rejected a step for a dense-output dip before the mark (the
-    shorter run takes no samples, so it keeps that step) or when those
-    last steps raise IntegrationError. Samples are evaluated a block of
-    steps after they are taken, so a dip can come to light after the mark
-    is passed; the state kept there is then dropped. A mark costs one
-    more short run of the step loop; the constellation audit's restarts
-    ask for one, and `classify` does not.
     """
     if not isinstance(initial, CellState):
         raise TypeError(f"initial must be a CellState, got {type(initial).__name__}")
     t_end = config.t_end
-    if mark is not None:
-        mark = _real("mark", mark)
-        if not 0.0 < mark < t_end:
-            raise ValueError(f"mark must lie in (0, t_end), got {mark}")
     f = rhs_closure(params)
 
     x, y, z = initial.as_tuple()
@@ -253,17 +231,7 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
     h = min(h, max_step, t_end)
 
     start = (0.0, x, y, z, k1x, k1y, k1z, h, norm_old, 1e-4, _FAC_MAX, 0)
-    times, states, at_mark = _advance(params, f, config, t_end, config.stride, mark, start)
-    marked = None
-    if at_mark is not None:
-        # a stride of mark takes no samples, as in the shorter run
-        try:
-            _, end, _ = _advance(params, f, config, mark, mark, None, at_mark)
-        except IntegrationError:
-            pass
-        else:
-            marked = CellState(*end[-1].tolist())
-    return Trajectory(times, states, marked)
+    return Trajectory(*_advance(params, f, config, start))
 
 
 def _sample_grid(stride: float, t_end: float) -> np.ndarray:
@@ -278,16 +246,16 @@ def _sample_grid(stride: float, t_end: float) -> np.ndarray:
     return grid[:np.searchsorted(grid, t_end - 1e-9 * stride)]
 
 
-def _advance(params, f, config, t_end, stride, mark, state):
-    """The DP5 step loop, from the controller state at a loop top to t_end.
+def _advance(params, f, config, state):
+    """The DP5 step loop, from the controller state at a loop top to config.t_end.
 
     state is (t, x, y, z, k1x, k1y, k1z, h, norm_old, err_prev, fac_cap,
-    steps). Returns the sample times (state's t, `_sample_grid(stride,
-    t_end)`, t_end), the sample rows (state's, the interpolated ones, the
-    end state) and, when a mark below t_end is given, the controller state
-    at the first loop top whose step would reach the mark, or None if a
-    dense-output dip rejected a step before that.
+    steps); a dense-output dip resumes the loop from such a state. Returns
+    the sample times (state's t, `_sample_grid(config.stride, t_end)`,
+    t_end) and the sample rows (state's, the interpolated ones, the end
+    state).
     """
+    t_end = config.t_end
     t0, x, y, z = state[:4]
     abs_tol = config.abs_tol
     rel_tol = config.rel_tol
@@ -309,7 +277,7 @@ def _advance(params, f, config, t_end, stride, mark, state):
     safety, fac_min, fac_max = _SAFETY, _FAC_MIN, _FAC_MAX
     neg_alpha, pi_beta, max_steps = -_PI_ALPHA, _PI_BETA, _MAX_STEPS
 
-    grid = _sample_grid(stride, t_end)
+    grid = _sample_grid(config.stride, t_end)
     rows = np.empty((grid.size + 2, 3))
     rows[0] = (x, y, z)
     # the grid again as floats, closed by inf so that no step reaches past it
@@ -328,12 +296,6 @@ def _advance(params, f, config, t_end, stride, mark, state):
     # steps taken after it.
     in_step = False
     flat = memoryview(rows.reshape(-1))
-    # a loop top with t + 1.01 * h >= t_end clips the step to end on t_end.
-    # While a mark is pending, clip is the mark and the first loop top that
-    # reaches it keeps the controller state, so the mark costs no test of
-    # its own per step.
-    clip = t_end if mark is None else mark
-    at_mark = None
 
     # In the loop, max, min and abs are written as comparisons. Each max(a,
     # b, ...) keeps its first operand unless a later one compares strictly
@@ -355,13 +317,8 @@ def _advance(params, f, config, t_end, stride, mark, state):
             if h < h_min:
                 fault = "step size underflow"
                 break
-            if t + 1.01 * h >= clip:
-                if clip < t_end:
-                    # steps is counted again when the loop resumes from here
-                    at_mark = (t, x, y, z, k1x, k1y, k1z, h, norm_old, err_prev, fac_cap, steps - 1)
-                    clip = t_end
-                if t + 1.01 * h >= t_end:
-                    h = t_end - t
+            if t + 1.01 * h >= t_end:
+                h = t_end - t
 
             # each stage writes out rhs_closure's operations in its order, so
             # every slope has the bits that f would return
@@ -479,7 +436,6 @@ def _advance(params, f, config, t_end, stride, mark, state):
                         # as on a dip found in a block (see below)
                         h *= 0.5
                         fac_cap = 1.0
-                        clip = t_end
                         continue
                     kept = end
                 else:
@@ -526,17 +482,12 @@ def _advance(params, f, config, t_end, stride, mark, state):
                 raise IntegrationError(fault, t, (x, y, z), Trajectory(times, rows[:kept + 1].copy()))
             break
         # a dense-output dip: the scalar rejection would have gone on from
-        # the dipping step's loop top. A run that takes no samples keeps
-        # that step, so from there its steps differ, and a mark kept after
-        # that loop top is lost.
+        # the dipping step's loop top
         state = replay
-        if at_mark is not None and at_mark[11] >= replay[11]:
-            at_mark = None
-        clip = t_end
         in_step = True
 
     rows[-1] = (x, y, z)
-    return np.concatenate(((t0,), grid, (t_end,))), rows, at_mark
+    return np.concatenate(((t0,), grid, (t_end,))), rows
 
 
 def _flush(records, grid, rows, kept, band):

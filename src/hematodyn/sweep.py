@@ -31,7 +31,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .analysis import AttractorVerdict, _classify, default_horizon
-from .integrator import IntegrationConfig, integrate
 from .model import REFERENCE_PARAMETERS, CellState, ModelParameters, _real, e2_conditions, steady_state_E2
 from .stability import (
     CLASS_NAMES,
@@ -544,25 +543,16 @@ def _classify_from_equilibrium(params) -> Optional[AttractorVerdict]:
     state = eq.state
     start = CellState(1.25 * state.u1, 1.25 * state.u2, 1.25 * state.u3)
     horizon = default_horizon(params)
-    verdict, marked = _classify(params, start, horizon, marked=True)
+    verdict, final = _classify(params, start, horizon)
     attempts = 0
     # weakly unstable sets drift off the equilibrium slowly; each restart
-    # starts from the state the run just judged reached at half its horizon
-    # and classifies from there over the doubled horizon. That state is the
-    # end of a run from the previous start to horizon / 4 (of the doubled
-    # horizon), read off the judged run; where it cannot be (marked is
-    # None), that run is made afresh, with the same bits or the same error.
+    # continues from the final state of the run just judged and classifies
+    # from there over twice its horizon, so no day is integrated twice
     while verdict.kind == "undecided" and attempts < 3:
         attempts += 1
         horizon *= 2.0
-        start = marked if marked is not None else _last_state(params, start, horizon / 4.0)
-        verdict, marked = _classify(params, start, horizon, marked=True)
+        verdict, final = _classify(params, final, horizon)
     return verdict
-
-
-def _last_state(params, start, t_end) -> CellState:
-    traj = integrate(params, start, IntegrationConfig(t_end=t_end, output_stride=t_end))
-    return traj.final
 
 
 def check_constellations(run_classify: bool = True) -> Tuple[ConstellationReport, ...]:

@@ -237,33 +237,52 @@ def _bits(state):
     return tuple(v.hex() for v in state.as_tuple())
 
 
-class TestMark:
-    def test_public_classify_asks_for_no_mark(self, monkeypatch):
-        marks = []
+# E2 does not exist (2 * a1 * p1 < p1 + d1) and the run settles on E1
+NO_E2 = REFERENCE_PARAMETERS.with_(d1=0.1)
+NO_E2_START = CellState(1e8, 2e9, 4e8)
 
-        def spy(*args, **kwargs):
-            marks.append(kwargs.get("mark"))
-            return integrate(*args, **kwargs)
+# one run of each verdict kind classify reaches from these starts
+VERDICT_CASES = [
+    (showcase_params(p2=0.3), SHOWCASE_IC_CYCLE_HIGH, "limit_cycle"),
+    (showcase_params(p2=0.5), SHOWCASE_IC_SETTLING, "equilibrium"),
+    (NO_E2, NO_E2_START, "equilibrium"),
+]
+VERDICT_IDS = ["showcase-cycle", "showcase-settling", "without-E2"]
+
+
+class TestFinalState:
+    def test_public_classify_integrates_once_and_returns_the_verdict(self, monkeypatch):
+        runs = []
+
+        def spy(*args):
+            runs.append(args)
+            return integrate(*args)
 
         monkeypatch.setattr(analysis, "integrate", spy)
         verdict = classify(showcase_params(p2=0.3), SHOWCASE_IC_CYCLE_HIGH)
+        assert isinstance(verdict, AttractorVerdict)
         assert verdict.kind == "limit_cycle"
-        assert marks == [None]
+        assert len(runs) == 1
 
-    @pytest.mark.parametrize("params, start", [
-        (showcase_params(p2=0.3), SHOWCASE_IC_CYCLE_HIGH),
-        (showcase_params(p2=0.5), SHOWCASE_IC_SETTLING),
-        (CN_A, CellState(*(1.25 * v for v in steady_state_E2(CN_A).state.as_tuple()))),
-    ], ids=["showcase-cycle", "showcase-settling", "extended"])
-    def test_marked_state_is_the_end_of_the_run_to_half_the_horizon(self, params, start):
-        # the constellation audit restarts from it instead of integrating
-        # that half again
+    @pytest.mark.parametrize("params, start, kind", [
+        *VERDICT_CASES[:2],
+        (CN_A, CellState(*(1.25 * v for v in steady_state_E2(CN_A).state.as_tuple())), "limit_cycle"),
+    ], ids=[*VERDICT_IDS[:2], "extended"])
+    def test_final_state_is_the_end_of_the_judged_run(self, params, start, kind):
+        # the constellation audit restarts from it, so no day is integrated
+        # twice
         horizon = default_horizon(params)
-        verdict, marked = analysis._classify(params, start, horizon, marked=True)
+        verdict, final = analysis._classify(params, start, horizon)
         assert verdict == classify(params, start, horizon)
-        half = integrate(params, start, IntegrationConfig(t_end=horizon / 2.0, output_stride=horizon / 2.0))
-        assert _bits(marked) == _bits(half.final)
-        assert analysis._classify(params, start, horizon) == (verdict, None)
+        assert verdict.kind == kind
+        run = integrate(params, start, IntegrationConfig(t_end=horizon, output_stride=horizon / 4000.0))
+        assert _bits(final) == _bits(run.final)
+
+
+def _relative_distance(row, reference):
+    # the row-by-row form of the settle test's distance
+    diff = row - reference
+    return float(np.sqrt(diff @ diff) / max(float(np.sqrt(reference @ reference)), 1.0))
 
 
 class TestSettleDistances:
@@ -271,7 +290,7 @@ class TestSettleDistances:
     PARAMS = ModelParameters(a1=0.85, a2=0.841, p1=1.0, p2=0.4, d1=0.01, d2=0.1, d3=0.36765, k=3.5e-8)
 
     @pytest.mark.parametrize("scale", [1e7, 1e11, 1e12], ids=["scale-1e7", "scale-1e11", "scale-1e12"])
-    def test_stacked_distances_have_the_bits_of_relative_distance(self, scale):
+    def test_stacked_distances_have_the_bits_of_the_row_by_row_form(self, scale):
         # the settle test's one array pass against the row-by-row form; E0's
         # zero reference takes the 1.0 floor of the norm
         targets = steady_states(self.PARAMS)
@@ -286,8 +305,31 @@ class TestSettleDistances:
             near = ref * rng.uniform(0.999, 1.001, (500, 3))
             states = np.vstack([rows, ref, near, ref * scale / max(ref.max(), 1.0)])
             got = analysis._relative_distances(states, ref).tolist()
-            want = [analysis._relative_distance(row, ref) for row in states]
+            want = [_relative_distance(row, ref) for row in states]
             assert [v.hex() for v in got] == [v.hex() for v in want], eq.label
+
+    @pytest.mark.parametrize("horizon", [50.0, 400.0])
+    def test_final_distance_is_the_row_by_row_distance_of_the_final_sample(self, horizon):
+        # the settle pass reads it off the trailing window's last sample
+        e2 = steady_state_E2(self.PARAMS).state
+        start = CellState(1.25 * e2.u1, 0.8 * e2.u2, 1.1 * e2.u3)
+        verdict = classify(self.PARAMS, start, horizon)
+        config = IntegrationConfig(t_end=horizon, output_stride=horizon / 4000.0)
+        final = integrate(self.PARAMS, start, config).states[-1]
+        want = min(_relative_distance(final, eq.state.as_array()) for eq in steady_states(self.PARAMS))
+        assert verdict.final_distance.hex() == want.hex()
+
+    @pytest.mark.parametrize("params, start, kind", VERDICT_CASES, ids=VERDICT_IDS)
+    def test_final_distance_whatever_the_verdict(self, params, start, kind):
+        # the same minimum over the steady states that exist, whether the
+        # run settles or cycles
+        verdict = classify(params, start)
+        assert verdict.kind == kind
+        horizon = default_horizon(params)
+        config = IntegrationConfig(t_end=horizon, output_stride=horizon / 4000.0)
+        final = integrate(params, start, config).states[-1]
+        want = min(_relative_distance(final, eq.state.as_array()) for eq in steady_states(params))
+        assert verdict.final_distance.hex() == want.hex()
 
 
 class _Integrated(Exception):

@@ -1,5 +1,6 @@
 """Every module of the package uses the names it imports and binds the names
-it exports, and the package exports exactly the public names it binds."""
+it exports, the package exports exactly the public names it binds, and
+every private module-level name is read somewhere in the package."""
 
 import ast
 import importlib
@@ -80,3 +81,57 @@ def test_package_all_matches_its_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(public - set(exported)) == []
+
+
+PACKAGE_FILES = sorted(Path(hematodyn.__file__).parent.glob("*.py"))
+
+
+def private_module_names(tree):
+    # _-prefixed (not dunder) names bound by the module's top-level statements
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def names_read(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def unread_private_names(sources):
+    # module:name for each private module-level name that no module reads
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {name for tree in trees.values() for name in names_read(tree)}
+    return [f"{module}:{name}" for module, tree in trees.items()
+            for name in sorted(private_module_names(tree)) if name not in read]
+
+
+def test_every_private_module_name_is_read():
+    # a private name that nothing in the package reads is dead code
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE_FILES}
+    assert unread_private_names(sources) == []
+
+
+@pytest.mark.parametrize("reader, unread", [
+    ("", ["a.py:_C2", "a.py:_helper"]),
+    ("def f():\n    return _C2 + _helper()\n", []),
+    ("import a\nx = a._C2 + a._helper()\n", []),
+    ("from a import _C2, _helper\n", []),
+    ("_C2 = 1.0\n", ["a.py:_C2", "a.py:_helper", "b.py:_C2"]),
+], ids=["nothing-reads", "name-load", "attribute", "from-import", "store-only"])
+def test_unread_private_names_found(reader, unread):
+    # a constant and a function bound in one module and read, or not, in
+    # another; dunders and public names are never reported
+    module = "__version__ = '1'\nPUBLIC = 2\n_C2 = 0.2\ndef _helper():\n    pass\n"
+    assert unread_private_names({"a.py": module, "b.py": reader}) == unread

@@ -1,7 +1,9 @@
 """Integrator tests: accuracy, positivity, convergence order, dense output."""
 
+import dataclasses
 import functools
 import hashlib
+import inspect
 import itertools
 import math
 import operator
@@ -15,9 +17,7 @@ from hypothesis import strategies as st
 from conftest import (
     SHOWCASE_IC_CYCLE_HIGH,
     SHOWCASE_IC_SETTLING,
-    draw_basic_admissible,
     draw_box_admissible,
-    draw_extended_admissible,
     showcase_params,
     relative_distance,
 )
@@ -28,7 +28,6 @@ from hematodyn import (
     ModelParameters,
     REFERENCE_PARAMETERS,
     Trajectory,
-    default_horizon,
     integrate,
     invariant_box,
     nondimensionalize,
@@ -141,6 +140,17 @@ class TestTrajectoryShape:
         traj = integrate(params, SHOWCASE_IC_SETTLING, IntegrationConfig(t_end=5.0))
         assert traj.final.as_tuple() == tuple(traj.states[-1])
         assert traj.state_at(0).as_tuple() == SHOWCASE_IC_SETTLING.as_tuple()
+
+    def test_integrate_takes_params_initial_and_config(self):
+        # a run's samples are all that it hands back, so nothing else is
+        # asked of it
+        assert list(inspect.signature(integrate).parameters) == ["params", "initial", "config"]
+        with pytest.raises(TypeError):
+            integrate(REFERENCE_PARAMETERS, CellState(1.0, 1.0, 1.0), IntegrationConfig(t_end=10.0),
+                      mark=5.0)
+
+    def test_trajectory_holds_times_and_states(self):
+        assert [field.name for field in dataclasses.fields(Trajectory)] == ["times", "states"]
 
     def test_zero_initial_state_stays_zero(self):
         traj = integrate(
@@ -446,76 +456,14 @@ _WASHOUT_START = CellState(16736.934370118302, 7282.320334267583, 647437.1342604
 _WASHOUT_T_END = 300.0 / _WASHOUT.p1
 
 
-def _run_to_mark(params, initial, mark, **tolerances):
-    # the run a marked state stands for: to t_end = mark, with no interior samples
-    config = IntegrationConfig(t_end=mark, output_stride=mark, **tolerances)
-    return integrate(params, initial, config).final
-
-
-def _bits(state):
-    return tuple(v.hex() for v in state.as_tuple())
-
-
-class TestMarkedState:
-    def test_set6_restart_states_match_a_run_to_the_mark(self):
-        # the constellation audit's first two horizons of set 6, from its
-        # 25 % overshoot of E2, at classify's stride
-        params = REFERENCE_PARAMETERS.with_(**CONSTELLATIONS[6])
-        e2 = steady_state_E2(params).state
-        start = CellState(1.25 * e2.u1, 1.25 * e2.u2, 1.25 * e2.u3)
-        horizon = default_horizon(params)
-        for _ in range(2):
-            config = IntegrationConfig(t_end=horizon, output_stride=horizon / 4000.0)
-            marked = integrate(params, start, config, mark=horizon / 2.0).marked
-            assert _bits(marked) == _bits(_run_to_mark(params, start, horizon / 2.0))
-            start, horizon = marked, 2.0 * horizon
-
-    @pytest.mark.parametrize("variant", ["basic", "extended"])
-    def test_seeded_draws_match_a_run_to_the_mark(self, variant):
-        rng = np.random.default_rng(71 if variant == "basic" else 72)
-        draw = draw_basic_admissible if variant == "basic" else draw_extended_admissible
-        for _ in range(25):
-            params = draw(rng)
-            e2 = steady_state_E2(params).state
-            start = CellState(*(rng.uniform(0.5, 1.5, 3) * e2.as_tuple()))
-            t_end = 300.0 / params.p1
-            mark = t_end * rng.uniform(0.2, 0.8)
-            config = IntegrationConfig(t_end=t_end, output_stride=t_end / 4000.0)
-            traj = integrate(params, start, config, mark=mark)
-            assert _bits(traj.marked) == _bits(_run_to_mark(params, start, mark))
-            # the mark changes no sample of the run itself
-            plain = integrate(params, start, config)
-            assert traj.times.tobytes() == plain.times.tobytes()
-            assert traj.states.tobytes() == plain.states.tobytes()
-
-    def test_dense_output_dip_before_the_mark_gives_none(self):
-        # the washing-out run's dips reject steps that a run taking no
-        # samples keeps
-        params, start, t_end = _WASHOUT, _WASHOUT_START, _WASHOUT_T_END
-        assert steady_state_E2(params) is None
-        fine = integrate(params, start, IntegrationConfig(t_end=t_end, output_stride=t_end / 4000.0),
-                         mark=t_end / 2.0)
-        assert fine.marked is None
-        # without interior samples nothing dips, and the state is kept
-        coarse = integrate(params, start, IntegrationConfig(t_end=t_end, output_stride=t_end),
-                           mark=t_end / 2.0)
-        assert _bits(coarse.marked) == _bits(_run_to_mark(params, start, t_end / 2.0))
-
-    @pytest.mark.parametrize("mark", [0.0, -1.0, 10.0, 12.0, math.nan, True, "5"], ids=repr)
-    def test_mark_outside_the_run_refused(self, mark):
-        with pytest.raises(ValueError, match="mark must"):
-            integrate(REFERENCE_PARAMETERS, CellState(1.0, 1.0, 1.0), IntegrationConfig(t_end=10.0),
-                      mark=mark)
-
-
-def _outcome(params, initial, config, mark=None):
-    # every byte integrate hands back: the samples and the marked state, or
-    # the error's reason, time, state and partial samples
+def _outcome(params, initial, config):
+    # every byte integrate hands back: the samples' digest, or the error's
+    # reason, time, state and partial samples
     try:
-        traj = integrate(params, initial, config, mark=mark)
+        traj = integrate(params, initial, config)
     except IntegrationError as err:
         return err.reason, err.time.hex(), tuple(v.hex() for v in err.state), _digest(err.trajectory)
-    return _digest(traj), None if traj.marked is None else _bits(traj.marked)
+    return _digest(traj)
 
 
 @pytest.fixture
@@ -577,29 +525,17 @@ class TestDenseOutputReplay:
 
     # At 20 and 50 samples the loose run has one dip, in the step from loop
     # top 18 (t = 17.5), at the step's first and at its second sample, and
-    # the block that holds it is evaluated after t = 24.8. A mark at a
-    # quarter of the horizon is kept before that step, so marked is the run
-    # to the mark; one at 0.35 of it (22.4) is kept at a later loop top,
-    # before the dip comes to light, and the dip loses it.
-    @pytest.mark.parametrize("samples, mark_at, digest", [
-        (20, 0.25, "1ce4d43046ca60e39d4ffb4e1775ff460f099fec17e73d9166eac31aac351e64"),
-        (50, 0.25, "09e4283d9207fd5de617a67930c22a001a3111ef455d08a04303c7080a1808e9"),
-        (20, 0.35, "1ce4d43046ca60e39d4ffb4e1775ff460f099fec17e73d9166eac31aac351e64"),
-        (50, 0.35, "09e4283d9207fd5de617a67930c22a001a3111ef455d08a04303c7080a1808e9"),
-    ], ids=["first-sample-after-mark", "later-sample-after-mark",
-            "first-sample-before-mark", "later-sample-before-mark"])
-    def test_dip_resumes_from_its_step(self, replays, samples, mark_at, digest):
-        mark = mark_at * 64.0
-        traj = integrate(_LOOSE, _LOOSE_START, _loose_config(samples), mark=mark)
+    # the block that holds it is evaluated after t = 24.8.
+    @pytest.mark.parametrize("samples, digest", [
+        (20, "1ce4d43046ca60e39d4ffb4e1775ff460f099fec17e73d9166eac31aac351e64"),
+        (50, "09e4283d9207fd5de617a67930c22a001a3111ef455d08a04303c7080a1808e9"),
+    ], ids=["first-sample", "later-sample"])
+    def test_dip_resumes_from_its_step(self, replays, samples, digest):
+        traj = integrate(_LOOSE, _LOOSE_START, _loose_config(samples))
         (record, replay), = replays
         # the rejection's state: the step's loop top, with h halved and fac_cap 1
         assert replay == (*record[:7], record[7] * 0.5, record[8], record[9], 1.0, 18)
         assert _digest(traj) == digest
-        if mark_at < 0.3:
-            at_mark = _run_to_mark(_LOOSE, _LOOSE_START, mark, **_LOOSE_TOLERANCES)
-            assert _bits(traj.marked) == _bits(at_mark)
-        else:
-            assert traj.marked is None
 
     def test_fault_with_records_pending(self, monkeypatch, replays):
         # The step limit stops the 20-sample loose run while the records of
@@ -625,24 +561,17 @@ class TestDenseOutputReplay:
 
     # The washing-out run ends a sampling step below abs_tol before its
     # first dip, at every stride, so each of its dips rejects its step at
-    # once: at 20 and 50 samples one dip, at loop top 179, and with the
-    # mark at half the horizon kept before it; at 4000 samples 55 dips, the
-    # first before the mark.
-    @pytest.mark.parametrize("samples, mark_at, digest", [
-        (20, 0.5, "b5d8c110bfb90ce12f58f38d5ce6003398c9614d49b0e956bf6b1528b8749973"),
-        (50, 0.5, "f16047f1e129c2b8d7b5392e28bad699441d8e6fc16ed3483bfbc2ff27b9b9bf"),
-        (20, 0.9, "b5d8c110bfb90ce12f58f38d5ce6003398c9614d49b0e956bf6b1528b8749973"),
-        (4000, 0.5, "ba147b2ad67e76b93e438a01ac01be18600378f0b2a79eb40626d957f1e4683d"),
-    ], ids=["20-mark-kept", "50-mark-kept", "20-mark-lost", "4000-mark-lost"])
-    def test_dips_near_zero_rejected_in_the_step(self, replays, samples, mark_at, digest):
-        mark = mark_at * _WASHOUT_T_END
-        traj = integrate(_WASHOUT, _WASHOUT_START, _washout_config(samples), mark=mark)
+    # once: at 20 and 50 samples one dip, at loop top 179; at 4000 samples
+    # 55 dips.
+    @pytest.mark.parametrize("samples, digest", [
+        (20, "b5d8c110bfb90ce12f58f38d5ce6003398c9614d49b0e956bf6b1528b8749973"),
+        (50, "f16047f1e129c2b8d7b5392e28bad699441d8e6fc16ed3483bfbc2ff27b9b9bf"),
+        (4000, "ba147b2ad67e76b93e438a01ac01be18600378f0b2a79eb40626d957f1e4683d"),
+    ], ids=["20", "50", "4000"])
+    def test_dips_near_zero_rejected_in_the_step(self, replays, samples, digest):
+        traj = integrate(_WASHOUT, _WASHOUT_START, _washout_config(samples))
         assert not replays
         assert _digest(traj) == digest
-        if samples < 4000 and mark_at < 0.9:
-            assert _bits(traj.marked) == _bits(_run_to_mark(_WASHOUT, _WASHOUT_START, mark))
-        else:
-            assert traj.marked is None
 
     def test_fault_after_sampling_in_the_step(self, monkeypatch, replays):
         # the step limit stops the 20-sample washing-out run after (185)
@@ -657,11 +586,11 @@ class TestDenseOutputReplay:
     def test_block_size_changes_no_byte(self, monkeypatch, replays, block):
         monkeypatch.setattr(integrator, "_BLOCK", block)
         # two dips, the first with err_prev above its 1e-4 floor
-        assert _outcome(*_CLAMP_AND_DIP) == (_CLAMP_AND_DIP_DIGEST, None)
-        assert _outcome(_WASHOUT, _WASHOUT_START, _washout_config(4000), mark=_WASHOUT_T_END / 2.0) == (
-            "ba147b2ad67e76b93e438a01ac01be18600378f0b2a79eb40626d957f1e4683d", None)
+        assert _outcome(*_CLAMP_AND_DIP) == _CLAMP_AND_DIP_DIGEST
+        assert _outcome(_WASHOUT, _WASHOUT_START, _washout_config(4000)) == (
+            "ba147b2ad67e76b93e438a01ac01be18600378f0b2a79eb40626d957f1e4683d")
         assert not replays
-        assert _outcome(_LOOSE, _LOOSE_START, _loose_config(50), mark=16.0)[0] == (
+        assert _outcome(_LOOSE, _LOOSE_START, _loose_config(50)) == (
             "09e4283d9207fd5de617a67930c22a001a3111ef455d08a04303c7080a1808e9")
         assert len(replays) == 1
         monkeypatch.setattr(integrator, "_MAX_STEPS", 22)

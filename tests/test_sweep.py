@@ -22,13 +22,12 @@ from conftest import (
     draw_basic_admissible,
     showcase_params,
 )
-from hematodyn import sweep
+from hematodyn import analysis, sweep
 from hematodyn import (
     AttractorVerdict,
     AxisSpec,
     CONSTELLATIONS,
     CONSTELLATION_DIRECTIONS,
-    IntegrationConfig,
     IntegrationError,
     ModelParameters,
     PLAUSIBLE_INTERVALS,
@@ -444,6 +443,7 @@ class TestLanes:
         assert not other.is_alive()
 
     def test_exception_in_a_helper_is_raised_by_the_caller_as_serial(self, lanes, tmp_path):
+        lanes(1)
         with pytest.raises(IntegrationError) as serial:
             list(_lanes(failing_at_4(tmp_path), 7))
         (tmp_path / str(os.getpid())).unlink()
@@ -631,27 +631,67 @@ class TestConstellations:
 
 
 class TestRestarts:
-    # every restart starts, bit for bit, where a run from the previous start
-    # to half the previous horizon ends: read off the judged run, or, where
-    # that gives no state, integrated afresh
-    @pytest.mark.parametrize("keep_marked", [True, False], ids=["marked", "fallback"])
-    def test_restart_starts_where_a_run_to_half_the_horizon_ends(self, monkeypatch, keep_marked):
+    # each restart classifies over twice the previous horizon, from the
+    # final state of the run just judged, so no day is integrated twice
+    def test_restart_continues_from_the_end_of_the_judged_run(self, monkeypatch):
         params = REFERENCE_PARAMETERS.with_(**CONSTELLATIONS[1])
+        runs = []
         judged = []
-        classify_and_mark = sweep._classify
+        classify_and_end = sweep._classify
 
-        def undecided(params, start, horizon, **kwargs):
-            # the audit, and only the audit, asks for the state at horizon / 2
-            assert kwargs == {"marked": True}
-            verdict, marked = classify_and_mark(params, start, horizon, **kwargs)
-            judged.append((start, horizon, marked))
-            return AttractorVerdict(kind="undecided"), marked if keep_marked else None
+        def spy(params, initial, config):
+            traj = integrate(params, initial, config)
+            runs.append((initial, config.t_end, traj.final))
+            return traj
 
+        def undecided(params, start, horizon):
+            verdict, final = classify_and_end(params, start, horizon)
+            judged.append(horizon)
+            return AttractorVerdict(kind="undecided"), final
+
+        monkeypatch.setattr(analysis, "integrate", spy)
         monkeypatch.setattr(sweep, "default_horizon", lambda params: 300.0)
         monkeypatch.setattr(sweep, "_classify", undecided)
         assert sweep._classify_from_equilibrium(params).kind == "undecided"
-        assert [horizon for _, horizon, _ in judged] == [300.0, 600.0, 1200.0, 2400.0]
-        for (start, horizon, marked), (restart, _, _) in zip(judged, judged[1:]):
-            end = integrate(params, start, IntegrationConfig(t_end=horizon / 2.0, output_stride=horizon / 2.0)).final
+        assert judged == [300.0, 600.0, 1200.0, 2400.0]
+        # one run per judged horizon, and each restart starts where the
+        # previous run ended
+        assert [t_end for _, t_end, _ in runs] == judged
+        for (_, _, end), (restart, _, _) in zip(runs, runs[1:]):
             assert [v.hex() for v in restart.as_tuple()] == [v.hex() for v in end.as_tuple()]
-            assert marked is not None
+
+    @pytest.mark.parametrize("undecided_runs", [0, 1, 2, 3])
+    def test_restarts_stop_at_the_first_decided_verdict(self, monkeypatch, undecided_runs):
+        params = REFERENCE_PARAMETERS.with_(**CONSTELLATIONS[1])
+        e2 = steady_state_E2(params).state
+        decided = AttractorVerdict(kind="limit_cycle", period=1.0, amplitude_u3=1.0)
+        judged = []
+        classify_and_end = sweep._classify
+
+        def scripted(params, start, horizon):
+            _, final = classify_and_end(params, start, horizon)
+            judged.append((start, horizon))
+            if len(judged) <= undecided_runs:
+                return AttractorVerdict(kind="undecided"), final
+            return decided, final
+
+        monkeypatch.setattr(sweep, "default_horizon", lambda params: 300.0)
+        monkeypatch.setattr(sweep, "_classify", scripted)
+        verdict = sweep._classify_from_equilibrium(params)
+        # the first run starts at a 25 % overshoot of the positive state
+        assert [v.hex() for v in judged[0][0].as_tuple()] == [
+            (1.25 * v).hex() for v in e2.as_tuple()]
+        assert [horizon for _, horizon in judged] == [300.0 * 2.0 ** n for n in range(undecided_runs + 1)]
+        assert verdict is decided
+
+    def test_set_without_a_positive_state_is_not_classified(self, monkeypatch):
+        # 2 * a1 * p1 < p1 + d1: E2 does not exist, so there is no overshoot
+        # of it to start from
+        params = REFERENCE_PARAMETERS.with_(d1=0.1)
+        assert steady_state_E2(params) is None
+
+        def never(*args):
+            raise AssertionError("classified a set without a positive state")
+
+        monkeypatch.setattr(sweep, "_classify", never)
+        assert sweep._classify_from_equilibrium(params) is None
