@@ -278,19 +278,20 @@ def e2_conditions(a1, a2, p1, p2, d1, d2):
 
     s = (p1 + d1)/(2*a1*p1) is the level the stem balance pins, excess is
     d2 - (2*a2*s - 1)*p2, and E2 exists where s < 1, a2*s < 1 and
-    excess > 0. Plain arithmetic only, so scalars and arrays both work.
+    excess > 0. Plain arithmetic with int literals only, so floats and
+    arrays both work, and `fractions.Fraction` rates give exact values.
 
     The sign of excess is judged on excess*a1*p1 = d2*a1*p1 -
     (a2*(p1 + d1) - a1*p1)*p2, which has no rounded s in it: at a2 = a1
     with d1 = d2 = 0 that is exactly 0, where a2*s can round just below 1/2
     and leave excess a tiny positive number.
     """
-    s = (p1 + d1) / (2.0 * a1 * p1)
+    s = (p1 + d1) / (2 * a1 * p1)
     a2s = a2 * s
-    excess = d2 - (2.0 * a2s - 1.0) * p2
+    excess = d2 - (2 * a2s - 1) * p2
     a1p1 = a1 * p1
     signed = d2 * a1p1 > (a2 * (p1 + d1) - a1p1) * p2
-    return s, a2s, excess, (s < 1.0) & (a2s < 1.0) & (excess > 0.0) & signed
+    return s, a2s, excess, (s < 1) & (a2s < 1) & (excess > 0) & signed
 
 
 def _basic_ratio(a1, a2) -> Tuple[float, float]:
@@ -323,11 +324,17 @@ def steady_state_E2(params: ModelParameters) -> Optional[SteadyState]:
     )
     if not exists:
         return None
-    u3 = (1.0 / s - 1.0) / params.k
-    u2 = params.d3 * u3 / (2.0 * (1.0 - a2s) * params.p2)
+    return SteadyState("E2", CellState(*_e2_counts(params, s, a2s, excess)))
+
+
+def _e2_counts(params, s, a2s, excess):
+    # (u1, u2, u3) of E2 from the s, a2*s and excess of `e2_conditions`;
+    # int literals only, so exact when the rates of params are Fractions
+    u3 = (1 / s - 1) / params.k
+    u2 = params.d3 * u3 / (2 * (1 - a2s) * params.p2)
     # s < 1 forces d1 < (2*a1 - 1)*p1 < p1, so the denominator is positive
     u1 = excess * u2 / (params.p1 - params.d1)
-    return SteadyState("E2", CellState(u1, u2, u3))
+    return u1, u2, u3
 
 
 def steady_states(params: ModelParameters) -> Tuple[SteadyState, ...]:
@@ -361,18 +368,19 @@ def place_E2(target: CellState, a1: float, a2: float, p1: float) -> Tuple[float,
 
 def _jacobian_entries(params: ModelParameters, state: CellState):
     # the seven entries (j11, j13, j21, j22, j23, j32, j33) of `jacobian` that
-    # are not identically zero, as Python floats
-    s = 1.0 / (1.0 + params.k * state.u3)
+    # are not identically zero, as Python floats; int literals only, so
+    # exact when the rates and counts are Fractions
+    s = 1 / (1 + params.k * state.u3)
     ds = -params.k * s * s
     a1, a2 = params.a1, params.a2
     p1, p2 = params.p1, params.p2
-    j11 = (2.0 * a1 * s - 1.0) * p1 - params.d1
-    j13 = 2.0 * a1 * p1 * state.u1 * ds
-    j21 = 2.0 * (1.0 - a1 * s) * p1
-    j22 = (2.0 * a2 * s - 1.0) * p2 - params.d2
-    j23 = (2.0 * a2 * p2 * state.u2 - 2.0 * a1 * p1 * state.u1) * ds
-    j32 = 2.0 * (1.0 - a2 * s) * p2
-    j33 = -2.0 * a2 * p2 * state.u2 * ds - params.d3
+    j11 = (2 * a1 * s - 1) * p1 - params.d1
+    j13 = 2 * a1 * p1 * state.u1 * ds
+    j21 = 2 * (1 - a1 * s) * p1
+    j22 = (2 * a2 * s - 1) * p2 - params.d2
+    j23 = (2 * a2 * p2 * state.u2 - 2 * a1 * p1 * state.u1) * ds
+    j32 = 2 * (1 - a2 * s) * p2
+    j33 = -2 * a2 * p2 * state.u2 * ds - params.d3
     return j11, j13, j21, j22, j23, j32, j33
 
 

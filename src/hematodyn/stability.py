@@ -13,6 +13,12 @@ b2 = sum of principal 2x2 minors, b3 = -det(J). With b1, b3 > 0 (always true
 at an existing positive steady state), the sign of b1*b2 - b3 decides
 stability: positive means all eigenvalues in the left half plane, zero means
 a pure imaginary pair, negative means the pair has crossed to the right.
+
+Each closed form keeps its entry checks in the public function and its
+arithmetic in a private kernel of plain + - * / with int literals: the
+same bits on floats and float64 arrays as float literals give, and exact
+values on `fractions.Fraction` rates, on which criterion 13 proves the
+closed forms' identities.
 """
 
 from __future__ import annotations
@@ -131,26 +137,28 @@ def beta_gamma(a1: float, a2: float) -> BetaGamma:
     p2 < (1/gamma - beta*d3) / (1 - a2/a1), so beta/gamma fix the straight
     stability boundary in the (d3, p2) plane.
     """
-    _, _, beta, gamma = _shape_constants(a1, a2)
+    a1, r = _basic_ratio(a1, a2)
+    _, beta, gamma = _shape_constants(a1, r)
     return BetaGamma(beta=beta, gamma=gamma)
 
 
-def _shape_constants(a1, a2):
-    # (r, e, beta, gamma) of the basic variant: r = a2/a1, e = 1 - 1/(2*a1);
-    # a ValueError outside 1/2 < a1 < 1, 0 < a2 < a1
-    a1, r = _basic_ratio(a1, a2)
-    e = 1.0 - 1.0 / (2.0 * a1)
-    beta = 1.0 - r * e / (2.0 - r)
-    gamma = (1.0 / (2.0 * a1)) / e + r / ((2.0 - r) * (1.0 - r))
-    return r, e, beta, gamma
+def _shape_constants(a1, r):
+    # (e, beta, gamma) of the basic variant from a1 and r = a2/a1, with
+    # e = 1 - 1/(2*a1); meaningful for 1/2 < a1 < 1, 0 < r < 1
+    e = 1 - 1 / (2 * a1)
+    beta = 1 - r * e / (2 - r)
+    gamma = (1 / (2 * a1)) / e + r / ((2 - r) * (1 - r))
+    return e, beta, gamma
 
 
 def _basic_coeffs_rescaled(a1, a2, p2, d3):
-    # characteristic coefficients at E2 for d1 = d2 = 0, time rescaled by p1
-    r, e, beta, _ = _shape_constants(a1, a2)
-    b1 = (1.0 - r) * p2 + beta * d3
-    b2 = ((1.0 - r) * beta - e * (1.0 - 2.0 * r)) * d3 * p2
-    b3 = e * (1.0 - r) * d3 * p2
+    # characteristic coefficients at E2 for d1 = d2 = 0, time rescaled by p1;
+    # E2's existence already puts (a1, a2) in the domain of `_shape_constants`
+    r = a2 / a1
+    e, beta, _ = _shape_constants(a1, r)
+    b1 = (1 - r) * p2 + beta * d3
+    b2 = ((1 - r) * beta - e * (1 - 2 * r)) * d3 * p2
+    b3 = e * (1 - r) * d3 * p2
     return b1, b2, b3
 
 
@@ -160,10 +168,10 @@ def _extended_coeffs(a1, a2, p1, p2, d1, d2, d3):
     # where s is the equilibrium feedback level (p1 + d1)/(2*a1*p1).
     growth = (d1 + p1) / p1
     q = (a2 / a1) * growth
-    w = (1.0 - 1.0 / (2.0 * a1)) * p1 - d1 / (2.0 * a1)
-    t = 1.0 + w * q / ((q - 2.0) * p1)
-    dd = p2 * (q - 1.0) - d2
-    b1 = d2 - (q - 1.0) * p2 + d3 * t
+    w = (1 - 1 / (2 * a1)) * p1 - d1 / (2 * a1)
+    t = 1 + w * q / ((q - 2) * p1)
+    dd = p2 * (q - 1) - d2
+    b1 = d2 - (q - 1) * p2 + d3 * t
     b2 = d3 * w * growth * (a2 * p2 / (a1 * p1) + dd / (p1 - d1)) - dd * d3 * t
     b3 = -dd * w * growth * d3
     return b1, b2, b3
@@ -174,9 +182,9 @@ def char_poly_E2(params: ModelParameters) -> CharPolyCoeffs:
 
     Basic variant: rescaled closed forms mapped back to per-day units by
     (p1, p1^2, p1^3). Extended variant: the explicit dimensional formulas.
-    Both agree with the characteristic polynomial of `jacobian` at E2 to
-    floating point accuracy, and the extended path reduces to the basic one
-    at d1 = d2 = 0.
+    Both equal the characteristic polynomial of `jacobian` at E2 as rational
+    functions of the rates, and the extended path reduces to the basic one
+    at d1 = d2 = 0 (criterion 13); in floats they differ by rounding only.
     """
     if steady_state_E2(params) is None:
         raise ValueError("the positive steady state does not exist for these parameters")
@@ -201,8 +209,9 @@ def char_poly_at(params: ModelParameters, state: CellState) -> CharPolyCoeffs:
     """Characteristic coefficients of the Jacobian at an arbitrary state."""
     j11, j13, j21, j22, j23, j32, j33 = _jacobian_entries(params, state)
     # the full 3x3 expressions, structural zeros included, so that -0.0,
-    # inf*0 and NaN give the bits the ndarray of `jacobian` gives
-    j12 = j31 = 0.0
+    # inf*0 and NaN give the bits the ndarray of `jacobian` gives (an int 0
+    # meets a float as 0.0, and keeps a Fraction exact)
+    j12 = j31 = 0
     b1 = -(j11 + j22 + j33)
     b2 = (
         (j22 * j33 - j23 * j32)
@@ -255,8 +264,14 @@ def hurwitz_factored(a1: float, a2: float, p2: float, d3: float) -> float:
     p1 = 1 parameters. Useful as an independent route to the stability sign.
     """
     p2, d3 = _positive("p2", p2), _positive("d3", d3)
-    r, e, beta, gamma = _shape_constants(a1, a2)
-    return e * (1.0 - r) * (((1.0 - r) * p2 + beta * d3) * gamma - 1.0) * d3 * p2
+    a1, r = _basic_ratio(a1, a2)
+    return _hurwitz_factored(a1, r, p2, d3)
+
+
+def _hurwitz_factored(a1, r, p2, d3):
+    # `hurwitz_factored` after its entry checks, with r = a2/a1
+    e, beta, gamma = _shape_constants(a1, r)
+    return e * (1 - r) * (((1 - r) * p2 + beta * d3) * gamma - 1) * d3 * p2
 
 
 def hopf_point(a1: float, a2: float, d3: float, p1: float = 1.0) -> HopfReport:
@@ -269,19 +284,21 @@ def hopf_point(a1: float, a2: float, d3: float, p1: float = 1.0) -> HopfReport:
     p2_star does not depend on the feedback strength k.
     """
     p1, d3 = _positive("p1", p1), _positive("d3", d3)
-    r, e, beta, gamma = _shape_constants(a1, a2)
+    a1, r = _basic_ratio(a1, a2)
+    e, beta, gamma = _shape_constants(a1, r)
     d3_max = p1 / (beta * gamma)
     if not d3 < d3_max:
         raise ValueError(
             f"no positive bifurcation point: d3={d3} is not below d3_max={d3_max}"
         )
     d3t = d3 / p1
-    p2_star = (1.0 / gamma - beta * d3t) / (1.0 - r)
-    lambda3 = -1.0 / gamma
-    omega = math.sqrt((1.0 / gamma - beta * d3t) * gamma * e * d3t)
+    p2_star, lambda3, omega_sq = _hopf_rescaled(r, e, beta, gamma, d3t)
+    omega = math.sqrt(omega_sq)
+    # omega * omega, the rounded root squared, not omega_sq: the `hopf`
+    # output digests pin these bits
     mu_prime = -(
-        e * (1.0 - r) ** 2 * gamma * d3t * p2_star
-    ) / (2.0 * (lambda3 * lambda3 + omega * omega))
+        e * (1 - r) ** 2 * gamma * d3t * p2_star
+    ) / (2 * (lambda3 * lambda3 + omega * omega))
     return HopfReport(
         p2_star=p2_star * p1,
         d3_max=d3_max,
@@ -289,6 +306,15 @@ def hopf_point(a1: float, a2: float, d3: float, p1: float = 1.0) -> HopfReport:
         lambda3=lambda3 * p1,
         mu_prime=mu_prime,
     )
+
+
+def _hopf_rescaled(r, e, beta, gamma, d3):
+    # (p2*, lambda3, omega^2) of the basic variant in rescaled units, from
+    # r = a2/a1 and `_shape_constants`; the square root stays with the caller
+    p2_star = (1 / gamma - beta * d3) / (1 - r)
+    lambda3 = -1 / gamma
+    omega_sq = (1 / gamma - beta * d3) * gamma * e * d3
+    return p2_star, lambda3, omega_sq
 
 
 def _sorted_roots(c: CharPolyCoeffs) -> Tuple[complex, complex, complex]:
@@ -391,5 +417,6 @@ def instability_region_bounds(a1: float, a2: float) -> Tuple[float, float]:
     off by the line gamma*[(1 - a2/a1)*p2 + beta*d3] = 1; both intercepts
     are below 2 for every admissible (a1, a2).
     """
-    r, _, beta, gamma = _shape_constants(a1, a2)
-    return 1.0 / (beta * gamma), 1.0 / ((1.0 - r) * gamma)
+    a1, r = _basic_ratio(a1, a2)
+    _, beta, gamma = _shape_constants(a1, r)
+    return 1 / (beta * gamma), 1 / ((1 - r) * gamma)

@@ -35,8 +35,8 @@ from .model import REFERENCE_PARAMETERS, CellState, ModelParameters, _real, e2_c
 from .stability import (
     CLASS_NAMES,
     NONEXISTENT,
+    _char_poly_E2,
     _extended_coeffs,
-    char_poly_E2,
     hurwitz_codes,
     hurwitz_value,
     stability_report,
@@ -592,7 +592,7 @@ def bifurcation_bracket(params: ModelParameters, low_p2: float, high_p2: float) 
         candidate = params.with_(p2=p2)
         if steady_state_E2(candidate) is None:
             raise ValueError(f"positive steady state does not exist at p2={p2}")
-        return hurwitz_value(char_poly_E2(candidate))
+        return hurwitz_value(_char_poly_E2(candidate))
 
     if not low_p2 < high_p2:
         raise ValueError(f"need low_p2 < high_p2, got {low_p2}, {high_p2}")

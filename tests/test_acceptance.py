@@ -1,4 +1,4 @@
-"""Release gate: twelve numbered end-to-end checks.
+"""Release gate: thirteen numbered end-to-end checks.
 
 Each test prints one pass/fail line directly to the terminal (bypassing
 capture) so the test log shows every verdict inline, then asserts. The
@@ -11,9 +11,12 @@ audit, the slowest part, runs once; an unnumbered test pins the bytes
 
 import hashlib
 import math
+import random
 import warnings
+from fractions import Fraction
 from itertools import combinations
 from time import perf_counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from conftest import (
 )
 from hematodyn import (
     AxisSpec,
+    CharPolyCoeffs,
     IntegrationConfig,
     ModelParameters,
     PLAUSIBLE_INTERVALS,
@@ -37,10 +41,12 @@ from hematodyn import (
     beta_gamma,
     bifurcation_bracket,
     char_poly_E2,
+    char_poly_at,
     check_constellations,
     classify,
     constellation_report_to_dict,
     dumps,
+    e2_conditions,
     hopf_point,
     hurwitz_classify,
     hurwitz_factored,
@@ -52,6 +58,15 @@ from hematodyn import (
     steady_state_E2,
 )
 from hematodyn.cli import main
+from hematodyn.model import _e2_counts
+from hematodyn.stability import (
+    _basic_coeffs_rescaled,
+    _char_poly_E2,
+    _extended_coeffs,
+    _hopf_rescaled,
+    _hurwitz_factored,
+    _shape_constants,
+)
 
 
 def announce(capsys, number, ok, detail):
@@ -405,3 +420,120 @@ def test_criterion_12_sweep_determinism(capsys, tmp_path, monkeypatch):
         f"chunk sizes {', '.join(map(str, chunks))}",
     )
     assert ok
+
+
+EXTENDED_RATES = ("a1", "a2", "p1", "p2", "d1", "d2", "d3")
+# the box of criterion 13's rational draws
+RATE_BOXES = dict(a1=(0.5, 1), a2=(0, 1), p1=(0, 2), p2=(0, 2), d1=(0, 1), d2=(0, 2), d3=(0, 3))
+
+
+def _uniform(rng, low, high):
+    # a uniform draw from the rationals with denominator 1e12 in (low, high)
+    return Fraction(rng.randrange(int(low * 10**12) + 1, int(high * 10**12)), 10**12)
+
+
+def _rational_points(rng, basic, n):
+    """n points, uniform on a box of rationals with denominator 1e12 (k:
+    1e22, from 1e-10 to 1e-8), where E2 exists; each is a namespace that
+    the kernels read as parameters, with E2's s, a2*s and excess."""
+    while n:
+        rates = {name: _uniform(rng, low, high) for name, (low, high) in RATE_BOXES.items()}
+        rates["k"] = Fraction(rng.randrange(10**12, 10**14), 10**22)
+        if basic:
+            rates.update(d1=Fraction(0), d2=Fraction(0))
+        s, a2s, excess, exists = e2_conditions(*(rates[name] for name in EXTENDED_RATES[:6]))
+        if exists:
+            n -= 1
+            yield SimpleNamespace(**rates, is_basic=basic, s=s, a2s=a2s, excess=excess)
+
+
+def _state_E2(point):
+    # E2's counts as a namespace that char_poly_at reads as a CellState
+    u1, u2, u3 = _e2_counts(point, point.s, point.a2s, point.excess)
+    return SimpleNamespace(u1=u1, u2=u2, u3=u3)
+
+
+def _extended_margin(point, **changes):
+    # b1*b2 - b3 of the extended closed form, with some rates changed
+    rates = {name: changes.get(name, getattr(point, name)) for name in EXTENDED_RATES}
+    return hurwitz_value(CharPolyCoeffs(*_extended_coeffs(**rates)))
+
+
+def _newton_top(xs, ys):
+    """Top row of the divided-difference table of the points (xs, ys): the
+    coefficients of their Lagrange polynomial in Newton form, so entry m is
+    0 exactly when the polynomial through the first m + 1 points has degree
+    below m."""
+    column, top = list(ys), [ys[0]]
+    for gap in range(1, len(xs)):
+        column = [(b - a) / (xs[i + gap] - xs[i]) for i, (a, b) in enumerate(zip(column, column[1:]))]
+        top.append(column[0])
+    return top
+
+
+def test_criterion_13_exact_closed_forms(capsys):
+    # Every closed form is a rational function of the rates, so each identity
+    # below, checked with == on random rationals, holds exactly: a false one
+    # would be a nonzero polynomial of degree D in the cleared denominators,
+    # and vanishes at a uniform draw from 1e12 values per rate with chance at
+    # most D/1e12 (Schwartz-Zippel), a bound that the existence filter
+    # loosens by the share of the box it keeps
+    rng = random.Random(1313)
+    failed = {}
+    values = []
+
+    def check(name, ok):
+        if not ok:
+            failed[name] = failed.get(name, 0) + 1
+
+    t0 = perf_counter()
+    points = [*_rational_points(rng, True, 150), *_rational_points(rng, False, 150)]
+    for point in points:
+        coeffs = _char_poly_E2(point)
+        at_state = char_poly_at(point, _state_E2(point))
+        check("closed coefficients = charpoly(J at E2)", coeffs == at_state)
+        other_k = SimpleNamespace(**{**vars(point), "k": point.k * _uniform(rng, 1, 100)})
+        check("charpoly(J at E2) does not depend on k",
+              char_poly_at(other_k, _state_E2(other_k)) == at_state)
+        values += [coeffs.b1, coeffs.b2, coeffs.b3, at_state.b1, at_state.b2, at_state.b3]
+
+        if point.is_basic:
+            check("basic = extended at d1 = d2 = 0",
+                  coeffs == CharPolyCoeffs(*_extended_coeffs(
+                      point.a1, point.a2, point.p1, point.p2, 0, 0, point.d3)))
+            # rescaled units from here on: p1 = 1
+            r, p2, d3 = point.a2 / point.a1, point.p2 / point.p1, point.d3 / point.p1
+            rescaled = CharPolyCoeffs(*_basic_coeffs_rescaled(point.a1, point.a2, p2, d3))
+            factored = _hurwitz_factored(point.a1, r, p2, d3)
+            check("factored = b1*b2 - b3", factored == hurwitz_value(rescaled))
+            p2_star, lambda3, omega_sq = _hopf_rescaled(r, *_shape_constants(point.a1, r), d3)
+            b1, b2, b3 = _basic_coeffs_rescaled(point.a1, point.a2, p2_star, d3)
+            check("h = 0 at p2*", b1 * b2 - b3 == 0)
+            check("b2 = omega^2 at p2*", b2 == omega_sq)
+            check("b1 = -lambda3 at p2*", b1 == -lambda3)
+            values += [factored, p2_star, lambda3, omega_sq, b1, b2, b3]
+        else:
+            # h is quadratic in p2 and in d2, and h/d3 affine in d3: the fit
+            # through the point's own rate and `degree` more meets one more
+            # point (the next divided difference is 0), and has that degree
+            # exactly; basic points, on d1 = d2 = 0, would add nothing
+            h = hurwitz_value(coeffs)
+            for name, degree in (("p2", 2), ("d2", 2), ("d3", 1)):
+                xs = [getattr(point, name)] + [_uniform(rng, 0, 2) for _ in range(degree + 1)]
+                ys = [h] + [_extended_margin(point, **{name: x}) for x in xs[1:]]
+                if name == "d3":
+                    ys = [y / x for x, y in zip(xs, ys)]
+                top = _newton_top(xs, ys)
+                check(f"degree {degree} along {name}", top[degree] != 0 and top[degree + 1] == 0)
+                values += ys
+    elapsed = perf_counter() - t0
+    not_exact = sorted({type(value).__name__ for value in values} - {"Fraction"})
+    # about 0.4-0.6 s on a 2-core Xeon; the budget leaves room for slow spells
+    ok = not failed and not not_exact and elapsed < 3.0
+    announce(
+        capsys, 13, ok,
+        f"{len(points)} rational draws (150 basic, 150 extended) where E2 exists: "
+        f"every identity exact, {elapsed:.2f}s"
+        if ok else f"failed {failed}, non-Fraction results {not_exact}, {elapsed:.2f}s",
+    )
+    assert ok, (failed, not_exact, elapsed)

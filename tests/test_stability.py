@@ -1,5 +1,6 @@
 """Stability layer: coefficients, Routh-Hurwitz, Hopf point, regime table."""
 
+import hashlib
 import math
 import struct
 from fractions import Fraction
@@ -48,7 +49,7 @@ from hematodyn import (
     steady_state_E1,
     steady_state_E2,
 )
-from hematodyn.stability import MARGINAL_TOL, _basic_coeffs_rescaled, _extended_coeffs
+from hematodyn.stability import MARGINAL_TOL, _basic_coeffs_rescaled, _extended_coeffs, _shape_constants
 
 
 def numpy_char_coeffs(params, state):
@@ -92,12 +93,8 @@ def bits(*values):
 
 class TestBetaGamma:
     def test_rational_oracle_at_showcase_fractions(self):
-        # exact rational evaluation for a1=7/10, a2=1/2
-        a1, a2 = Fraction(7, 10), Fraction(1, 2)
-        r = a2 / a1
-        e = 1 - 1 / (2 * a1)
-        beta = 1 - r * e / (2 - r)
-        gamma = (1 / (2 * a1)) / e + r / ((2 - r) * (1 - r))
+        # the kernel's exact rational values for a1=7/10, a2=1/2
+        _, beta, gamma = _shape_constants(Fraction(7, 10), Fraction(5, 7))
         assert beta == Fraction(53, 63)
         assert gamma == Fraction(40, 9)
         got = beta_gamma(0.7, 0.5)
@@ -188,6 +185,31 @@ class TestBasicClosedFormDomain:
     def test_place_E2_rate_follows_the_number_rule(self):
         with pytest.raises(ValueError, match="p1 must be finite, got inf"):
             place_E2(CellState(1.0, 1.0, 1.0), 0.7, 0.5, math.inf)
+
+
+class TestClosedFormBits:
+    # no CLI digest reaches beta_gamma, hurwitz_factored,
+    # instability_region_bounds or place_E2; their float outputs on seeded
+    # draws (and hopf_point's) are pinned here, so that moving arithmetic
+    # between an entry check and its kernel cannot move a bit unseen
+    def test_outputs_are_pinned(self):
+        rng = np.random.default_rng(2713)
+        digest = hashlib.sha256()
+        for _ in range(500):
+            a1 = rng.uniform(0.501, 0.999)
+            a2 = rng.uniform(0.001, 0.999) * a1
+            p1, p2, d3 = rng.uniform(0.01, 2.0, size=3).tolist()
+            bg = beta_gamma(a1, a2)
+            hopf = hopf_point(a1, a2, rng.uniform(0.01, 0.99) * p1 / (bg.beta * bg.gamma), p1)
+            target = CellState(*(10.0 ** rng.uniform(6.0, 11.0, size=3)).tolist())
+            digest.update(bits(
+                bg.beta, bg.gamma, hurwitz_factored(a1, a2, p2, d3),
+                *instability_region_bounds(a1, a2), *place_E2(target, a1, a2, p1),
+                hopf.p2_star, hopf.d3_max, hopf.omega, hopf.lambda3, hopf.mu_prime,
+            ))
+        assert digest.hexdigest() == (
+            "57a73df167521627e9951d35700d9b50bba917638a96124dca00fc4d59539c4a"
+        )
 
 
 class TestCharPoly:

@@ -394,6 +394,32 @@ def caller_waits_first(fn, seconds=0.3):
     return wrapped
 
 
+def wait_for(ready, seconds=30.0):
+    deadline = time.monotonic() + seconds
+    while not ready():
+        assert time.monotonic() < deadline, "gave up waiting for another lane"
+        time.sleep(0.001)
+
+
+def caller_computes_one(fn, n, marks):
+    """fn, except that with one helper the caller computes exactly one of n
+    items. A helper's item notes its index, then waits until the caller has
+    claimed an index (a file in marks); the caller's item waits until the
+    helper has noted all n - 1 others, so none is left for it to claim."""
+    caller, claimed = os.getpid(), marks / "claimed"
+
+    def wrapped(index):
+        if os.getpid() == caller:
+            claimed.touch()
+            wait_for(lambda: len(list(marks.glob("noted-*"))) == n - 1)
+        else:
+            (marks / f"noted-{index}").touch()
+            wait_for(claimed.exists)
+        return fn(index)
+
+    return wrapped
+
+
 def square(index):
     return index, index * index
 
@@ -419,9 +445,9 @@ class TestLanes:
         lanes(cpus)
         assert list(_lanes(square, n)) == [square(i) for i in range(n)]
 
-    def test_work_is_split_between_processes(self, lanes):
+    def test_work_is_split_between_processes(self, lanes, tmp_path):
         lanes(2)
-        pids = list(_lanes(caller_waits_first(lambda index: os.getpid()), 6))
+        pids = list(_lanes(caller_computes_one(lambda index: os.getpid(), 6, tmp_path), 6))
         assert len(set(pids)) == 2
         assert pids.count(os.getpid()) == 1
 
