@@ -200,7 +200,7 @@ def classify(
     abs_tol: float = 1e-3,
     output_stride: Optional[float] = None,
 ) -> AttractorVerdict:
-    """Integrate and classify the long-run behavior.
+    """Integrate once and classify the long-run behavior; return the verdict.
 
     The horizon should cover at least ~20 putative periods; the default
     from `default_horizon` does. Integration failures propagate. An
@@ -208,28 +208,6 @@ def classify(
     the trailing 5 % of the horizon is a ValueError, raised before
     integrating.
     """
-    return _classify(
-        params, initial, horizon,
-        transient_fraction=transient_fraction, equilibrium_tol=equilibrium_tol,
-        agreement_tol=agreement_tol, rel_tol=rel_tol, abs_tol=abs_tol,
-        output_stride=output_stride,
-    )[0]
-
-
-def _classify(
-    params: ModelParameters,
-    initial: CellState,
-    horizon: Optional[float] = None,
-    *,
-    transient_fraction: float = 0.5,
-    equilibrium_tol: float = 1e-3,
-    agreement_tol: float = 0.02,
-    rel_tol: float = 1e-8,
-    abs_tol: float = 1e-3,
-    output_stride: Optional[float] = None,
-) -> Tuple[AttractorVerdict, CellState]:
-    # `classify`, which also returns the final state of the run it judged
-
     # every setting follows the number rule before anything is integrated:
     # NaN fails every tolerance comparison below and infinity passes every
     # one, and either would yield a plausible-looking verdict
@@ -263,7 +241,6 @@ def _classify(
     traj = integrate(params, initial, config)
     keep = traj.times >= keep_from
     window = traj.times >= window_from
-    final = traj.final
 
     # settle test on the trailing 5% of the horizon, whose last sample is
     # the final one, so its last distance to each steady state gives
@@ -284,7 +261,7 @@ def _classify(
     if best_worst <= equilibrium_tol:
         return AttractorVerdict(
             kind=EQUILIBRIUM, label=best_label, final_distance=final_distance
-        ), final
+        )
 
     tail = Trajectory(traj.times[keep], traj.states[keep])
     report = oscillation_report(tail)
@@ -300,5 +277,5 @@ def _classify(
             period=report.period,
             amplitude_u3=report.amplitude,
             final_distance=final_distance,
-        ), final
-    return AttractorVerdict(kind=UNDECIDED, final_distance=final_distance), final
+        )
+    return AttractorVerdict(kind=UNDECIDED, final_distance=final_distance)

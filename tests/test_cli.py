@@ -387,22 +387,6 @@ class TestClassify:
         assert payload["label"] == "E2"
         assert payload["final_distance"] < 1e-3
 
-    def test_slow_cycle_with_immature_death(self, tmp_path, capsys):
-        # weakly unstable override set (margin ~ -3e-3): starting 25% above
-        # the positive steady state, the spiral needs a long horizon to grow
-        # out to the cycle, whose period sits near 410 days
-        cfg = write_config(
-            tmp_path,
-            "p2 = 0.01\na2 = 0.99\nd2 = 0.5287\n"
-            "u1 = 851821478873.2395\nu2 = 161619718309.85918\nu3 = 5.0e8\n"
-            "horizon = 160000\n",
-        )
-        code, out, _ = run(capsys, "classify", "--config", cfg)
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["kind"] == "limit_cycle"
-        assert 380.0 < payload["period"] < 440.0
-
     def test_stride_of_the_whole_horizon_is_a_config_error(self, capsys):
         # one sample after the transient cannot carry a verdict
         code, out, err = run(capsys, "classify", *INITIAL_SET,

@@ -22,7 +22,7 @@ from conftest import (
     draw_basic_admissible,
     showcase_params,
 )
-from hematodyn import analysis, sweep
+from hematodyn import sweep
 from hematodyn import (
     AttractorVerdict,
     AxisSpec,
@@ -43,7 +43,6 @@ from hematodyn import (
     hopf_point,
     hurwitz_classify,
     hurwitz_value,
-    integrate,
     run_sweep,
     steady_state_E2,
     sweep_summary,
@@ -380,20 +379,6 @@ def lanes(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def caller_waits_first(fn, seconds=0.3):
-    """fn, except that the first item the calling process computes takes
-    `seconds` longer, so that the helpers claim every other index meanwhile."""
-    caller, slow = os.getpid(), []
-
-    def wrapped(index):
-        if os.getpid() == caller and not slow:
-            slow.append(index)
-            time.sleep(seconds)
-        return fn(index)
-
-    return wrapped
-
-
 def wait_for(ready, seconds=30.0):
     deadline = time.monotonic() + seconds
     while not ready():
@@ -417,6 +402,28 @@ def caller_computes_one(fn, n, marks):
             wait_for(claimed.exists)
         return fn(index)
 
+    return wrapped
+
+
+def helper_reaches(monkeypatch, marks, fn, target):
+    """fn, except that a helper, not the caller, computes index target.
+    Helpers claim nothing until the caller's first item, index 0, has begun
+    (a file in marks); that item waits until a helper has noted target."""
+    caller, begun, lane = os.getpid(), marks / "begun", sweep._lane
+
+    def late_lane(*args):
+        wait_for(begun.exists)
+        lane(*args)
+
+    def wrapped(index):
+        if os.getpid() != caller:
+            (marks / f"noted-{index}").touch()
+        elif not begun.exists():
+            begun.touch()
+            wait_for((marks / f"noted-{target}").exists)
+        return fn(index)
+
+    monkeypatch.setattr(sweep, "_lane", late_lane)
     return wrapped
 
 
@@ -468,15 +475,17 @@ class TestLanes:
                 other.join(timeout=10.0)
         assert not other.is_alive()
 
-    def test_exception_in_a_helper_is_raised_by_the_caller_as_serial(self, lanes, tmp_path):
+    def test_exception_in_a_helper_is_raised_by_the_caller_as_serial(
+            self, lanes, monkeypatch, tmp_path, tmp_path_factory):
         lanes(1)
         with pytest.raises(IntegrationError) as serial:
             list(_lanes(failing_at_4(tmp_path), 7))
         (tmp_path / str(os.getpid())).unlink()
         lanes(2)
+        fn = helper_reaches(monkeypatch, tmp_path_factory.mktemp("marks"), failing_at_4(tmp_path), 4)
         got = []
         with pytest.raises(IntegrationError) as info:
-            for value in _lanes(caller_waits_first(failing_at_4(tmp_path)), 7):
+            for value in _lanes(fn, 7):
                 got.append(value)
         # a helper met the failure first, and the caller met it again
         assert sorted(path.name for path in tmp_path.iterdir()) != [str(os.getpid())]
@@ -487,15 +496,16 @@ class TestLanes:
         assert (str(err), err.args, err.reason, err.time, err.state, err.trajectory) == (
             str(ref), ref.args, ref.reason, ref.time, ref.state, ref.trajectory)
 
-    def test_failure_only_in_a_helper_changes_nothing(self, lanes, tmp_path):
+    def test_failure_only_in_a_helper_changes_nothing(self, lanes, monkeypatch, tmp_path, tmp_path_factory):
         lanes(2)
-        fn = caller_waits_first(failing_at_4(tmp_path, in_caller=False))
+        fn = helper_reaches(monkeypatch, tmp_path_factory.mktemp("marks"),
+                            failing_at_4(tmp_path, in_caller=False), 4)
         assert list(_lanes(fn, 7)) == [square(i) for i in range(7)]
         raised = [path.name for path in tmp_path.iterdir()]
         assert len(raised) == 1 and raised != [str(os.getpid())]
 
     @pytest.mark.parametrize("cpus", [2, 4])
-    def test_helper_that_dies_changes_nothing(self, lanes, cpus):
+    def test_helper_that_dies_changes_nothing(self, lanes, monkeypatch, tmp_path, cpus):
         lanes(cpus)
         caller = os.getpid()
 
@@ -504,7 +514,9 @@ class TestLanes:
                 os._exit(7)
             return square(index)
 
-        assert list(_lanes(caller_waits_first(dies_at_3), 8)) == [square(i) for i in range(8)]
+        fn = helper_reaches(monkeypatch, tmp_path, dies_at_3, 3)
+        assert list(_lanes(fn, 8)) == [square(i) for i in range(8)]
+        assert (tmp_path / "noted-3").exists()
 
     def test_consumer_closes_early(self, lanes):
         lanes(2)
@@ -565,7 +577,7 @@ class TestLaneCountInvariance:
 
     def test_constellation_reports(self, lanes, monkeypatch):
         # a short first horizon keeps the ten sets quick and still takes
-        # every set through classification and its restarts
+        # every set through classification and its retry
         monkeypatch.setattr(sweep, "default_horizon", lambda params: 300.0)
         texts = {}
         for cpus in (1, 2, 4):
@@ -656,59 +668,53 @@ class TestConstellations:
             assert reports[index].classification == expected, index
 
 
-class TestRestarts:
-    # each restart classifies over twice the previous horizon, from the
-    # final state of the run just judged, so no day is integrated twice
-    def test_restart_continues_from_the_end_of_the_judged_run(self, monkeypatch):
-        params = REFERENCE_PARAMETERS.with_(**CONSTELLATIONS[1])
-        runs = []
-        judged = []
-        classify_and_end = sweep._classify
+def _bits(state):
+    return [v.hex() for v in state.as_tuple()]
 
-        def spy(params, initial, config):
-            traj = integrate(params, initial, config)
-            runs.append((initial, config.t_end, traj.final))
-            return traj
 
-        def undecided(params, start, horizon):
-            verdict, final = classify_and_end(params, start, horizon)
-            judged.append(horizon)
-            return AttractorVerdict(kind="undecided"), final
+class TestRetry:
+    # an audit set is classified from a 25 % overshoot of its positive state
+    # over the default horizon; only an undecided verdict is tried once
+    # more, from the same start over 8 times that horizon
+    PARAMS = REFERENCE_PARAMETERS.with_(**CONSTELLATIONS[1])
 
-        monkeypatch.setattr(analysis, "integrate", spy)
-        monkeypatch.setattr(sweep, "default_horizon", lambda params: 300.0)
-        monkeypatch.setattr(sweep, "_classify", undecided)
-        assert sweep._classify_from_equilibrium(params).kind == "undecided"
-        assert judged == [300.0, 600.0, 1200.0, 2400.0]
-        # one run per judged horizon, and each restart starts where the
-        # previous run ended
-        assert [t_end for _, t_end, _ in runs] == judged
-        for (_, _, end), (restart, _, _) in zip(runs, runs[1:]):
-            assert [v.hex() for v in restart.as_tuple()] == [v.hex() for v in end.as_tuple()]
+    def scripted(self, monkeypatch, verdicts):
+        """Patch sweep.classify to return verdicts in turn; return its calls."""
+        calls = []
 
-    @pytest.mark.parametrize("undecided_runs", [0, 1, 2, 3])
-    def test_restarts_stop_at_the_first_decided_verdict(self, monkeypatch, undecided_runs):
-        params = REFERENCE_PARAMETERS.with_(**CONSTELLATIONS[1])
-        e2 = steady_state_E2(params).state
-        decided = AttractorVerdict(kind="limit_cycle", period=1.0, amplitude_u3=1.0)
-        judged = []
-        classify_and_end = sweep._classify
-
-        def scripted(params, start, horizon):
-            _, final = classify_and_end(params, start, horizon)
-            judged.append((start, horizon))
-            if len(judged) <= undecided_runs:
-                return AttractorVerdict(kind="undecided"), final
-            return decided, final
+        def fake(params, initial, horizon):
+            assert params is self.PARAMS
+            calls.append((initial, horizon))
+            return verdicts[len(calls) - 1]
 
         monkeypatch.setattr(sweep, "default_horizon", lambda params: 300.0)
-        monkeypatch.setattr(sweep, "_classify", scripted)
-        verdict = sweep._classify_from_equilibrium(params)
-        # the first run starts at a 25 % overshoot of the positive state
-        assert [v.hex() for v in judged[0][0].as_tuple()] == [
-            (1.25 * v).hex() for v in e2.as_tuple()]
-        assert [horizon for _, horizon in judged] == [300.0 * 2.0 ** n for n in range(undecided_runs + 1)]
-        assert verdict is decided
+        monkeypatch.setattr(sweep, "classify", fake)
+        return calls
+
+    def overshoot(self):
+        return [(1.25 * v).hex() for v in steady_state_E2(self.PARAMS).state.as_tuple()]
+
+    # a verdict of each kind; the first two are decided
+    VERDICTS = [
+        AttractorVerdict(kind="limit_cycle", period=1.0, amplitude_u3=1.0),
+        AttractorVerdict(kind="equilibrium", label="E2"),
+        AttractorVerdict(kind="undecided"),
+    ]
+    KINDS = ["limit-cycle", "equilibrium", "undecided"]
+
+    @pytest.mark.parametrize("decided", VERDICTS[:2], ids=KINDS[:2])
+    def test_decided_first_run_is_the_only_one(self, monkeypatch, decided):
+        calls = self.scripted(monkeypatch, [decided])
+        assert sweep._classify_from_equilibrium(self.PARAMS) is decided
+        assert [(_bits(start), horizon) for start, horizon in calls] == [(self.overshoot(), 300.0)]
+
+    @pytest.mark.parametrize("retried", VERDICTS, ids=KINDS)
+    def test_undecided_first_run_is_retried_once_from_its_start(self, monkeypatch, retried):
+        calls = self.scripted(monkeypatch, [AttractorVerdict(kind="undecided"), retried])
+        # the retry's verdict stands, even when it is undecided again
+        assert sweep._classify_from_equilibrium(self.PARAMS) is retried
+        assert [(_bits(start), horizon) for start, horizon in calls] == [
+            (self.overshoot(), 300.0), (self.overshoot(), 2400.0)]
 
     def test_set_without_a_positive_state_is_not_classified(self, monkeypatch):
         # 2 * a1 * p1 < p1 + d1: E2 does not exist, so there is no overshoot
@@ -719,5 +725,5 @@ class TestRestarts:
         def never(*args):
             raise AssertionError("classified a set without a positive state")
 
-        monkeypatch.setattr(sweep, "_classify", never)
+        monkeypatch.setattr(sweep, "classify", never)
         assert sweep._classify_from_equilibrium(params) is None
