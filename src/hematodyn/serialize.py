@@ -88,7 +88,7 @@ def dumps(obj) -> str:
 def write_trajectory_csv(traj, fh) -> None:
     """CSV columns t,u1,u2,u3; '.' decimals, newline-terminated rows.
 
-    Each block of `_CHUNK` rows (the sweep writer's block size) is
+    Each block of `_CHUNK` rows (the sweep's evaluation block size) is
     formatted by one `%` call and written by one `fh.write`.
     """
     fh.write("t,u1,u2,u3\n")

@@ -97,6 +97,11 @@ CONSTELLATION_DIRECTIONS: Dict[int, Dict[str, int]] = {
 }
 
 _CHUNK = 8192
+# rows per block of the sweep CSV. On the benchmark's 60 x 60 x 60 grid a
+# block is about 176 KB of text, so about six fit in a lane's 1 MiB pipe
+# and a helper runs that far ahead without waiting; the calling process
+# holds a quarter of the strings that an 8192-row block needs
+_CSV_BLOCK = 2048
 _MAX_GRID = 20_000_000
 _SUMMARY_POINTS = 1000
 
@@ -226,9 +231,14 @@ def _eval_columns(cols):
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate existence and stability over the whole grid.
 
-    Points are evaluated in fixed blocks of `_CHUNK`, which bounds the
-    temporaries at the grid-size cap; each point's values depend only on
-    its own coordinates, so the result does not depend on the block size.
+    Points are evaluated in fixed blocks of `_CHUNK`; each block's class
+    codes, NaN-masked margins, class tally and unstable points go straight
+    into the result, and the Hopf pairs are counted one band of about a
+    block at a time. So the result holds about 10 bytes per point (the
+    existence flag, the margin and the class code) plus the unstable
+    points, and the peak is that plus one block's temporaries. Each point's
+    values depend only on its own coordinates, so the result does not
+    depend on the block size.
     """
     shape = spec.shape
     names = spec.names
@@ -239,36 +249,33 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     total = int(np.prod(shape))
 
     exists = np.empty(total, dtype=bool)
-    h = np.empty(total, dtype=float)
-    prod = np.empty(total, dtype=float)
+    hurwitz = np.empty(total, dtype=float)
+    codes = np.empty(total, dtype=np.int8)
+    tally = np.zeros(len(CLASS_NAMES), dtype=np.int64)
+    unstable = []
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
         multi = np.unravel_index(np.arange(start, stop), shape)
         cols = dict(fixed)
         for pos, name in enumerate(names):
             cols[name] = grids[pos][multi[pos]]
+        ok, h, prod = _eval_columns(cols)
         # conditions not touched by the varied axes come back as scalars,
-        # which the slice assignment broadcasts
-        exists[start:stop], h[start:stop], prod[start:stop] = _eval_columns(cols)
+        # which np.where and the slice assignments broadcast
+        exists[start:stop] = ok
+        hurwitz[start:stop] = np.where(ok, h, np.nan)
+        block = codes[start:stop]
+        block[:] = np.where(ok, hurwitz_codes(h, prod), 3)
+        tally += np.bincount(block, minlength=len(CLASS_NAMES))
+        picked = block == 1
+        unstable.append(np.column_stack([cols[name][picked] for name in names]))
 
-    codes = np.where(exists, hurwitz_codes(h, prod), 3).astype(np.int8)
-    hurwitz = np.where(exists, h, np.nan)
-    counts = dict(zip(CLASS_NAMES, np.bincount(codes, minlength=len(CLASS_NAMES)).tolist()))
-
-    multi = np.unravel_index(np.nonzero(codes == 1)[0], shape)
-    unstable_points = np.column_stack([grid[idx] for grid, idx in zip(grids, multi)])
+    counts = dict(zip(CLASS_NAMES, tally.tolist()))
+    unstable_points = np.concatenate(unstable)
     bounds = None
     if unstable_points.size:
         lows, highs = unstable_points.min(axis=0).tolist(), unstable_points.max(axis=0).tolist()
         bounds = {name: (low, high) for name, low, high in zip(names, lows, highs)}
-
-    # hurwitz is NaN exactly where E2 does not exist, and a product with a
-    # NaN factor is never < 0, so no existence mask is needed
-    grid_h = hurwitz.reshape(shape)
-    pairs = 0
-    for axis in range(len(shape)):
-        along = np.moveaxis(grid_h, axis, 0)
-        pairs += int(np.count_nonzero(along[:-1] * along[1:] < 0.0))
 
     return SweepResult(
         spec=spec,
@@ -278,9 +285,36 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         counts=counts,
         unstable_points=unstable_points,
         unstable_bounds=bounds,
-        hopf_pair_count=pairs,
+        hopf_pair_count=_hopf_pairs(hurwitz, shape),
         _grids=grids,
     )
+
+
+def _hopf_pairs(hurwitz, shape) -> int:
+    """Adjacent pairs, along every axis, whose margins a and b give a * b < 0.0.
+
+    The margins are NaN exactly where E2 does not exist, and a product with
+    a NaN factor is never < 0, so no existence mask is needed; a product
+    that underflows to -0.0 does not count either. Each product covers at
+    most `_CHUNK` pairs: a band of whole rows (the slices at fixed indices
+    of the earlier axes) while a row is short, pieces of one row once it
+    is longer.
+    """
+    pairs = 0
+    for axis in range(len(shape)):
+        inner = math.prod(shape[axis + 1:])
+        # one row per index of the axes before this one; along this axis,
+        # neighbours sit inner apart within a row
+        rows = hurwitz.reshape(math.prod(shape[:axis]), -1)
+        first, second = rows[:, :-inner], rows[:, inner:]
+        run = first.shape[1]
+        band, width = max(1, _CHUNK // run), min(run, _CHUNK)
+        for row in range(0, rows.shape[0], band):
+            for lo in range(0, run, width):
+                a = first[row:row + band, lo:lo + width]
+                b = second[row:row + band, lo:lo + width]
+                pairs += int(np.count_nonzero(a * b < 0.0))
+    return pairs
 
 
 def _usable_cpus() -> int:
@@ -357,8 +391,8 @@ def _lanes(fn, n):
     try:
         for lane in range(1, helpers + 1):
             reader, writer = ctx.Pipe(duplex=False)
-            # room for a whole CSV block, so that a helper goes on to its next
-            # item instead of waiting until the caller reads this one
+            # room for several CSV blocks, so that a helper goes on to its
+            # next items instead of waiting until the caller reads this one
             with contextlib.suppress(AttributeError, OSError):
                 fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
             # the helper closes its copies of every read end, so that it
@@ -461,13 +495,13 @@ def write_sweep_csv(result: SweepResult, fh) -> None:
     """Stream the per-point rows as CSV: coordinates, existence, margin, class.
 
     Floats use 17 significant digits and '.' decimals so two runs of the
-    same sweep produce byte-identical files. Each block of `_CHUNK` rows is
+    same sweep produce byte-identical files. Each block of `_CSV_BLOCK` rows is
     formatted by one `%` call, in one of the lanes (`_lanes`), and written
     by one `fh.write` in this process, in order, so memory stays bounded by
     the block size rather than the grid size.
     """
     fh.write(",".join(result.spec.names) + ",e2_exists,hurwitz,class\n")
-    grids, shape, total, chunk = result._grids, result.spec.shape, result.n_points, _CHUNK
+    grids, shape, total, chunk = result._grids, result.spec.shape, result.n_points, _CSV_BLOCK
     # an axis of at most one block's values is formatted once; a longer one
     # block by block, so no list of strings grows with the grid
     axes = [["%.17g" % v for v in grid.tolist()] if grid.size <= chunk else None for grid in grids]

@@ -424,13 +424,14 @@ def test_criterion_12_sweep_determinism(capsys, tmp_path, monkeypatch):
         "vary = p2:0.3:0.5:64;d3:0.11:0.29:50\n",
         encoding="utf-8",
     )
-    # 3200 points in blocks of 7 (not a divisor), of 1000, and of the
-    # default 8192 (the whole grid in one block)
+    # 3200 points evaluated and written in blocks of 7 (not a divisor), of
+    # 1000, and of 8192 (the whole grid in one block)
     chunks = (7, 1000, 8192)
     outputs = {}
     summaries = {}
     for chunk in chunks:
         monkeypatch.setattr("hematodyn.sweep._CHUNK", chunk)
+        monkeypatch.setattr("hematodyn.sweep._CSV_BLOCK", chunk)
         out = tmp_path / f"c{chunk}.csv"
         code = main(["sweep", "--config", str(cfg), "--out", str(out)])
         captured = capsys.readouterr()

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ from hematodyn import (
     write_sweep_csv,
 )
 from hematodyn.stability import CLASS_NAMES
-from hematodyn.sweep import _CHUNK, _lanes
+from hematodyn.sweep import _CHUNK, _CSV_BLOCK, _lanes
 
 
 def point_at(grids, shape, index):
@@ -71,10 +72,11 @@ def reference_csv(result):
 
 def assert_golden_digests():
     # frozen from the row-by-row writer; 11339 points (not a multiple of
-    # the chunk size) with stable, unstable and nonexistent rows
+    # the chunk size or the CSV block size) with stable, unstable and
+    # nonexistent rows
     axes = (axis_for("p1", 23), axis_for("a2", 29), axis_for("d3", 17))
     result = run_sweep(SweepSpec(varied=axes))
-    assert result.n_points % _CHUNK != 0
+    assert result.n_points % _CHUNK != 0 and result.n_points % _CSV_BLOCK != 0
     assert result.counts["nonexistent"] > 0 and result.counts["unstable"] > 0
     out = io.StringIO()
     write_sweep_csv(result, out)
@@ -258,21 +260,94 @@ class TestRunSweep:
         assert np.isnan(result.hurwitz[~result.exists]).all()
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
-        spec = SweepSpec(varied=(axis_for("p1", 60), axis_for("d2", 50)))
-        csv = {}
-        results = {}
-        for chunk in (7, 1000, _CHUNK):
-            monkeypatch.setattr("hematodyn.sweep._CHUNK", chunk)
-            results[chunk] = run_sweep(spec)
-            out = io.StringIO()
-            write_sweep_csv(results[chunk], out)
-            csv[chunk] = out.getvalue()
-        reference = results[_CHUNK]
-        for chunk, result in results.items():
-            assert np.array_equal(result.exists, reference.exists), chunk
-            assert np.array_equal(result.class_codes, reference.class_codes), chunk
-            assert np.array_equal(result.hurwitz, reference.hurwitz, equal_nan=True), chunk
-            assert csv[chunk] == csv[_CHUNK], chunk
+        grids = [
+            (axis_for("p1", 60), axis_for("d2", 50)),
+            # crosses the existence and the Hopf boundary
+            (axis_for("p1", 30), axis_for("a2", 25), axis_for("d3", 8)),
+        ]
+        for axes in grids:
+            spec = SweepSpec(varied=axes)
+            csv = {}
+            results = {}
+            for chunk in (7, 1000, _CHUNK):
+                # the evaluation block and the CSV block alike
+                monkeypatch.setattr("hematodyn.sweep._CHUNK", chunk)
+                monkeypatch.setattr("hematodyn.sweep._CSV_BLOCK", chunk)
+                results[chunk] = run_sweep(spec)
+                out = io.StringIO()
+                write_sweep_csv(results[chunk], out)
+                csv[chunk] = out.getvalue()
+            reference = results[_CHUNK]
+            for chunk, result in results.items():
+                assert np.array_equal(result.exists, reference.exists), chunk
+                assert np.array_equal(result.class_codes, reference.class_codes), chunk
+                assert np.array_equal(result.hurwitz, reference.hurwitz, equal_nan=True), chunk
+                assert result.counts == reference.counts, chunk
+                assert np.array_equal(result.unstable_points, reference.unstable_points), chunk
+                assert result.hopf_pair_count == reference.hopf_pair_count, chunk
+                assert csv[chunk] == csv[_CHUNK], chunk
+        assert reference.counts["unstable"] > 0 and reference.counts["nonexistent"] > 0
+        assert reference.hopf_pair_count > 0
+
+    def test_memory_stays_within_the_result_and_one_block(self):
+        # 27 blocks; every whole-grid temporary (a copy of the codes, a
+        # product of margins) would cost at least a byte per point more
+        spec = SweepSpec(varied=tuple(axis_for(name, 60) for name in ("p1", "a2", "d3")))
+        tracemalloc.start()
+        try:
+            result = run_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.n_points > 25 * _CHUNK
+        held = sum(array.nbytes for array in (
+            result.exists, result.hurwitz, result.class_codes, result.unstable_points))
+        # a block's temporaries: its indices, coordinate columns and
+        # coefficient arrays, well under 32 float64 values per point
+        allowance = 32 * 8 * _CHUNK
+        assert peak <= held + allowance, (peak, held)
+
+    @pytest.mark.parametrize("chunk", [_CHUNK, 100])
+    @pytest.mark.parametrize("counts", [
+        (_CHUNK + 1000,),
+        (3, _CHUNK + 5),
+        (3, 4, 3, 3, 4, 3, 3),
+    ], ids=["1-axis", "2-axes-long-slices", "7-axes"])
+    def test_hopf_pairs_match_the_whole_array_rule(self, monkeypatch, counts, chunk):
+        # random margins of both signs, NaN runs (no positive state) and
+        # one adjacent pair whose product underflows to -0.0
+        axes = tuple(axis_for(name, count) for name, count in zip(PLAUSIBLE_INTERVALS, counts))
+        spec = SweepSpec(varied=axes)
+        grids = [axis.grid() for axis in axes]
+        rng = np.random.default_rng(len(counts))
+        size = math.prod(counts)
+        margins = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+        for start in rng.integers(0, size, 20):
+            margins[start:start + rng.integers(1, 300)] = np.nan
+        tiny = int(rng.integers(0, size // counts[-1])) * counts[-1]
+        margins[tiny:tiny + 2] = 1e-200, -1e-200
+        assert margins[tiny] * margins[tiny + 1] == 0.0 and np.signbit(margins[tiny] * margins[tiny + 1])
+
+        def injected(cols):
+            # the flat index of each point, from its coordinates
+            index = np.ravel_multi_index(
+                [np.searchsorted(grid, cols[axis.name]) for grid, axis in zip(grids, axes)], spec.shape)
+            h = margins[index]
+            # E2 is missing exactly on the NaN margins; what run_sweep is
+            # handed there must not count
+            return ~np.isnan(h), np.where(np.isnan(h), -1.0, h), np.ones_like(h)
+
+        monkeypatch.setattr(sweep, "_eval_columns", injected)
+        monkeypatch.setattr(sweep, "_CHUNK", chunk)
+        result = run_sweep(spec)
+        assert np.array_equal(result.hurwitz, margins, equal_nan=True)
+        grid = margins.reshape(spec.shape)
+        expected = 0
+        for axis in range(len(counts)):
+            along = np.moveaxis(grid, axis, 0)
+            expected += int(np.count_nonzero(along[:-1] * along[1:] < 0.0))
+        assert result.hopf_pair_count == expected
+        assert expected > 0
 
 
 class TestResultAccess:
@@ -312,15 +387,18 @@ class TestResultAccess:
         (("a2", _CHUNK - 1),),
         (("p1", 128), ("a2", _CHUNK // 128)),
         (("a2", 3), ("d3", (_CHUNK + 1) // 3)),
-    ], ids=["1-axis", "7-axes", "chunk-1", "chunk", "chunk+1"])
+        (("a2", _CSV_BLOCK - 1),),
+        (("p1", 128), ("a2", _CSV_BLOCK // 128)),
+        (("a2", 3), ("d3", (_CSV_BLOCK + 1) // 3)),
+    ], ids=["1-axis", "7-axes", "chunk-1", "chunk", "chunk+1", "block-1", "block", "block+1"])
     def test_csv_matches_row_by_row_reference(self, axes):
         result = run_sweep(SweepSpec(varied=tuple(axis_for(n, c) for n, c in axes)))
         sink = RecordingSink()
         write_sweep_csv(result, sink)
         assert "".join(sink.blocks) == reference_csv(result)
-        # header, then one write per block of at most _CHUNK rows
-        assert len(sink.blocks) == 1 + -(-result.n_points // _CHUNK)
-        assert all(block.count("\n") <= _CHUNK for block in sink.blocks)
+        # header, then one write per block of at most _CSV_BLOCK rows
+        assert len(sink.blocks) == 1 + -(-result.n_points // _CSV_BLOCK)
+        assert all(block.count("\n") <= _CSV_BLOCK for block in sink.blocks)
 
     def test_edge_rows_match_row_by_row_reference(self, monkeypatch):
         # every class, marginal included, with signed zeros, nan, +-inf and
@@ -342,7 +420,7 @@ class TestResultAccess:
             hopf_pair_count=0,
             _grids=tuple(axis.grid() for axis in spec.varied),
         )
-        monkeypatch.setattr("hematodyn.sweep._CHUNK", 5)
+        monkeypatch.setattr("hematodyn.sweep._CSV_BLOCK", 5)
         sink = RecordingSink()
         write_sweep_csv(result, sink)
         text = "".join(sink.blocks)
@@ -536,7 +614,7 @@ class TestLanes:
 
     def test_writer_whose_sink_raises_stops_the_helpers(self, lanes, monkeypatch):
         lanes(2)
-        monkeypatch.setattr(sweep, "_CHUNK", 100)
+        monkeypatch.setattr(sweep, "_CSV_BLOCK", 100)
         result = run_sweep(SweepSpec(varied=(axis_for("p1", 40), axis_for("d3", 30))))
 
         class FullDisk:
@@ -558,9 +636,12 @@ class TestLaneCountInvariance:
         (_CHUNK, (("a2", 3 * _CHUNK // 2),)),
         (_CHUNK, tuple((name, 3 if name != "d3" else 13) for name in PLAUSIBLE_INTERVALS)),
         (_CHUNK, (("p1", 23), ("a2", 29), ("d3", 17))),
-    ], ids=["5-1-axis", "5-7-axes", "5-long-axes", "chunk-1-axis", "chunk-7-axes", "chunk-3-axes"])
+        (_CSV_BLOCK, (("a2", 3 * _CSV_BLOCK // 2),)),
+        (_CSV_BLOCK, (("p1", 23), ("a2", 29), ("d3", 17))),
+    ], ids=["5-1-axis", "5-7-axes", "5-long-axes", "chunk-1-axis", "chunk-7-axes", "chunk-3-axes",
+            "block-1-axis", "block-3-axes"])
     def test_csv_bytes(self, lanes, monkeypatch, cpus, chunk, axes):
-        monkeypatch.setattr(sweep, "_CHUNK", chunk)
+        monkeypatch.setattr(sweep, "_CSV_BLOCK", chunk)
         lanes(cpus)
         result = run_sweep(SweepSpec(varied=tuple(axis_for(n, c) for n, c in axes)))
         assert result.n_points % chunk != 0  # a partial last block
