@@ -5,7 +5,8 @@ positive steady state has fully explicit coefficients once time is rescaled
 by p1, and the Routh-Hurwitz margin b1*b2 - b3 factorizes. That yields an
 explicit stability boundary in the (p2, d3) plane and an explicit bifurcation
 point p2_star at which a conjugate eigenvalue pair crosses the imaginary
-axis. The extended variant keeps closed-form coefficients too, just bulkier.
+axis. The extended variant keeps closed-form coefficients too, just bulkier;
+its crossing in p2 is found numerically, by `bifurcation_bracket`.
 
 Sign conventions: the characteristic polynomial is written
 lambda^3 + b1*lambda^2 + b2*lambda + b3, so b1 = -trace(J),
@@ -55,6 +56,7 @@ __all__ = [
     "hurwitz_codes",
     "hurwitz_factored",
     "hopf_point",
+    "bifurcation_bracket",
     "eigenvalues_at",
     "stability_report",
     "stability_reports",
@@ -315,6 +317,46 @@ def _hopf_rescaled(r, e, beta, gamma, d3):
     lambda3 = -1 / gamma
     omega_sq = (1 / gamma - beta * d3) * gamma * e * d3
     return p2_star, lambda3, omega_sq
+
+
+def bifurcation_bracket(params: ModelParameters, low_p2: float, high_p2: float) -> float:
+    """Bisect the Routh-Hurwitz margin in p2 down to a 1e-10 interval.
+
+    Endpoints must have an existing positive state and margins of opposite
+    sign. For the basic variant the result matches the closed-form
+    bifurcation point to high accuracy; for the extended variant it is the
+    only route to the crossing.
+    """
+
+    def margin(p2: float) -> float:
+        candidate = params.with_(p2=p2)
+        if steady_state_E2(candidate) is None:
+            raise ValueError(f"positive steady state does not exist at p2={p2}")
+        return hurwitz_value(_char_poly_E2(candidate))
+
+    if not low_p2 < high_p2:
+        raise ValueError(f"need low_p2 < high_p2, got {low_p2}, {high_p2}")
+    h_low = margin(low_p2)
+    h_high = margin(high_p2)
+    if h_low == 0.0:
+        return low_p2
+    if h_high == 0.0:
+        return high_p2
+    if (h_low > 0.0) == (h_high > 0.0):
+        raise ValueError(
+            f"margin has the same sign at both endpoints: {h_low} and {h_high}"
+        )
+    lo, hi, h_lo = low_p2, high_p2, h_low
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        h_mid = margin(mid)
+        if h_mid == 0.0:
+            return mid
+        if (h_mid > 0.0) == (h_lo > 0.0):
+            lo, h_lo = mid, h_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _sorted_roots(c: CharPolyCoeffs) -> Tuple[complex, complex, complex]:

@@ -25,22 +25,14 @@ import contextlib
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .analysis import AttractorVerdict, classify, default_horizon
 from .model import REFERENCE_PARAMETERS, CellState, ModelParameters, _real, e2_conditions, steady_state_E2
-from .stability import (
-    CLASS_NAMES,
-    NONEXISTENT,
-    _char_poly_E2,
-    _extended_coeffs,
-    hurwitz_codes,
-    hurwitz_value,
-    stability_report,
-)
+from .stability import CLASS_NAMES, NONEXISTENT, _extended_coeffs, hurwitz_codes, stability_report
 
 __all__ = [
     "AxisSpec",
@@ -55,7 +47,6 @@ __all__ = [
     "write_sweep_csv",
     "sweep_summary",
     "check_constellations",
-    "bifurcation_bracket",
 ]
 
 # open intervals considered biologically plausible, per-day rates
@@ -115,6 +106,15 @@ def _count(name: str, value) -> int:
     raise ValueError(f"{name} must be an int, got {value!r}")
 
 
+def _plausible(name: str) -> Tuple[float, float]:
+    """The plausible interval of a sweep axis; any other name is a ValueError."""
+    if name not in PLAUSIBLE_INTERVALS:
+        if name == "k":
+            raise ValueError("stability does not depend on k; it is not a sweep axis")
+        raise ValueError(f"unknown sweep parameter {name!r}")
+    return PLAUSIBLE_INTERVALS[name]
+
+
 @dataclass(frozen=True)
 class AxisSpec:
     """One varied parameter: an open interval sampled at `count` points.
@@ -131,10 +131,7 @@ class AxisSpec:
     nudge: float = 1e-4
 
     def __post_init__(self):
-        if self.name not in PLAUSIBLE_INTERVALS:
-            if self.name == "k":
-                raise ValueError("stability does not depend on k; it is not a sweep axis")
-            raise ValueError(f"unknown sweep parameter {self.name!r}")
+        lo, hi = _plausible(self.name)
         # stored as plain floats and a plain int, so the grid and the summary
         # see no numpy scalar
         for label, rule in (("low", _real), ("high", _real), ("count", _count), ("nudge", _real)):
@@ -146,7 +143,6 @@ class AxisSpec:
             raise ValueError(f"need at least 2 grid points, got {self.count}")
         if not 0.0 <= self.nudge < 0.5:
             raise ValueError(f"nudge must lie in [0, 0.5), got {self.nudge}")
-        lo, hi = PLAUSIBLE_INTERVALS[self.name]
         if self.low < lo or self.high > hi:
             warnings.warn(
                 f"interval ({self.low}, {self.high}) for {self.name} leaves the "
@@ -162,7 +158,7 @@ class AxisSpec:
 
 def axis_for(name: str, count: int = 100) -> AxisSpec:
     """Axis covering the full plausible interval of a parameter."""
-    lo, hi = PLAUSIBLE_INTERVALS[name]
+    lo, hi = _plausible(name)
     return AxisSpec(name=name, low=lo, high=hi, count=count)
 
 
@@ -195,27 +191,27 @@ class SweepSpec:
 
 @dataclass
 class SweepResult:
-    """Per-point flags in C grid order (last axis fastest) plus aggregates.
+    """Per-point margins and class codes in C grid order, plus aggregates.
 
-    Point i sits at np.unravel_index(i, spec.shape) on the axis grids, and
-    its class is CLASS_NAMES[class_codes[i]]. hurwitz holds NaN where the
-    positive state does not exist. Content and ordering are deterministic
-    for a given spec.
+    Point i sits at np.unravel_index(i, spec.shape) on the axis grids
+    (`AxisSpec.grid`; last axis fastest), and its class is
+    CLASS_NAMES[class_codes[i]]. The code is 3 ('nonexistent') exactly
+    where the positive state does not exist, and hurwitz holds NaN there.
+    unstable_points holds the coordinates of the points with code 1, one
+    row each in grid order. Content and ordering are deterministic for a
+    given spec.
     """
 
     spec: SweepSpec
-    exists: np.ndarray
     hurwitz: np.ndarray
     class_codes: np.ndarray
     counts: Dict[str, int]
     unstable_points: np.ndarray
-    unstable_bounds: Optional[Dict[str, Tuple[float, float]]]
     hopf_pair_count: int
-    _grids: Tuple[np.ndarray, ...] = field(repr=False, default=())
 
     @property
     def n_points(self) -> int:
-        return int(self.exists.size)
+        return int(self.class_codes.size)
 
 
 def _eval_columns(cols):
@@ -234,11 +230,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Points are evaluated in fixed blocks of `_CHUNK`; each block's class
     codes, NaN-masked margins, class tally and unstable points go straight
     into the result, and the Hopf pairs are counted one band of about a
-    block at a time. So the result holds about 10 bytes per point (the
-    existence flag, the margin and the class code) plus the unstable
-    points, and the peak is that plus one block's temporaries. Each point's
-    values depend only on its own coordinates, so the result does not
-    depend on the block size.
+    block at a time. So the result holds 9 bytes per point (the margin and
+    the class code) plus the unstable points, and the peak is that plus one
+    block's temporaries. Each point's values depend only on its own
+    coordinates, so the result does not depend on the block size.
     """
     shape = spec.shape
     names = spec.names
@@ -248,7 +243,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     }
     total = int(np.prod(shape))
 
-    exists = np.empty(total, dtype=bool)
     hurwitz = np.empty(total, dtype=float)
     codes = np.empty(total, dtype=np.int8)
     tally = np.zeros(len(CLASS_NAMES), dtype=np.int64)
@@ -261,8 +255,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             cols[name] = grids[pos][multi[pos]]
         ok, h, prod = _eval_columns(cols)
         # conditions not touched by the varied axes come back as scalars,
-        # which np.where and the slice assignments broadcast
-        exists[start:stop] = ok
+        # which np.where broadcasts
         hurwitz[start:stop] = np.where(ok, h, np.nan)
         block = codes[start:stop]
         block[:] = np.where(ok, hurwitz_codes(h, prod), 3)
@@ -270,23 +263,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         picked = block == 1
         unstable.append(np.column_stack([cols[name][picked] for name in names]))
 
-    counts = dict(zip(CLASS_NAMES, tally.tolist()))
-    unstable_points = np.concatenate(unstable)
-    bounds = None
-    if unstable_points.size:
-        lows, highs = unstable_points.min(axis=0).tolist(), unstable_points.max(axis=0).tolist()
-        bounds = {name: (low, high) for name, low, high in zip(names, lows, highs)}
-
     return SweepResult(
         spec=spec,
-        exists=exists,
         hurwitz=hurwitz,
         class_codes=codes,
-        counts=counts,
-        unstable_points=unstable_points,
-        unstable_bounds=bounds,
+        counts=dict(zip(CLASS_NAMES, tally.tolist())),
+        unstable_points=np.concatenate(unstable),
         hopf_pair_count=_hopf_pairs(hurwitz, shape),
-        _grids=grids,
     )
 
 
@@ -495,13 +478,15 @@ def write_sweep_csv(result: SweepResult, fh) -> None:
     """Stream the per-point rows as CSV: coordinates, existence, margin, class.
 
     Floats use 17 significant digits and '.' decimals so two runs of the
-    same sweep produce byte-identical files. Each block of `_CSV_BLOCK` rows is
+    same sweep produce byte-identical files. The coordinates are the spec's
+    axis grids (`AxisSpec.grid`). Each block of `_CSV_BLOCK` rows is
     formatted by one `%` call, in one of the lanes (`_lanes`), and written
     by one `fh.write` in this process, in order, so memory stays bounded by
     the block size rather than the grid size.
     """
     fh.write(",".join(result.spec.names) + ",e2_exists,hurwitz,class\n")
-    grids, shape, total, chunk = result._grids, result.spec.shape, result.n_points, _CSV_BLOCK
+    grids = tuple(axis.grid() for axis in result.spec.varied)
+    shape, total, chunk = result.spec.shape, result.n_points, _CSV_BLOCK
     # an axis of at most one block's values is formatted once; a longer one
     # block by block, so no list of strings grows with the grid
     axes = [["%.17g" % v for v in grid.tolist()] if grid.size <= chunk else None for grid in grids]
@@ -530,10 +515,16 @@ def write_sweep_csv(result: SweepResult, fh) -> None:
 def sweep_summary(result: SweepResult) -> dict:
     """JSON-ready aggregate view: counts, unstable bounds, sample points.
 
-    At most `_SUMMARY_POINTS` (1000) unstable points are listed.
+    The bounds are each axis's min and max over the unstable points ({}
+    when there is none). At most `_SUMMARY_POINTS` (1000) unstable points
+    are listed.
     """
     pts = result.unstable_points
-    summary = {
+    bounds = {}
+    if pts.size:
+        lows, highs = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+        bounds = {name: [lo, hi] for name, lo, hi in zip(result.spec.names, lows, highs)}
+    return {
         "axes": [
             {"name": a.name, "low": a.low, "high": a.high, "count": a.count}
             for a in result.spec.varied
@@ -543,14 +534,11 @@ def sweep_summary(result: SweepResult) -> dict:
         "hopf_adjacent_pairs": result.hopf_pair_count,
         "unstable": {
             "count": int(pts.shape[0]),
-            "bounds": {
-                name: [lo, hi] for name, (lo, hi) in (result.unstable_bounds or {}).items()
-            },
-            "points": [[float(v) for v in row] for row in pts[:_SUMMARY_POINTS]],
+            "bounds": bounds,
+            "points": pts[:_SUMMARY_POINTS].tolist(),
             "points_truncated": bool(pts.shape[0] > _SUMMARY_POINTS),
         },
     }
-    return summary
 
 
 @dataclass(frozen=True)
@@ -613,42 +601,3 @@ def check_constellations(run_classify: bool = True) -> Tuple[ConstellationReport
         )
     return tuple(reports)
 
-
-def bifurcation_bracket(params: ModelParameters, low_p2: float, high_p2: float) -> float:
-    """Bisect the Routh-Hurwitz margin in p2 down to a 1e-10 interval.
-
-    Endpoints must have an existing positive state and margins of opposite
-    sign. For the basic variant the result matches the closed-form
-    bifurcation point to high accuracy; for the extended variant it is the
-    only route to the crossing.
-    """
-
-    def margin(p2: float) -> float:
-        candidate = params.with_(p2=p2)
-        if steady_state_E2(candidate) is None:
-            raise ValueError(f"positive steady state does not exist at p2={p2}")
-        return hurwitz_value(_char_poly_E2(candidate))
-
-    if not low_p2 < high_p2:
-        raise ValueError(f"need low_p2 < high_p2, got {low_p2}, {high_p2}")
-    h_low = margin(low_p2)
-    h_high = margin(high_p2)
-    if h_low == 0.0:
-        return low_p2
-    if h_high == 0.0:
-        return high_p2
-    if (h_low > 0.0) == (h_high > 0.0):
-        raise ValueError(
-            f"margin has the same sign at both endpoints: {h_low} and {h_high}"
-        )
-    lo, hi, h_lo = low_p2, high_p2, h_low
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        h_mid = margin(mid)
-        if h_mid == 0.0:
-            return mid
-        if (h_mid > 0.0) == (h_lo > 0.0):
-            lo, h_lo = mid, h_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -66,7 +66,8 @@ def reference_csv(result):
     for index in range(result.n_points):
         out.write(",".join("%.17g" % v for v in point_at(grids, result.spec.shape, index)))
         label = CLASS_NAMES[result.class_codes[index]]
-        out.write(",%d,%.17g,%s\n" % (result.exists[index], result.hurwitz[index], label))
+        exists = result.class_codes[index] != 3
+        out.write(",%d,%.17g,%s\n" % (exists, result.hurwitz[index], label))
     return out.getvalue()
 
 
@@ -101,10 +102,14 @@ class TestAxisSpec:
     def test_feedback_strength_is_not_sweepable(self):
         with pytest.raises(ValueError, match="does not depend on k"):
             AxisSpec(name="k", low=1e-9, high=1e-8)
+        with pytest.raises(ValueError, match="does not depend on k"):
+            axis_for("k", 5)
 
     def test_unknown_parameter_rejected(self):
-        with pytest.raises(ValueError, match="unknown sweep parameter"):
+        with pytest.raises(ValueError, match="unknown sweep parameter 'b2'"):
             AxisSpec(name="b2", low=0.0, high=1.0)
+        with pytest.raises(ValueError, match="unknown sweep parameter 'foo'"):
+            axis_for("foo")
 
     def test_interval_and_count_validated(self):
         with pytest.raises(ValueError):
@@ -213,6 +218,7 @@ class TestRunSweep:
             assert result.counts["unstable"] == 0, name
             assert result.hopf_pair_count == 0, name
             assert result.n_points == 100
+            assert sweep_summary(result)["unstable"]["bounds"] == {}, name
 
     @pytest.mark.parametrize("overrides,axes", [
         ({}, (axis_for("p2", 13), axis_for("d3", 11))),
@@ -232,7 +238,9 @@ class TestRunSweep:
             point = point_at(grids, spec.shape, index)
             params = spec.fixed.with_(**dict(zip(spec.names, point)))
             exists = steady_state_E2(params) is not None
-            assert result.exists[index] == exists
+            # code 3 and a NaN margin exactly where E2 does not exist
+            assert (result.class_codes[index] != 3) == exists
+            assert math.isnan(result.hurwitz[index]) == (not exists)
             label = CLASS_NAMES[result.class_codes[index]]
             if not exists:
                 assert label == "nonexistent"
@@ -246,7 +254,7 @@ class TestRunSweep:
         result = run_sweep(SweepSpec(varied=axes))
         assert result.counts["unstable"] > 0
         assert result.hopf_pair_count > 0
-        bounds = result.unstable_bounds
+        bounds = sweep_summary(result)["unstable"]["bounds"]
         target = CONSTELLATIONS[1]  # varies exactly these three parameters
         for name in ("p1", "a2", "d3"):
             lo, hi = bounds[name]
@@ -257,7 +265,7 @@ class TestRunSweep:
         assert sum(result.counts.values()) == result.n_points
         # high self-renewal of progenitors removes the positive state
         assert result.counts["nonexistent"] > 0
-        assert np.isnan(result.hurwitz[~result.exists]).all()
+        assert np.isnan(result.hurwitz[result.class_codes == 3]).all()
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         grids = [
@@ -279,12 +287,14 @@ class TestRunSweep:
                 csv[chunk] = out.getvalue()
             reference = results[_CHUNK]
             for chunk, result in results.items():
-                assert np.array_equal(result.exists, reference.exists), chunk
                 assert np.array_equal(result.class_codes, reference.class_codes), chunk
+                # code 3 exactly on the NaN margins, whichever block a point fell in
+                assert np.array_equal(result.class_codes == 3, np.isnan(result.hurwitz)), chunk
                 assert np.array_equal(result.hurwitz, reference.hurwitz, equal_nan=True), chunk
                 assert result.counts == reference.counts, chunk
                 assert np.array_equal(result.unstable_points, reference.unstable_points), chunk
                 assert result.hopf_pair_count == reference.hopf_pair_count, chunk
+                assert sweep_summary(result) == sweep_summary(reference), chunk
                 assert csv[chunk] == csv[_CHUNK], chunk
         assert reference.counts["unstable"] > 0 and reference.counts["nonexistent"] > 0
         assert reference.hopf_pair_count > 0
@@ -300,8 +310,7 @@ class TestRunSweep:
         finally:
             tracemalloc.stop()
         assert result.n_points > 25 * _CHUNK
-        held = sum(array.nbytes for array in (
-            result.exists, result.hurwitz, result.class_codes, result.unstable_points))
+        held = sum(array.nbytes for array in (result.hurwitz, result.class_codes, result.unstable_points))
         # a block's temporaries: its indices, coordinate columns and
         # coefficient arrays, well under 32 float64 values per point
         allowance = 32 * 8 * _CHUNK
@@ -411,14 +420,11 @@ class TestResultAccess:
         ])
         result = SweepResult(
             spec=spec,
-            exists=codes != 3,
             hurwitz=margins,
             class_codes=codes,
             counts=dict(zip(CLASS_NAMES, np.bincount(codes).tolist())),
             unstable_points=np.empty((0, 2)),
-            unstable_bounds=None,
             hopf_pair_count=0,
-            _grids=tuple(axis.grid() for axis in spec.varied),
         )
         monkeypatch.setattr("hematodyn.sweep._CSV_BLOCK", 5)
         sink = RecordingSink()
@@ -440,7 +446,13 @@ class TestResultAccess:
         assert summary["unstable"]["count"] == result.counts["unstable"]
         assert len(summary["unstable"]["points"]) == 5
         assert summary["unstable"]["points_truncated"] is True
-        assert set(summary["unstable"]["bounds"]) == {"p1", "a2", "d3"}
+        # each axis's range over all the unstable points, not only the listed ones
+        pts = result.unstable_points
+        assert pts.shape == (result.counts["unstable"], 3)
+        assert summary["unstable"]["bounds"] == {
+            name: [float(pts[:, pos].min()), float(pts[:, pos].max())]
+            for pos, name in enumerate(("p1", "a2", "d3"))
+        }
         assert [a["name"] for a in summary["axes"]] == ["p1", "a2", "d3"]
 
 
