@@ -43,7 +43,6 @@ __all__ = [
     "steady_state_E2",
     "e2_conditions",
     "steady_states",
-    "place_E2",
     "jacobian",
     "invariant_box",
 ]
@@ -347,23 +346,6 @@ def steady_states(params: ModelParameters) -> Tuple[SteadyState, ...]:
     if e2 is not None:
         out.append(e2)
     return tuple(out)
-
-
-def place_E2(target: CellState, a1: float, a2: float, p1: float) -> Tuple[float, float, float]:
-    """Invert the basic E2 formulas: rates (k, d3, p2) placing E2 at `target`.
-
-    Requires 1/2 < a1 < 1, 0 < a2 < a1 and strictly positive target
-    counts. Round trip: steady_state_E2 with the returned rates (and
-    d1 = d2 = 0) reproduces `target` exactly up to floating point.
-    """
-    a1, r = _basic_ratio(a1, a2)
-    p1 = _positive("p1", p1)
-    if not (target.u1 > 0.0 and target.u2 > 0.0 and target.u3 > 0.0):
-        raise ValueError("target counts must be strictly positive")
-    k = (2.0 * a1 - 1.0) / target.u3
-    d3 = (2.0 - r) / (1.0 - r) * (target.u1 / target.u3) * p1
-    p2 = d3 / (2.0 - r) * (target.u3 / target.u2)
-    return k, d3, p2
 
 
 def _jacobian_entries(params: ModelParameters, state: CellState):

@@ -3,7 +3,8 @@
 For the basic variant (d1 = d2 = 0) the characteristic polynomial at the
 positive steady state has fully explicit coefficients once time is rescaled
 by p1, and the Routh-Hurwitz margin b1*b2 - b3 factorizes. That yields an
-explicit stability boundary in the (p2, d3) plane and an explicit bifurcation
+explicit stability boundary, the line closing the triangle of
+`instability_region_bounds` in the (p2, d3) plane, and an explicit bifurcation
 point p2_star at which a conjugate eigenvalue pair crosses the imaginary
 axis. The extended variant keeps closed-form coefficients too, just bulkier;
 its crossing in p2 is found numerically, by `bifurcation_bracket`.
@@ -24,6 +25,7 @@ closed forms' identities.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -36,7 +38,6 @@ from .model import (
     _basic_ratio,
     _jacobian_entries,
     _positive,
-    _real,
     steady_state_E0,
     steady_state_E1,
     steady_state_E2,
@@ -47,7 +48,6 @@ __all__ = [
     "CharPolyCoeffs",
     "HopfReport",
     "StabilityReport",
-    "RegimeSummary",
     "beta_gamma",
     "char_poly_E2",
     "char_poly_at",
@@ -60,7 +60,6 @@ __all__ = [
     "eigenvalues_at",
     "stability_report",
     "stability_reports",
-    "regime_table",
     "instability_region_bounds",
 ]
 
@@ -117,19 +116,6 @@ class StabilityReport:
     hurwitz: Optional[float]
     eigenvalues: Optional[Tuple[complex, complex, complex]]
     classification: str
-
-
-@dataclass(frozen=True)
-class RegimeSummary:
-    """Existence/stability of E0, E1, E2 as decided by (a1, a2) alone.
-
-    Values are 'stable', 'unstable', 'nonexistent', or 'exists' (for E2,
-    whose stability additionally depends on p2 and d3).
-    """
-
-    e0: str
-    e1: str
-    e2: str
 
 
 def beta_gamma(a1: float, a2: float) -> BetaGamma:
@@ -392,7 +378,8 @@ def stability_report(params: ModelParameters, label: str) -> StabilityReport:
     classified by the eigenvalue real parts (their b1, b3 need not be
     positive). E2 reports the closed-form `char_poly_E2` coefficients and is
     classified by their Routh-Hurwitz sign. Each polynomial is built once,
-    and E2's existence is checked once.
+    and E2's existence is checked once. Rates so large that the polynomial
+    overflows (a margin or eigenvalue that is not finite) raise ValueError.
     """
     if label == "E0":
         eq = steady_state_E0()
@@ -406,17 +393,19 @@ def stability_report(params: ModelParameters, label: str) -> StabilityReport:
         return StabilityReport(label, None, None, None, None, NONEXISTENT)
     at_state = char_poly_at(params, eq.state)
     eigenvalues = _sorted_roots(at_state)
+    coeffs = _char_poly_E2(params) if label == "E2" else at_state
+    hurwitz = hurwitz_value(coeffs)
+    if not (math.isfinite(hurwitz) and all(map(cmath.isfinite, eigenvalues))):
+        raise ValueError(f"the characteristic polynomial at {label} overflows for these rates")
     if label == "E2":
-        coeffs = _char_poly_E2(params)
         classification = hurwitz_classify(coeffs)
     else:
-        coeffs = at_state
         classification = _classify_by_eigenvalues(eigenvalues)
     return StabilityReport(
         label=label,
         equilibrium=eq,
         coeffs=coeffs,
-        hurwitz=hurwitz_value(coeffs),
+        hurwitz=hurwitz,
         eigenvalues=eigenvalues,
         classification=classification,
     )
@@ -427,37 +416,13 @@ def stability_reports(params: ModelParameters) -> Dict[str, StabilityReport]:
     return {label: stability_report(params, label) for label in ("E0", "E1", "E2")}
 
 
-def regime_table(a1: float, a2: float) -> RegimeSummary:
-    """Which steady states exist, and how E0/E1 behave, from (a1, a2) alone.
-
-    Basic variant. The degenerate boundaries a1 = 1/2, a2 = 1/2 and a1 = a2
-    are rejected. E2's entry is 'exists' when a1 > 1/2 and a2 < a1; its
-    stability then depends on (p2, d3) through `hurwitz_classify`.
-    """
-    a1, a2 = _real("a1", a1), _real("a2", a2)
-    if not (0.0 < a1 < 1.0 and 0.0 < a2 < 1.0):
-        raise ValueError(f"fractions must lie in (0, 1), got a1={a1}, a2={a2}")
-    if a1 == 0.5 or a2 == 0.5 or a1 == a2:
-        raise ValueError(
-            f"degenerate case: regime table needs a1 != 1/2, a2 != 1/2, a1 != a2, "
-            f"got a1={a1}, a2={a2}"
-        )
-    if a1 < 0.5:
-        if a2 < 0.5:
-            return RegimeSummary(e0=STABLE, e1=NONEXISTENT, e2=NONEXISTENT)
-        return RegimeSummary(e0=UNSTABLE, e1=STABLE, e2=NONEXISTENT)
-    if a2 < a1:
-        e1 = NONEXISTENT if a2 < 0.5 else UNSTABLE
-        return RegimeSummary(e0=UNSTABLE, e1=e1, e2="exists")
-    return RegimeSummary(e0=UNSTABLE, e1=STABLE, e2=NONEXISTENT)
-
-
 def instability_region_bounds(a1: float, a2: float) -> Tuple[float, float]:
     """Axis intercepts (d3, p2) of the instability triangle, rescaled units.
 
-    The unstable region of the basic variant lies inside the triangle cut
-    off by the line gamma*[(1 - a2/a1)*p2 + beta*d3] = 1; both intercepts
-    are below 2 for every admissible (a1, a2).
+    The basic variant's E2 is unstable exactly in the open triangle
+    p2/p2_cut + d3/d3_cut < 1, under the line gamma*[(1 - a2/a1)*p2 +
+    beta*d3] = 1 (criterion 10). Both intercepts are below 2 for every
+    admissible (a1, a2).
     """
     a1, r = _basic_ratio(a1, a2)
     _, beta, gamma = _shape_constants(a1, r)

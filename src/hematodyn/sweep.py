@@ -196,7 +196,8 @@ class SweepResult:
     Point i sits at np.unravel_index(i, spec.shape) on the axis grids
     (`AxisSpec.grid`; last axis fastest), and its class is
     CLASS_NAMES[class_codes[i]]. The code is 3 ('nonexistent') exactly
-    where the positive state does not exist, and hurwitz holds NaN there.
+    where the positive state does not exist, and hurwitz holds NaN there
+    and is finite elsewhere (`run_sweep` refuses a margin that overflows).
     unstable_points holds the coordinates of the points with code 1, one
     row each in grid order. Content and ordering are deterministic for a
     given spec.
@@ -221,7 +222,7 @@ def _eval_columns(cols):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         b1, b2, b3 = _extended_coeffs(**cols)
         prod = b1 * b2
-    return exists, prod - b3, prod
+        return exists, prod - b3, prod
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -233,7 +234,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     block at a time. So the result holds 9 bytes per point (the margin and
     the class code) plus the unstable points, and the peak is that plus one
     block's temporaries. Each point's values depend only on its own
-    coordinates, so the result does not depend on the block size.
+    coordinates, so the result does not depend on the block size. A margin
+    that overflows where the positive state exists raises ValueError.
     """
     shape = spec.shape
     names = spec.names
@@ -254,6 +256,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         for pos, name in enumerate(names):
             cols[name] = grids[pos][multi[pos]]
         ok, h, prod = _eval_columns(cols)
+        overflow = np.flatnonzero(ok & ~np.isfinite(h))
+        if overflow.size:
+            at = ", ".join(f"{name}={float(cols[name][overflow[0]])!r}" for name in names)
+            raise ValueError(f"the Hurwitz margin overflows where the positive state exists, at {at}")
         # conditions not touched by the varied axes come back as scalars,
         # which np.where broadcasts
         hurwitz[start:stop] = np.where(ok, h, np.nan)

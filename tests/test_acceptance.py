@@ -52,6 +52,7 @@ from hematodyn import (
     hurwitz_classify,
     hurwitz_factored,
     hurwitz_value,
+    instability_region_bounds,
     integrate,
     invariant_box,
     jacobian,
@@ -355,10 +356,12 @@ def test_criterion_09_boundedness(capsys):
 
 
 def test_criterion_10_bounded_instability_region(capsys):
+    # p1 = 1, so grid rates are the rescaled ones: a point must read unstable
+    # exactly where p2/p2_cut + d3/d3_cut < 1, inside the closed-form triangle
     bases = [(0.7, 0.5), (0.85, 0.841), (0.95, 0.15), (0.62, 0.3)]
     total_unstable = 0
-    escaped = 0
-    worst = (0.0, 0.0)
+    off = 0
+    largest = 0.0
     for a1, a2 in bases:
         fixed = ModelParameters(a1=a1, a2=a2, p1=1.0, p2=0.5, d3=0.5, k=1e-8)
         with warnings.catch_warnings():
@@ -368,18 +371,18 @@ def test_criterion_10_bounded_instability_region(capsys):
                 AxisSpec(name="d3", low=0.1, high=3.0, count=100, nudge=0.0),
             )
         result = run_sweep(SweepSpec(varied=axes, fixed=fixed))
-        pts = result.unstable_points
-        total_unstable += len(pts)
-        for p2, d3 in pts:
-            if not (p2 < 2.0 and d3 < 2.0):
-                escaped += 1
-            if p2 * d3 > worst[0] * worst[1]:
-                worst = (p2, d3)
-    ok = escaped == 0 and total_unstable > 0
+        d3_cut, p2_cut = instability_region_bounds(a1, a2)
+        p2, d3 = np.meshgrid(axes[0].grid(), axes[1].grid(), indexing="ij")
+        reach = (p2 / p2_cut + d3 / d3_cut).ravel()
+        unstable = result.class_codes == 1
+        total_unstable += int(np.count_nonzero(unstable))
+        off += int(np.count_nonzero(unstable != (reach < 1.0)))
+        largest = max(largest, float(reach[unstable].max(initial=0.0)))
+    ok = off == 0 and total_unstable > 0
     announce(
         capsys, 10, ok,
         f"{total_unstable} unstable points over {len(bases)} unit-rate grids, "
-        f"{escaped} outside p2 < 2, d3 < 2 (extreme point {worst[0]:.2f}, {worst[1]:.2f})",
+        f"{off} off the closed-form triangle (largest p2/p2_cut + d3/d3_cut {largest:.5f})",
     )
     assert ok
 

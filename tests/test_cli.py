@@ -291,17 +291,28 @@ class TestStability:
         assert code == 0
         assert json.loads(out)["E2"]["classification"] == "marginal"
 
-    def test_overflowing_rates_write_nothing_to_stderr(self, capsys):
-        # the coefficients overflow to inf and NaN; computed on Python floats,
-        # that raises no numpy overflow or invalid-value warning
+    # the coefficients overflow to inf and NaN; computed on Python floats,
+    # that raises no numpy overflow or invalid-value warning. These reports
+    # used to exit 0: at 1e200 every state read "unstable" with a NaN
+    # margin, at p2 = d3 = 1e103 E2 read "marginal" with an infinite one,
+    # and at 1e160 every eigenvalue was NaN
+    @pytest.mark.parametrize("rates", [
+        ("p1=1e200", "p2=1e200", "d3=1e200"), ("p2=1e103", "d3=1e103"), ("p2=1e160", "d3=1e160"),
+    ], ids=["1e200", "1e103", "1e160"])
+    def test_overflowing_rates_are_refused_without_warnings(self, capsys, rates):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out, err = run(
-                capsys, "stability", "--set", "p1=1e200", "--set", "p2=1e200", "--set", "d3=1e200"
-            )
-        assert (code, err, caught) == (0, "", [])
+            code, out, err = run(capsys, "stability", *(x for rate in rates for x in ("--set", rate)))
+        assert (code, out, caught) == (2, "", [])
+        assert err == "invalid configuration: the characteristic polynomial at E0 overflows for these rates\n"
+
+    # at p2 = d3 = 1e100 every margin and eigenvalue is still finite, and the
+    # report keeps the bytes it had before overflow was refused
+    def test_largest_finite_rates_keep_their_report(self, capsys):
+        code, out, err = run(capsys, "stability", "--set", "p2=1e100", "--set", "d3=1e100")
+        assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "4debec2197763cece0130ee2180e44938b1d32b58cf45d63d7ad6a88ade733cd"
+            "0f23ca0f154afeb57a5856efbee0a5367dd36f084d9ca6cb7fd8066be6b76d01"
         )
 
     # a2 = a1 is the edge where E2 ceases to exist; for 13 of these values
@@ -420,6 +431,16 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert lines[0] == "p2,e2_exists,hurwitz,class"
         assert len(lines) == 102
+
+    def test_overflowing_grid_writes_no_file(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        with pytest.warns(UserWarning, match="plausible range"):
+            code, stdout, err = run(
+                capsys, "sweep", "--set", "vary=p2:1e150:1e160:3;d3:1e150:1e160:3", "--out", str(out)
+            )
+        assert (code, stdout) == (2, "")
+        assert "the Hurwitz margin overflows" in err
+        assert not out.exists()
 
     def test_missing_vary_key(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

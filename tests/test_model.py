@@ -16,7 +16,6 @@ from hematodyn import (
     invariant_box,
     jacobian,
     nondimensionalize,
-    place_E2,
     rhs,
     steady_state_E1,
     steady_state_E2,
@@ -147,40 +146,6 @@ class TestSteadyStates:
             e2 = steady_state_E2(params)
             assert e2 is not None
             assert residual_norm(params, e2.state) < 1e-9 * max(state_norm(e2.state), 1.0)
-
-
-class TestPlaceE2:
-    @given(
-        a1=st.floats(min_value=0.52, max_value=0.98),
-        frac=st.floats(min_value=0.05, max_value=0.95),
-        p1=rates,
-        u1=st.floats(min_value=1e3, max_value=1e8),
-        u2=st.floats(min_value=1e3, max_value=1e8),
-        u3=st.floats(min_value=1e3, max_value=1e8),
-    )
-    def test_round_trip(self, a1, frac, p1, u1, u2, u3):
-        a2 = frac * a1
-        target = CellState(u1, u2, u3)
-        k, d3, p2 = place_E2(target, a1, a2, p1)
-        params = ModelParameters(a1=a1, a2=a2, p1=p1, p2=p2, d3=d3, k=k)
-        e2 = steady_state_E2(params).state
-        assert e2.u1 == pytest.approx(target.u1, rel=1e-12)
-        assert e2.u2 == pytest.approx(target.u2, rel=1e-12)
-        assert e2.u3 == pytest.approx(target.u3, rel=1e-12)
-
-    def test_inverse_of_showcase_equilibrium(self):
-        target = CellState(1.3583e6, 1.2075e7, 4.5714286e7)
-        k, d3, p2 = place_E2(target, 0.7, 0.5, 1.0)
-        assert k == pytest.approx(8.75e-9, rel=1e-3)
-        assert d3 == pytest.approx(0.1337, rel=1e-3)
-        assert p2 == pytest.approx(0.3937, rel=1e-3)
-
-    def test_degenerate_fractions_rejected(self):
-        target = CellState(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            place_E2(target, 0.7, 0.7, 1.0)
-        with pytest.raises(ValueError):
-            place_E2(target, 0.5, 0.3, 1.0)
 
 
 class TestJacobian:

@@ -1,4 +1,4 @@
-"""Stability layer: coefficients, Routh-Hurwitz, Hopf point, regime table."""
+"""Stability layer: coefficients, Routh-Hurwitz, Hopf point, instability region."""
 
 import hashlib
 import math
@@ -26,7 +26,6 @@ from conftest import (
     showcase_params,
 )
 from hematodyn import (
-    CellState,
     CharPolyCoeffs,
     ModelParameters,
     REFERENCE_PARAMETERS,
@@ -41,8 +40,6 @@ from hematodyn import (
     hurwitz_value,
     instability_region_bounds,
     jacobian,
-    place_E2,
-    regime_table,
     stability_report,
     stability_reports,
     steady_state_E0,
@@ -137,8 +134,7 @@ class TestBasicClosedFormDomain:
         lambda a1, a2: hopf_point(a1, a2, 0.1, 1.0),
         lambda a1, a2: instability_region_bounds(a1, a2),
         lambda a1, a2: hurwitz_factored(a1, a2, 0.3, 0.1),
-        lambda a1, a2: place_E2(CellState(1.0, 1.0, 1.0), a1, a2, 1.0),
-    ], ids=["beta_gamma", "hopf_point", "instability_region_bounds", "hurwitz_factored", "place_E2"])
+    ], ids=["beta_gamma", "hopf_point", "instability_region_bounds", "hurwitz_factored"])
 
     @closed_forms
     @pytest.mark.parametrize("a1, message", [
@@ -182,16 +178,12 @@ class TestBasicClosedFormDomain:
         with pytest.raises(ValueError, match=f"{name} {message}, got "):
             closed_form(**{**rates, name: value})
 
-    def test_place_E2_rate_follows_the_number_rule(self):
-        with pytest.raises(ValueError, match="p1 must be finite, got inf"):
-            place_E2(CellState(1.0, 1.0, 1.0), 0.7, 0.5, math.inf)
-
 
 class TestClosedFormBits:
-    # no CLI digest reaches beta_gamma, hurwitz_factored,
-    # instability_region_bounds or place_E2; their float outputs on seeded
-    # draws (and hopf_point's) are pinned here, so that moving arithmetic
-    # between an entry check and its kernel cannot move a bit unseen
+    # no CLI digest reaches beta_gamma, hurwitz_factored or
+    # instability_region_bounds; their float outputs on seeded draws (and
+    # hopf_point's) are pinned here, so that moving arithmetic between an
+    # entry check and its kernel cannot move a bit unseen
     def test_outputs_are_pinned(self):
         rng = np.random.default_rng(2713)
         digest = hashlib.sha256()
@@ -201,14 +193,13 @@ class TestClosedFormBits:
             p1, p2, d3 = rng.uniform(0.01, 2.0, size=3).tolist()
             bg = beta_gamma(a1, a2)
             hopf = hopf_point(a1, a2, rng.uniform(0.01, 0.99) * p1 / (bg.beta * bg.gamma), p1)
-            target = CellState(*(10.0 ** rng.uniform(6.0, 11.0, size=3)).tolist())
             digest.update(bits(
                 bg.beta, bg.gamma, hurwitz_factored(a1, a2, p2, d3),
-                *instability_region_bounds(a1, a2), *place_E2(target, a1, a2, p1),
+                *instability_region_bounds(a1, a2),
                 hopf.p2_star, hopf.d3_max, hopf.omega, hopf.lambda3, hopf.mu_prime,
             ))
         assert digest.hexdigest() == (
-            "57a73df167521627e9951d35700d9b50bba917638a96124dca00fc4d59539c4a"
+            "9f994620d689f5bdae481cc7cbfb0b5462c3da725b19e2f483f5c73f0a6ece84"
         )
 
 
@@ -579,46 +570,17 @@ class TestReports:
                 assert repr(report.coeffs) == repr(coeffs)
         assert e1_exists == {True, False}
 
+    def test_overflowing_polynomial_is_refused(self):
+        # E2's margin overflows to inf here, which used to read "marginal"
+        params = REFERENCE_PARAMETERS.with_(p2=1e103, d3=1e103)
+        with pytest.raises(ValueError, match="^the characteristic polynomial at E2 overflows for these rates$"):
+            stability_report(params, "E2")
+
     def test_nonexistent_reported_as_such(self):
         params = ModelParameters(a1=0.4, a2=0.3, p1=1.0, p2=0.5, d3=0.5, k=1e-9)
         reports = stability_reports(params)
         assert reports["E1"].classification == "nonexistent"
         assert reports["E2"].classification == "nonexistent"
-
-
-class TestRegimeTable:
-    def test_all_fractions_small(self):
-        summary = regime_table(0.4, 0.3)
-        assert summary.e0 == "stable"
-        assert summary.e1 == "nonexistent"
-        assert summary.e2 == "nonexistent"
-
-    def test_progenitor_dominated(self):
-        summary = regime_table(0.4, 0.7)
-        assert summary.e0 == "unstable"
-        assert summary.e1 == "stable"
-        assert summary.e2 == "nonexistent"
-
-    def test_stem_dominated(self):
-        summary = regime_table(0.85, 0.841)
-        assert summary.e0 == "unstable"
-        assert summary.e1 == "unstable"
-        assert summary.e2 == "exists"
-
-    @pytest.mark.parametrize("a1, a2, message", [
-        ("0.7", 0.3, "a1 must be a number, got '0.7'"),
-        (0.7, "0.3", "a2 must be a number, got '0.3'"),
-        (0.7, math.nan, "a2 must be finite, got nan"),
-    ], ids=["a1-str", "a2-str", "a2-nan"])
-    def test_fractions_follow_the_number_rule(self, a1, a2, message):
-        with pytest.raises(ValueError) as excinfo:
-            regime_table(a1, a2)
-        assert str(excinfo.value) == message
-
-    def test_degenerate_rejected(self):
-        for a1, a2 in ((0.5, 0.3), (0.7, 0.5), (0.6, 0.6)):
-            with pytest.raises(ValueError):
-                regime_table(a1, a2)
 
 
 class TestInstabilityRegion:
@@ -663,10 +625,11 @@ class TestTwoCompartmentReduction:
 
     @staticmethod
     def reduced_rhs(a1, p1, d1, d2, k, u1, u2):
-        s = 1.0 / (1.0 + k * u2)
+        # int literals, so exact on Fraction rates
+        s = 1 / (1 + k * u2)
         return np.array([
-            (2.0 * a1 * s - 1.0) * p1 * u1 - d1 * u1,
-            2.0 * (1.0 - a1 * s) * p1 * u1 - d2 * u2,
+            (2 * a1 * s - 1) * p1 * u1 - d1 * u1,
+            2 * (1 - a1 * s) * p1 * u1 - d2 * u2,
         ])
 
     def test_positive_state_is_a_stable_node_or_focus(self):
@@ -702,3 +665,27 @@ class TestTwoCompartmentReduction:
             assert trace < 0.0, (a1, p1, d1, d2, k)
             assert det > 0.0, (a1, p1, d1, d2, k)
             assert np.all(np.linalg.eigvals(jac).real < 0.0)
+
+    def test_trace_and_determinant_signs_are_exact(self):
+        # the same draws' ranges on exact rational rates: the state is an
+        # equilibrium, and the trace identity and both signs hold unrounded
+        rng = np.random.default_rng(2019)
+        for draw in range(300):
+            a1 = Fraction(rng.uniform(0.52, 0.98))
+            p1 = Fraction(rng.uniform(0.05, 1.0))
+            d1 = Fraction(0) if draw % 2 else Fraction(rng.uniform(0.0, 0.9)) * (2 * a1 - 1) * p1
+            d2 = Fraction(rng.uniform(0.01, 3.0))
+            k = Fraction(10.0 ** rng.uniform(-10, -6))
+            s = (p1 + d1) / (2 * a1 * p1)
+            assert s < 1
+            u2 = (1 / s - 1) / k
+            u1 = d2 * u2 / (2 * (1 - a1 * s) * p1)
+            assert u1 > 0 and u2 > 0
+            assert self.reduced_rhs(a1, p1, d1, d2, k, u1, u2).tolist() == [0, 0]
+
+            gain = 2 * a1 * p1 * k * s * s * u1
+            j11, j12 = (2 * a1 * s - 1) * p1 - d1, -gain
+            j21, j22 = 2 * (1 - a1 * s) * p1, gain - d2
+            trace, det = j11 + j22, j11 * j22 - j12 * j21
+            assert trace == d2 * (d1 / p1 - a1 * s * s) / (1 - a1 * s)
+            assert trace < 0 < det, (a1, p1, d1, d2, k)

@@ -260,6 +260,17 @@ class TestRunSweep:
             lo, hi = bounds[name]
             assert lo <= target[name] <= hi
 
+    def test_overflowing_margin_is_refused(self):
+        # where E2 exists the margin used to overflow to NaN or inf and be
+        # counted: 4 "unstable" and 5 "marginal" points on this grid
+        with pytest.warns(UserWarning, match="plausible range"):
+            axes = tuple(AxisSpec(name, 1e150, 1e160, 3, nudge=0.0) for name in ("p2", "d3"))
+        with pytest.raises(ValueError) as excinfo:
+            run_sweep(SweepSpec(varied=axes))
+        assert str(excinfo.value) == (
+            "the Hurwitz margin overflows where the positive state exists, at p2=1e+150, d3=1e+150"
+        )
+
     def test_counts_partition_the_grid(self):
         result = run_sweep(SweepSpec(varied=(axis_for("a2", 80),)))
         assert sum(result.counts.values()) == result.n_points
