@@ -576,6 +576,33 @@ class TestReports:
         with pytest.raises(ValueError, match="^the characteristic polynomial at E2 overflows for these rates$"):
             stability_report(params, "E2")
 
+    @pytest.mark.parametrize("label", ["E0", "E1", "E2"])
+    def test_each_state_refuses_an_overflowing_polynomial(self, label):
+        # at these rates every state's coefficients overflow; none may be
+        # classified from a NaN or infinite margin
+        params = REFERENCE_PARAMETERS.with_(p2=1e160, d3=1e160)
+        with pytest.raises(ValueError, match=f"^the characteristic polynomial at {label} overflows for these rates$"):
+            stability_report(params, label)
+
+    # the basic variant's regimes in (a1, a2): which states exist and how E0
+    # and E1 behave follow from the two fractions alone, whatever the rates
+    @pytest.mark.parametrize("a1, a2, e0, e1, e2_exists", [
+        (0.4, 0.3, "stable", "nonexistent", False),
+        (0.4, 0.7, "unstable", "stable", False),
+        (0.7, 0.3, "unstable", "nonexistent", True),
+        (0.85, 0.841, "unstable", "unstable", True),
+        (0.6, 0.8, "unstable", "stable", False),
+    ], ids=["washout", "progenitor-dominated", "stem-only", "stem-dominated", "progenitors-above-stem"])
+    def test_regimes_follow_the_fractions(self, a1, a2, e0, e1, e2_exists):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            p1, p2, d3 = rng.uniform(0.01, 2.0, size=3).tolist()
+            k = 10.0 ** rng.uniform(-10.0, -6.0)
+            reports = stability_reports(ModelParameters(a1=a1, a2=a2, p1=p1, p2=p2, d3=d3, k=k))
+            assert reports["E0"].classification == e0
+            assert reports["E1"].classification == e1
+            assert (reports["E2"].equilibrium is not None) == e2_exists
+
     def test_nonexistent_reported_as_such(self):
         params = ModelParameters(a1=0.4, a2=0.3, p1=1.0, p2=0.5, d3=0.5, k=1e-9)
         reports = stability_reports(params)
@@ -597,6 +624,29 @@ class TestInstabilityRegion:
         d3_cut, p2_cut = instability_region_bounds(a1, frac * a1)
         assert 0.0 < d3_cut < 2.0
         assert 0.0 < p2_cut < 2.0
+
+    # where E2 exists it is unstable exactly in the open triangle, on the
+    # rates rescaled by p1, also near the corners of the admissible (a1, a2)
+    @pytest.mark.parametrize("a1, a2, p1", [
+        (0.7, 0.5, 0.1),
+        (0.999, 0.5, 1.0),
+        (0.51, 0.3, 1.0),
+        (0.8, 0.01, 1.0),
+        (0.9, 0.899, 1.0),
+        (0.6, 0.45, 2.5),
+    ], ids=["showcase-slow-p1", "a1-near-one", "a1-near-half", "a2-near-zero", "a2-near-a1", "fast-p1"])
+    def test_unstable_set_is_the_open_triangle(self, a1, a2, p1):
+        d3_cut, p2_cut = instability_region_bounds(a1, a2)
+        rng = np.random.default_rng(47)
+        unstable = 0
+        for _ in range(400):
+            p2, d3 = (rng.uniform(0.0, 1.5, size=2) * (p2_cut, d3_cut)).tolist()
+            reach = p2 / p2_cut + d3 / d3_cut
+            params = ModelParameters(a1=a1, a2=a2, p1=p1, p2=p1 * p2, d3=p1 * d3, k=1e-8)
+            report = stability_report(params, "E2")
+            assert report.classification == ("unstable" if reach < 1.0 else "stable"), (p2, d3)
+            unstable += report.classification == "unstable"
+        assert unstable > 0
 
 
 class TestTwoCompartmentReduction:

@@ -44,6 +44,7 @@ from hematodyn import (
     hopf_point,
     hurwitz_classify,
     hurwitz_value,
+    instability_region_bounds,
     run_sweep,
     steady_state_E2,
     sweep_summary,
@@ -259,6 +260,23 @@ class TestRunSweep:
         for name in ("p1", "a2", "d3"):
             lo, hi = bounds[name]
             assert lo <= target[name] <= hi
+
+    def test_unstable_points_fill_the_rescaled_triangle(self):
+        # the vectorised margins put code 1 exactly in the open triangle
+        # p2/p2_cut + d3/d3_cut < 1 of the rates rescaled by p1, here p1 = 0.8
+        a1, a2, p1 = 0.75, 0.4, 0.8
+        d3_cut, p2_cut = instability_region_bounds(a1, a2)
+        fixed = ModelParameters(a1=a1, a2=a2, p1=p1, p2=0.1, d3=0.1, k=1e-8)
+        axes = (
+            AxisSpec("p2", 0.003, 1.5 * p1 * p2_cut, 90, nudge=0.0),
+            AxisSpec("d3", 0.1, 1.5 * p1 * d3_cut, 70, nudge=0.0),
+        )
+        result = run_sweep(SweepSpec(varied=axes, fixed=fixed))
+        p2, d3 = np.meshgrid(axes[0].grid(), axes[1].grid(), indexing="ij")
+        inside = (p2 / (p1 * p2_cut) + d3 / (p1 * d3_cut)).ravel() < 1.0
+        assert np.array_equal(result.class_codes == 1, inside)
+        assert np.all(result.class_codes[~inside] == 0)
+        assert 0 < np.count_nonzero(inside) < inside.size
 
     def test_overflowing_margin_is_refused(self):
         # where E2 exists the margin used to overflow to NaN or inf and be
