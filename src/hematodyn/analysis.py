@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .integrator import IntegrationConfig, Trajectory, _sample_grid, integrate
-from .model import CellState, ModelParameters, _positive, _real, steady_states
+from .model import CellState, ModelParameters, _positive, steady_states
 from .stability import hopf_point
 
 __all__ = [
@@ -39,6 +39,12 @@ UNDECIDED = "undecided"
 
 # trailing peaks entering the period/amplitude estimate
 _TRAILING_PEAKS = 6
+# share of the horizon thrown away as transient before the cycle test
+_TRANSIENT_FRACTION = 0.5
+# the settle test's relative distance to a steady state
+_EQUILIBRIUM_TOL = 1e-3
+# relative agreement of the trailing intervals and peak heights
+_AGREEMENT_TOL = 0.02
 
 
 @dataclass(frozen=True)
@@ -178,14 +184,23 @@ def _agree(values, tol: float) -> bool:
     return bool(np.all(np.abs(values - mean) <= tol * abs(mean)))
 
 
-def _relative_distances(states: np.ndarray, reference: np.ndarray) -> np.ndarray:
+def _relative_distances(states: np.ndarray, reference: np.ndarray, k: float) -> np.ndarray:
     # |row - reference| / max(|reference|, 1) of every row in one pass. The
     # stacked matmul takes each row's diff @ diff as the same dot product
     # that diff @ diff on the row alone takes, so every distance has its
     # bits; (diff * diff).sum(1) and einsum add in another order and do not.
+    # Counts above about 1.3e154 square to infinity, which would read as a
+    # distance of 0 or infinity; they are refused instead.
     diff = states - reference
-    squares = (diff[:, None, :] @ diff[:, :, None]).ravel()
-    return np.sqrt(squares) / max(float(np.sqrt(reference @ reference)), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = (diff[:, None, :] @ diff[:, :, None]).ravel()
+        norm_squared = reference @ reference
+    if not (math.isfinite(norm_squared) and np.isfinite(squares).all()):
+        raise ValueError(
+            f"classify's settle test overflows: cell counts above about 1.3e154 cannot "
+            f"be squared (k={k}; the steady counts scale as 1/k)"
+        )
+    return np.sqrt(squares) / max(float(np.sqrt(norm_squared)), 1.0)
 
 
 def classify(
@@ -193,9 +208,6 @@ def classify(
     initial: CellState,
     horizon: Optional[float] = None,
     *,
-    transient_fraction: float = 0.5,
-    equilibrium_tol: float = 1e-3,
-    agreement_tol: float = 0.02,
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-3,
     output_stride: Optional[float] = None,
@@ -203,19 +215,16 @@ def classify(
     """Integrate once and classify the long-run behavior; return the verdict.
 
     The horizon should cover at least ~20 putative periods; the default
-    from `default_horizon` does. Integration failures propagate. An
+    from `default_horizon` does. The thresholds are fixed, not settings:
+    the first `_TRANSIENT_FRACTION` (0.5) of the horizon is transient, the
+    settle test's tolerance is `_EQUILIBRIUM_TOL` (1e-3) and the cycle
+    test's is `_AGREEMENT_TOL` (0.02). Integration failures propagate. An
     output_stride that leaves fewer than 3 samples in the kept tail or in
     the trailing 5 % of the horizon is a ValueError, raised before
-    integrating.
+    integrating; so are cell counts too large for the settle test to
+    square.
     """
-    # every setting follows the number rule before anything is integrated:
-    # NaN fails every tolerance comparison below and infinity passes every
-    # one, and either would yield a plausible-looking verdict
-    transient_fraction = _real("transient_fraction", transient_fraction)
-    if not 0.0 < transient_fraction < 1.0:
-        raise ValueError(f"transient_fraction must lie in (0, 1), got {transient_fraction}")
-    equilibrium_tol = _positive("equilibrium_tol", equilibrium_tol)
-    agreement_tol = _positive("agreement_tol", agreement_tol)
+    # the horizon follows the number rule before anything is integrated
     horizon = default_horizon(params) if horizon is None else _positive("horizon", horizon)
     stride = output_stride if output_stride is not None else horizon / 4000.0
     config = IntegrationConfig(
@@ -227,12 +236,12 @@ def classify(
     # integrate samples at 0, on its interior grid and at t_end, which lies
     # in both windows.
     t_end = config.t_end
-    keep_from = transient_fraction * horizon
+    keep_from = _TRANSIENT_FRACTION * horizon
     window_from = t_end - 0.05 * horizon
     grid = _sample_grid(config.stride, t_end)
     in_keep = 1 + int(np.count_nonzero(grid >= keep_from))
     in_window = 1 + int(np.count_nonzero(grid >= window_from))
-    for part, count in ((f"the kept tail (t >= {transient_fraction} * horizon)", in_keep),
+    for part, count in ((f"the kept tail (t >= {_TRANSIENT_FRACTION} * horizon)", in_keep),
                         ("the trailing 5 % of the horizon", in_window)):
         if count < 3:
             raise ValueError(
@@ -251,14 +260,14 @@ def classify(
     last_distances = []
     for eq in steady_states(params):
         # max over Python floats, as the row-by-row test took it
-        distances = _relative_distances(tail_states, eq.state.as_array()).tolist()
+        distances = _relative_distances(tail_states, eq.state.as_array(), params.k).tolist()
         last_distances.append(distances[-1])
         worst = max(distances)
         if worst < best_worst:
             best_worst = worst
             best_label = eq.label
     final_distance = min(last_distances)
-    if best_worst <= equilibrium_tol:
+    if best_worst <= _EQUILIBRIUM_TOL:
         return AttractorVerdict(
             kind=EQUILIBRIUM, label=best_label, final_distance=final_distance
         )
@@ -269,8 +278,8 @@ def classify(
         len(report.peak_times) >= _TRAILING_PEAKS
         and report.amplitude is not None
         and report.amplitude > 0.0
-        and _agree(np.diff(report.peak_times[-_TRAILING_PEAKS:]), agreement_tol)
-        and _agree(report.peak_heights[-_TRAILING_PEAKS:], agreement_tol)
+        and _agree(np.diff(report.peak_times[-_TRAILING_PEAKS:]), _AGREEMENT_TOL)
+        and _agree(report.peak_heights[-_TRAILING_PEAKS:], _AGREEMENT_TOL)
     ):
         return AttractorVerdict(
             kind=LIMIT_CYCLE,

@@ -52,10 +52,7 @@ __all__ = ["main", "entrypoint"]
 
 _STATE_KEYS = ("u1", "u2", "u3")
 _INTEGRATION_KEYS = tuple(field.name for field in dataclasses.fields(IntegrationConfig))
-_CLASSIFY_KEYS = (
-    "horizon", "transient_fraction", "equilibrium_tol", "agreement_tol",
-    "rel_tol", "abs_tol", "output_stride",
-)
+_CLASSIFY_KEYS = ("horizon", "rel_tol", "abs_tol", "output_stride")
 # every key some command reads; one config file may serve all commands
 _KNOWN_KEYS = frozenset(
     PARAM_NAMES + _STATE_KEYS + _INTEGRATION_KEYS + _CLASSIFY_KEYS + ("vary", "classify")

@@ -252,6 +252,15 @@ def nondimensionalize(params: ModelParameters) -> ModelParameters:
     )
 
 
+def _counted(label: str, k: float, u1: float, u2: float, u3: float) -> SteadyState:
+    # the counts scale as 1/k; one beyond float range is refused naming k,
+    # not the count, which the caller never gave
+    try:
+        return SteadyState(label, CellState(u1, u2, u3))
+    except ValueError:
+        raise ValueError(f"{label}'s cell counts overflow at k={k}: they scale as 1/k") from None
+
+
 def steady_state_E0() -> SteadyState:
     """The extinction state (0, 0, 0); always a steady state."""
     return SteadyState("E0", CellState(0.0, 0.0, 0.0))
@@ -269,7 +278,7 @@ def steady_state_E1(params: ModelParameters) -> Optional[SteadyState]:
         return None
     # p2 - d2 > 0 is implied by the existence condition
     u2 = params.d3 * u3 / (params.p2 - params.d2)
-    return SteadyState("E1", CellState(0.0, u2, u3))
+    return _counted("E1", params.k, 0.0, u2, u3)
 
 
 def e2_conditions(a1, a2, p1, p2, d1, d2):
@@ -323,7 +332,7 @@ def steady_state_E2(params: ModelParameters) -> Optional[SteadyState]:
     )
     if not exists:
         return None
-    return SteadyState("E2", CellState(*_e2_counts(params, s, a2s, excess)))
+    return _counted("E2", params.k, *_e2_counts(params, s, a2s, excess))
 
 
 def _e2_counts(params, s, a2s, excess):

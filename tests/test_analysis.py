@@ -1,6 +1,7 @@
 """Attractor classification tests: peak finding, verdicts, horizons."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ from hematodyn import (
     steady_states,
 )
 
-# classify's own settings, which it checks by name before integrating
-CLASSIFY_SETTINGS = ("horizon", "transient_fraction", "equilibrium_tol", "agreement_tol")
+# classify's own setting, which it checks by name before integrating; its
+# other keywords are IntegrationConfig's
+CLASSIFY_SETTINGS = ("horizon",)
 
 
 def sinusoid_trajectory(period, amplitude, offset, t_end, n):
@@ -159,18 +161,21 @@ class TestClassify:
 
     # the reference set started 5 % above E2 settles; a stride of the whole
     # horizon used to report that from the final sample alone
-    @pytest.mark.parametrize("stride_per_horizon, kwargs, window", [
-        (1.0, {}, "kept tail"),
-        (1 / 30, {}, "trailing 5 %"),
-        (0.1, {"transient_fraction": 0.97}, "kept tail"),
+    # the transient fraction is a constant; the late-transient case patches it
+    # to reach the kept tail's edge at a stride the settle window accepts
+    @pytest.mark.parametrize("stride_per_horizon, fraction, window", [
+        (1.0, 0.5, "kept tail"),
+        (1 / 30, 0.5, "trailing 5 %"),
+        (0.1, 0.97, "kept tail"),
     ], ids=["whole-horizon", "two-in-settle-window", "late-transient"])
-    def test_coarse_stride_refused_not_judged(self, monkeypatch, stride_per_horizon, kwargs, window):
+    def test_coarse_stride_refused_not_judged(self, monkeypatch, stride_per_horizon, fraction, window):
         e2 = steady_state_E2(REFERENCE_PARAMETERS).state
         start = CellState(1.05 * e2.u1, e2.u2, e2.u3)
         stride = default_horizon(REFERENCE_PARAMETERS) * stride_per_horizon
         monkeypatch.setattr(analysis, "integrate", _not_integrated)
+        monkeypatch.setattr(analysis, "_TRANSIENT_FRACTION", fraction)
         with pytest.raises(ValueError, match=f"output_stride .* in the {window}.*at least 3"):
-            classify(REFERENCE_PARAMETERS, start, output_stride=stride, **kwargs)
+            classify(REFERENCE_PARAMETERS, start, output_stride=stride)
 
     def test_stride_too_coarse_for_peaks_named(self, monkeypatch):
         # two samples in the kept tail used to fail only inside the peak
@@ -181,8 +186,7 @@ class TestClassify:
         with pytest.raises(ValueError, match="output_stride .* leaves 2 sample"):
             classify(params, SHOWCASE_IC_CYCLE_HIGH, output_stride=stride)
 
-    # each setting follows the number rule before anything is integrated:
-    # equilibrium_tol=True used to judge at a tolerance of 1.0, and
+    # the horizon follows the number rule before anything is integrated:
     # horizon=True and horizon=-5 were blamed on t_end
     @pytest.mark.parametrize("value, message, name", [
         *((value, message, name)
@@ -191,9 +195,8 @@ class TestClassify:
               (math.nan, "must be finite, got nan"), (math.inf, "must be finite, got inf"),
           ]
           for name in CLASSIFY_SETTINGS),
-        *((value, f"must be positive and finite, got {value}", name)
-          for value in (0.0, -5.0)
-          for name in ("horizon", "equilibrium_tol", "agreement_tol")),
+        *((value, f"must be positive and finite, got {value}", "horizon")
+          for value in (0.0, -5.0)),
     ], ids=lambda arg: arg if arg in CLASSIFY_SETTINGS else repr(arg))
     def test_setting_refused_by_name_before_integrating(self, monkeypatch, value, message, name):
         start = steady_state_E2(REFERENCE_PARAMETERS).state
@@ -202,7 +205,8 @@ class TestClassify:
             classify(REFERENCE_PARAMETERS, start, **{name: value})
 
     # classify counts the sample grid before integrating; each count must be
-    # that of the samples the run returns, also at the windows' edges
+    # that of the samples the run returns, also at the windows' edges, which
+    # patching the transient fraction moves
     @pytest.mark.parametrize("stride_per_horizon", [
         1.0, 0.6, 0.5, 0.45, 1 / 3, 0.25, 0.1, 1 / 19, 1 / 20, 1 / 21, 1 / 30, 1 / 40, 1 / 41, 1 / 60,
     ])
@@ -218,6 +222,7 @@ class TestClassify:
         keep = int(np.count_nonzero(times >= fraction * horizon))
         window = int(np.count_nonzero(times >= times[-1] - 0.05 * horizon))
         monkeypatch.setattr(analysis, "integrate", _not_integrated)
+        monkeypatch.setattr(analysis, "_TRANSIENT_FRACTION", fraction)
         if keep < 3:
             expected = (ValueError, rf"leaves {keep} sample\(s\) in the kept tail")
         elif window < 3:
@@ -225,12 +230,19 @@ class TestClassify:
         else:
             expected = (_Integrated, "classify integrated")
         with pytest.raises(expected[0], match=expected[1]):
-            classify(REFERENCE_PARAMETERS, start, horizon, transient_fraction=fraction,
-                     output_stride=stride)
+            classify(REFERENCE_PARAMETERS, start, horizon, output_stride=stride)
 
-    def test_transient_fraction_validated(self):
-        with pytest.raises(ValueError):
-            classify(showcase_params(p2=0.5), SHOWCASE_IC_SETTLING, transient_fraction=1.0)
+    # the thresholds are constants: a verdict cannot be tuned until it agrees
+    def test_thresholds_are_constants(self):
+        assert (analysis._TRANSIENT_FRACTION, analysis._EQUILIBRIUM_TOL,
+                analysis._AGREEMENT_TOL) == (0.5, 1e-3, 0.02)
+
+    @pytest.mark.parametrize("name", ["transient_fraction", "equilibrium_tol", "agreement_tol"])
+    def test_removed_thresholds_are_not_keywords(self, monkeypatch, name):
+        start = steady_state_E2(REFERENCE_PARAMETERS).state
+        monkeypatch.setattr(analysis, "integrate", _not_integrated)
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            classify(REFERENCE_PARAMETERS, start, **{name: 0.5})
 
     def test_public_classify_integrates_once_and_returns_the_verdict(self, monkeypatch):
         runs = []
@@ -304,9 +316,41 @@ class TestSettleDistances:
             # rows on and next to the reference, and the reference scaled up
             near = ref * rng.uniform(0.999, 1.001, (500, 3))
             states = np.vstack([rows, ref, near, ref * scale / max(ref.max(), 1.0)])
-            got = analysis._relative_distances(states, ref).tolist()
+            got = analysis._relative_distances(states, ref, self.PARAMS.k).tolist()
             want = [_relative_distance(row, ref) for row in states]
             assert [v.hex() for v in got] == [v.hex() for v in want], eq.label
+
+    # a count above about 1.3e154 squares to infinity: against E0 a distance
+    # read infinite, and against a reference whose norm overflowed every
+    # distance read 0, so a settled verdict came out of numbers that were
+    # not there
+    @pytest.mark.parametrize("row, ref", [
+        ((1e155, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        ((1e160, 1e160, 1e160), (1e160, 1e160, 1e160)),
+        ((1.0, 1.0, 1.0), (0.0, 1e155, 0.0)),
+    ], ids=["square", "norm", "both"])
+    def test_overflowing_squares_are_refused_naming_k(self, row, ref):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"settle test overflows.*\(k=3\.5e-08;"):
+                analysis._relative_distances(np.array([row]), np.array(ref), self.PARAMS.k)
+
+    # the reference rates with k so small that the steady counts are above
+    # 1e154: k = 1e-200 used to print limit_cycle with an infinite
+    # final_distance, k = 1e-160 equilibrium E1 at distance 0, both exit 0
+    @pytest.mark.parametrize("k", [1e-160, 1e-200])
+    def test_counts_too_large_to_square_are_refused(self, k):
+        params = REFERENCE_PARAMETERS.with_(k=k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"settle test overflows.*k={k!r}"):
+                classify(params, CellState(1e6, 1e7, 1e8))
+
+    def test_a_run_from_a_huge_start_is_refused_the_same_way(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="settle test overflows.*k=1.75e-09"):
+                classify(REFERENCE_PARAMETERS, CellState(1e160, 1e160, 1e160), 50.0)
 
     @pytest.mark.parametrize("horizon", [50.0, 400.0])
     def test_final_distance_is_the_row_by_row_distance_of_the_final_sample(self, horizon):

@@ -92,10 +92,6 @@ class TestArgumentErrors:
         ("sweep", "--set", "vary=p1:nan:0.5:5", "--out", "unused.csv"),
         ("simulate", "--set", "u1=1", "--set", "u2=1", "--set", "u3=1",
          "--set", "t_end=10", "--set", "abs_tol=inf"),
-        *(("classify", "--set", "u1=1", "--set", "u2=1", "--set", "u3=1",
-           "--set", "horizon=10", "--set", tol)
-          for tol in ("equilibrium_tol=nan", "equilibrium_tol=-1", "equilibrium_tol=0",
-                      "agreement_tol=nan", "agreement_tol=inf")),
         ("classify", "--set", "u1=1", "--set", "u2=1", "--set", "u3=1", "--set", "horizon=-5"),
     ])
     def test_non_finite_input_rejected(self, capsys, monkeypatch, tmp_path, argv):
@@ -134,7 +130,9 @@ INITIAL_SET = ["--set", "u1=1", "--set", "u2=1", "--set", "u3=1"]
 CONSTELLATION_1_SET = ["--set", "p1=0.7171", "--set", "a2=0.32", "--set", "d3=0.132"]
 # keys that only the classifier reads; every other non-parameter float key
 # is an initial state or integration setting, which simulate reads
-CLASSIFY_ONLY = ("horizon", "transient_fraction", "equilibrium_tol", "agreement_tol")
+CLASSIFY_ONLY = ("horizon",)
+# the classifier's thresholds, constants in `analysis` and no keys
+REMOVED_CLASSIFY_KEYS = ("transient_fraction", "equilibrium_tol", "agreement_tol")
 
 
 class TestConfigKeys:
@@ -152,6 +150,19 @@ class TestConfigKeys:
         assert code == 2
         assert out == ""
         assert f"key {key!r}: not a number" in err
+
+    # a config file or --set naming a threshold is refused before classify runs
+    @pytest.mark.parametrize("source", ["config", "set"])
+    @pytest.mark.parametrize("key", REMOVED_CLASSIFY_KEYS)
+    def test_removed_threshold_is_an_unknown_key(self, capsys, monkeypatch, tmp_path, source, key):
+        monkeypatch.setattr(cli, "classify", None)
+        if source == "config":
+            given = ["--config", write_config(tmp_path, f"{key} = 0.02\n")]
+        else:
+            given = ["--set", f"{key}=0.02"]
+        code, out, err = run(capsys, "classify", *INITIAL_SET, *given)
+        assert (code, out) == (2, "")
+        assert err == f"invalid configuration: unknown config keys [{key!r}]\n"
 
     # the CLI passes on only the keys it is given, so its output equals the
     # library's at the library's own defaults
@@ -306,6 +317,19 @@ class TestStability:
         assert (code, out, caught) == (2, "", [])
         assert err == "invalid configuration: the characteristic polynomial at E0 overflows for these rates\n"
 
+    # the steady counts scale as 1/k; at k = 1e-310 they overflow, and the
+    # refusal used to name the count u2, which the user never gave
+    @pytest.mark.parametrize("rates, label", [
+        (("k=1e-310",), "E1"),
+        (("k=1e-310", "a2=0.3"), "E2"),
+    ], ids=["E1", "E2"])
+    def test_overflowing_counts_are_refused_naming_k(self, capsys, rates, label):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "stability", *(x for rate in rates for x in ("--set", rate)))
+        assert (code, out, caught) == (2, "", [])
+        assert err == f"invalid configuration: {label}'s cell counts overflow at k=1e-310: they scale as 1/k\n"
+
     # at p2 = d3 = 1e100 every margin and eigenvalue is still finite, and the
     # report keeps the bytes it had before overflow was refused
     def test_largest_finite_rates_keep_their_report(self, capsys):
@@ -397,6 +421,31 @@ class TestClassify:
         assert payload["kind"] == "equilibrium"
         assert payload["label"] == "E2"
         assert payload["final_distance"] < 1e-3
+
+    # the counts scale as 1/k; above about 1.3e154 the settle test cannot
+    # square them. k = 1e-160 used to print equilibrium E1 at distance 0 and
+    # k = 1e-200 limit_cycle at distance Infinity, with exit 0 and numpy
+    # warnings on stderr
+    @pytest.mark.parametrize("k", ["1e-160", "1e-200"])
+    def test_counts_too_large_to_square_are_refused(self, capsys, k):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "classify", "--set", "u1=1e6", "--set", "u2=1e7",
+                                 "--set", "u3=1e8", "--set", f"k={k}")
+        assert (code, out, caught) == (2, "", [])
+        assert err == (
+            "invalid configuration: classify's settle test overflows: cell counts above "
+            f"about 1.3e154 cannot be squared (k={k}; the steady counts scale as 1/k)\n"
+        )
+
+    def test_counts_below_the_square_limit_keep_their_verdict(self, capsys):
+        code, out, err = run(capsys, "classify", "--set", "u1=1e6", "--set", "u2=1e7",
+                             "--set", "u3=1e8", "--set", "k=1e-140")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{\n  "kind": "equilibrium",\n  "label": "E1",\n  "period": null,\n'
+            '  "amplitude_u3": null,\n  "final_distance": 1.6733918827931121e-09\n}\n'
+        )
 
     def test_stride_of_the_whole_horizon_is_a_config_error(self, capsys):
         # one sample after the transient cannot carry a verdict

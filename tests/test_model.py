@@ -120,6 +120,20 @@ class TestSteadyStates:
         assert e2.u2 == pytest.approx(1.2075e7, rel=1e-4)
         assert e2.u1 == pytest.approx(1.3583e6, rel=1e-4)
 
+    # the counts scale as 1/k: at k = 1e-310 they leave float range, and
+    # the refusal used to name the count u2, which no caller gives
+    @pytest.mark.parametrize("build, label, deaths", [
+        (steady_state_E1, "E1", {}),
+        (steady_state_E2, "E2", {}),
+        (steady_state_E1, "E1", {"d1": 0.01, "d2": 0.1}),
+        (steady_state_E2, "E2", {"d1": 0.01, "d2": 0.1}),
+    ], ids=["E1-basic", "E2-basic", "E1-extended", "E2-extended"])
+    def test_overflowing_counts_are_refused_naming_k(self, build, label, deaths):
+        params = REFERENCE_PARAMETERS.with_(**deaths)
+        assert all(math.isfinite(u) for u in build(params.with_(k=1e-300)).state.as_tuple())
+        with pytest.raises(ValueError, match=f"^{label}'s cell counts overflow at k=1e-310: they scale as 1/k$"):
+            build(params.with_(k=1e-310))
+
     def test_both_absent_when_fractions_small(self):
         params = ModelParameters(a1=0.4, a2=0.3, p1=1.0, p2=0.5, d3=0.5, k=1e-9)
         assert steady_state_E1(params) is None
