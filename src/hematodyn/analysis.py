@@ -221,12 +221,15 @@ def classify(
     test's is `_AGREEMENT_TOL` (0.02). Integration failures propagate. An
     output_stride that leaves fewer than 3 samples in the kept tail or in
     the trailing 5 % of the horizon is a ValueError, raised before
-    integrating; so are cell counts too large for the settle test to
-    square.
+    integrating; so are a horizon so short that the default stride,
+    horizon / 4000, is 0, and cell counts too large for the settle test
+    to square.
     """
     # the horizon follows the number rule before anything is integrated
     horizon = default_horizon(params) if horizon is None else _positive("horizon", horizon)
     stride = output_stride if output_stride is not None else horizon / 4000.0
+    if output_stride is None and stride == 0.0:
+        raise ValueError(f"horizon {horizon!r} is too short: its default output_stride horizon / 4000 is 0")
     config = IntegrationConfig(
         t_end=horizon, rel_tol=rel_tol, abs_tol=abs_tol, output_stride=stride
     )

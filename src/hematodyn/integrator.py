@@ -119,9 +119,9 @@ class IntegrationConfig:
     step is held below abs_tol + rel_tol * ||state||. Times are in days
     (or rescaled units if the parameters are rescaled). output_stride is
     the sampling interval of the returned trajectory, at most
-    _MAX_SAMPLES samples; None means t_end / 2000. max_step may not
-    imply more than _MAX_STEPS steps. initial_step None means an
-    automatic startup guess.
+    _MAX_SAMPLES samples; None means t_end / 2000, and a t_end so short
+    that this is 0 is a ValueError. max_step may not imply more than
+    _MAX_STEPS steps. initial_step None means an automatic startup guess.
     """
 
     t_end: float
@@ -142,6 +142,8 @@ class IntegrationConfig:
             if name == "rel_tol" and not 1e-12 <= value <= 1e-3:
                 raise ValueError(f"rel_tol must lie in [1e-12, 1e-3], got {value}")
             object.__setattr__(self, name, value)
+        if self.stride == 0.0:  # t_end / 2000 underflowed; a given stride is positive
+            raise ValueError(f"t_end {self.t_end!r} is too short: its default output_stride t_end / 2000 is 0")
         if self.t_end / self.stride > _MAX_SAMPLES:
             raise ValueError(f"output_stride {self.stride} gives over {_MAX_SAMPLES} samples")
         # every accepted step is at most max_step long, so this many would hit the step limit

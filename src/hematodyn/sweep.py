@@ -191,24 +191,21 @@ class SweepSpec:
 
 @dataclass
 class SweepResult:
-    """Per-point margins and class codes in C grid order, plus aggregates.
+    """Per-point margins and class codes, in C grid order.
 
     Point i sits at np.unravel_index(i, spec.shape) on the axis grids
     (`AxisSpec.grid`; last axis fastest), and its class is
     CLASS_NAMES[class_codes[i]]. The code is 3 ('nonexistent') exactly
     where the positive state does not exist, and hurwitz holds NaN there
     and is finite elsewhere (`run_sweep` refuses a margin that overflows).
-    unstable_points holds the coordinates of the points with code 1, one
-    row each in grid order. Content and ordering are deterministic for a
-    given spec.
+    The class counts, the unstable points and the Hopf pairs follow from
+    these arrays; `sweep_summary` derives them. Content and ordering are
+    deterministic for a given spec.
     """
 
     spec: SweepSpec
     hurwitz: np.ndarray
     class_codes: np.ndarray
-    counts: Dict[str, int]
-    unstable_points: np.ndarray
-    hopf_pair_count: int
 
     @property
     def n_points(self) -> int:
@@ -216,10 +213,10 @@ class SweepResult:
 
 
 def _eval_columns(cols):
-    exists = e2_conditions(
-        cols["a1"], cols["a2"], cols["p1"], cols["p2"], cols["d1"], cols["d2"]
-    )[3]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        exists = e2_conditions(
+            cols["a1"], cols["a2"], cols["p1"], cols["p2"], cols["d1"], cols["d2"]
+        )[3]
         b1, b2, b3 = _extended_coeffs(**cols)
         prod = b1 * b2
         return exists, prod - b3, prod
@@ -228,14 +225,13 @@ def _eval_columns(cols):
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate existence and stability over the whole grid.
 
-    Points are evaluated in fixed blocks of `_CHUNK`; each block's class
-    codes, NaN-masked margins, class tally and unstable points go straight
-    into the result, and the Hopf pairs are counted one band of about a
-    block at a time. So the result holds 9 bytes per point (the margin and
-    the class code) plus the unstable points, and the peak is that plus one
-    block's temporaries. Each point's values depend only on its own
-    coordinates, so the result does not depend on the block size. A margin
-    that overflows where the positive state exists raises ValueError.
+    Points are evaluated in fixed blocks of `_CHUNK`; each block's
+    NaN-masked margins and class codes go straight into the result. So the
+    result holds 9 bytes per point (the margin and the class code), and the
+    peak is that plus one block's temporaries. Each point's values depend
+    only on its own coordinates, so the result does not depend on the block
+    size. A margin that overflows where the positive state exists raises
+    ValueError.
     """
     shape = spec.shape
     names = spec.names
@@ -247,8 +243,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     hurwitz = np.empty(total, dtype=float)
     codes = np.empty(total, dtype=np.int8)
-    tally = np.zeros(len(CLASS_NAMES), dtype=np.int64)
-    unstable = []
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
         multi = np.unravel_index(np.arange(start, stop), shape)
@@ -263,20 +257,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         # conditions not touched by the varied axes come back as scalars,
         # which np.where broadcasts
         hurwitz[start:stop] = np.where(ok, h, np.nan)
-        block = codes[start:stop]
-        block[:] = np.where(ok, hurwitz_codes(h, prod), 3)
-        tally += np.bincount(block, minlength=len(CLASS_NAMES))
-        picked = block == 1
-        unstable.append(np.column_stack([cols[name][picked] for name in names]))
-
-    return SweepResult(
-        spec=spec,
-        hurwitz=hurwitz,
-        class_codes=codes,
-        counts=dict(zip(CLASS_NAMES, tally.tolist())),
-        unstable_points=np.concatenate(unstable),
-        hopf_pair_count=_hopf_pairs(hurwitz, shape),
-    )
+        codes[start:stop] = np.where(ok, hurwitz_codes(h, prod), 3)
+    return SweepResult(spec=spec, hurwitz=hurwitz, class_codes=codes)
 
 
 def _hopf_pairs(hurwitz, shape) -> int:
@@ -519,25 +501,31 @@ def write_sweep_csv(result: SweepResult, fh) -> None:
 
 
 def sweep_summary(result: SweepResult) -> dict:
-    """JSON-ready aggregate view: counts, unstable bounds, sample points.
+    """JSON-ready aggregate view: counts, Hopf pairs, unstable bounds, sample points.
 
-    The bounds are each axis's min and max over the unstable points ({}
-    when there is none). At most `_SUMMARY_POINTS` (1000) unstable points
-    are listed.
+    All of it is derived from the result's arrays: the class counts from
+    the codes, the Hopf pairs (`_hopf_pairs`) from the margins, and the
+    unstable points (code 1, in grid order) from the axis grids. The bounds
+    are each axis's min and max over the unstable points ({} when there is
+    none). At most `_SUMMARY_POINTS` (1000) unstable points are listed.
     """
-    pts = result.unstable_points
+    spec, codes = result.spec, result.class_codes
+    # one comparison per class: a bincount would first cast every code to intp
+    counts = {name: int(np.count_nonzero(codes == code)) for code, name in enumerate(CLASS_NAMES)}
+    picked = np.unravel_index(np.flatnonzero(codes == 1), spec.shape)
+    pts = np.column_stack([axis.grid()[at] for axis, at in zip(spec.varied, picked)])
     bounds = {}
     if pts.size:
         lows, highs = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
-        bounds = {name: [lo, hi] for name, lo, hi in zip(result.spec.names, lows, highs)}
+        bounds = {name: [lo, hi] for name, lo, hi in zip(spec.names, lows, highs)}
     return {
         "axes": [
             {"name": a.name, "low": a.low, "high": a.high, "count": a.count}
-            for a in result.spec.varied
+            for a in spec.varied
         ],
         "total_points": result.n_points,
-        "counts": dict(result.counts),
-        "hopf_adjacent_pairs": result.hopf_pair_count,
+        "counts": counts,
+        "hopf_adjacent_pairs": _hopf_pairs(result.hurwitz, spec.shape),
         "unstable": {
             "count": int(pts.shape[0]),
             "bounds": bounds,

@@ -58,6 +58,7 @@ from hematodyn import (
     jacobian,
     run_sweep,
     steady_state_E2,
+    sweep_summary,
     verdict_to_dict,
 )
 from hematodyn.cli import main
@@ -150,7 +151,7 @@ def test_criterion_04_no_oscillation_baseline(capsys):
     points = 0
     for spec in specs:
         result = run_sweep(spec)
-        unstable += result.counts["unstable"]
+        unstable += sweep_summary(result)["counts"]["unstable"]
         points += result.n_points
     elapsed = perf_counter() - t0
     ok = unstable == 0 and points == 210_700 and elapsed < 60.0

@@ -204,6 +204,17 @@ class TestClassify:
         with pytest.raises(ValueError, match=f"^{name} {message}$"):
             classify(REFERENCE_PARAMETERS, start, **{name: value})
 
+    # horizon / 4000 underflows to 0 below about 9.9e-321; IntegrationConfig
+    # then blamed output_stride, a setting the caller never gave
+    def test_default_stride_that_underflows_is_refused_naming_horizon(self, monkeypatch):
+        start = steady_state_E2(REFERENCE_PARAMETERS).state
+        monkeypatch.setattr(analysis, "integrate", _not_integrated)
+        with pytest.raises(ValueError, match="^horizon 1e-321 is too short: its default output_stride horizon / 4000 is 0$"):
+            classify(REFERENCE_PARAMETERS, start, horizon=1e-321)
+        # a stride of 0 that the caller gives is refused as such
+        with pytest.raises(ValueError, match="^output_stride must be positive and finite, got 0.0$"):
+            classify(REFERENCE_PARAMETERS, start, horizon=1e-321, output_stride=0.0)
+
     # classify counts the sample grid before integrating; each count must be
     # that of the samples the run returns, also at the windows' edges, which
     # patching the transient fraction moves

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import shlex
 import shutil
 import subprocess
 import sys
@@ -255,6 +256,24 @@ class TestSimulate:
         assert code == 3
         assert "numerical failure" in err
 
+    # t_end / 2000 underflows to 0 below about 4.9e-321; the run used to end
+    # in a ZeroDivisionError traceback with exit 1
+    def test_default_stride_that_underflows_is_a_config_error(self, capsys):
+        code, out, err = run(capsys, "simulate", *INITIAL_SET, "--set", "t_end=1e-321")
+        assert (code, out) == (2, "")
+        assert err == (
+            "invalid configuration: t_end 1e-321 is too short: its default output_stride t_end / 2000 is 0\n"
+        )
+
+    def test_shortest_default_stride_keeps_its_output(self, capsys):
+        code, out, err = run(capsys, "simulate", "--set", "u1=1e6", "--set", "u2=1e7",
+                             "--set", "u3=1e8", "--set", "t_end=1e-318")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 2006
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "213688b9510bbe88c81355d7aff21286a9077278fb626097a6f029773b5c9e7d"
+        )
+
     def test_rescaled_matches_dimensional_run(self, tmp_path, capsys):
         base = "u1 = 1e6\nu2 = 1e7\nu3 = 1e8\nrel_tol = 1e-10\n"
         cfg_days = write_config(
@@ -447,6 +466,15 @@ class TestClassify:
             '  "amplitude_u3": null,\n  "final_distance": 1.6733918827931121e-09\n}\n'
         )
 
+    # horizon / 4000 underflows to 0 below about 9.9e-321; the refusal used
+    # to blame output_stride, a key the user never gave
+    def test_default_stride_that_underflows_names_the_horizon(self, capsys):
+        code, out, err = run(capsys, "classify", *INITIAL_SET, "--set", "horizon=1e-321")
+        assert (code, out) == (2, "")
+        assert err == (
+            "invalid configuration: horizon 1e-321 is too short: its default output_stride horizon / 4000 is 0\n"
+        )
+
     def test_stride_of_the_whole_horizon_is_a_config_error(self, capsys):
         # one sample after the transient cannot carry a verdict
         code, out, err = run(capsys, "classify", *INITIAL_SET,
@@ -491,6 +519,29 @@ class TestSweep:
         assert "the Hurwitz margin overflows" in err
         assert not out.exists()
 
+    # e2_conditions divides by a1 * p1, which is 0 at the first point;
+    # numpy's RuntimeWarnings used to reach stderr beside these bytes
+    @pytest.mark.parametrize("vary, csv, digest, caught", [
+        ("p1:0:1:3",
+         "p1,e2_exists,hurwitz,class\n0,0,nan,nonexistent\n"
+         "0.5,1,0.71199878861715171,stable\n1,1,0.7096444633576362,stable\n",
+         "ef5ee243311de19ece23b60cade9d37de157ca9dc576cbdb5164cc8e79a5ef5d", []),
+        ("a1:0:1:3",
+         "a1,e2_exists,hurwitz,class\n0,0,nan,nonexistent\n"
+         "0.5,0,nan,nonexistent\n1,1,0.84362949734759607,stable\n",
+         "cd4c24321369d04dab7175db9d0a8c39bece392e11b05db412194d015662a2a9", [UserWarning]),
+    ], ids=["p1", "a1"])
+    def test_grid_through_a_zero_rate_warns_only_of_the_range(self, tmp_path, capsys, vary, csv, digest, caught):
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            code, stdout, err = run(capsys, "sweep", "--set", f"vary={vary}", "--out", str(out))
+        assert (code, err) == (0, "")
+        # a1 = 0 leaves the plausible range, and only that is said
+        assert [w.category for w in record] == caught
+        assert out.read_text() == csv
+        assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == digest
+
     def test_missing_vary_key(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code, _, err = run(capsys, "sweep", "--out", str(out))
@@ -511,6 +562,53 @@ class TestConstellations:
         assert reference["hurwitz"] == pytest.approx(REFERENCE_HURWITZ, rel=1e-12)
         assert reference["verdict"] is None
         assert payload["constellation_1"]["classification"] == "unstable"
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def readme_session():
+    """(argv, shown output) of each command in the README's `showcase.cfg` session."""
+    block = next(b for b in README.split("```sh\n")[1:] if b.startswith("$ cat showcase.cfg"))
+    block = block.split("```", 1)[0].replace("\\\n", "")
+    pairs = []
+    for chunk in block.split("\n$ "):
+        command, _, output = chunk.removeprefix("$ ").partition("\n")
+        pairs.append((shlex.split(command), output.rstrip("\n")))
+    return pairs
+
+
+class TestReadmeExamples:
+    def test_quick_start_prints_what_its_comments_say(self, capsys):
+        code = README.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(code, "README.md", "exec"), {})
+        printed = capsys.readouterr().out.splitlines()
+        comments = [line.split("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+        assert len(printed) == len(comments) == 4
+        p2_star, omega, e2, verdict = printed
+        assert comments[:3] == [p2_star, f"{omega} rad/day", f'"{e2}"']
+        assert e2 == "unstable"
+        kind, period = verdict.split()
+        assert (kind, period[:4]) == ("limit_cycle", "53.8")
+        assert comments[3] == f"{kind} {period[:4]}..."
+
+    def test_session_prints_what_it_shows(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (cat, config), hopf, classify, sweep, (head, rows) = readme_session()
+        assert cat == ["cat", "showcase.cfg"]
+        (tmp_path / "showcase.cfg").write_text(config + "\n", encoding="utf-8")
+        for argv, shown in (hopf, classify):
+            assert argv[0] == "hematodyn"
+            assert run(capsys, *argv[1:]) == (0, shown + "\n", "")
+        argv, shown = sweep
+        code, out, err = run(capsys, *argv[1:])
+        assert (code, err) == (0, "")
+        summary = json.loads(out)
+        counts = summary["counts"]
+        assert shown == '{ ... "counts": {"stable": %d, "unstable": %d, ...}, "hopf_adjacent_pairs": %d ... }' % (
+            counts["stable"], counts["unstable"], summary["hopf_adjacent_pairs"])
+        assert head == ["head", "-3", "sweep.csv"]
+        assert (tmp_path / "sweep.csv").read_text().splitlines()[:3] == rows.splitlines()
 
 
 # SHA-256 of `hematodyn stability` stdout at the reference parameters

@@ -107,6 +107,13 @@ class TestConfigValidation:
         config = IntegrationConfig(t_end=100.0)
         assert config.stride == pytest.approx(0.05)
 
+    # t_end / 2000 underflows to 0 below about 4.9e-321, where t_end / stride
+    # used to raise ZeroDivisionError
+    def test_default_stride_that_underflows_is_refused_naming_t_end(self):
+        with pytest.raises(ValueError, match="^t_end 1e-321 is too short: its default output_stride t_end / 2000 is 0$"):
+            IntegrationConfig(t_end=1e-321)
+        assert IntegrationConfig(t_end=1e-318).stride > 0.0
+
 
 class TestTrajectoryShape:
     def test_times_and_bounds(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -9,6 +10,7 @@ import os
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -79,13 +81,14 @@ def assert_golden_digests():
     axes = (axis_for("p1", 23), axis_for("a2", 29), axis_for("d3", 17))
     result = run_sweep(SweepSpec(varied=axes))
     assert result.n_points % _CHUNK != 0 and result.n_points % _CSV_BLOCK != 0
-    assert result.counts["nonexistent"] > 0 and result.counts["unstable"] > 0
+    summary = sweep_summary(result)
+    assert summary["counts"]["nonexistent"] > 0 and summary["counts"]["unstable"] > 0
     out = io.StringIO()
     write_sweep_csv(result, out)
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == (
         "126b9eaa56e83fc5d25930459a40908f8d1bb192b816a1abd8ac2298e3e47b7e"
     )
-    assert hashlib.sha256(dumps(sweep_summary(result)).encode("utf-8")).hexdigest() == (
+    assert hashlib.sha256(dumps(summary).encode("utf-8")).hexdigest() == (
         "30131a192ac8d9251bb257b0f565dc3f25bfb057eaf63ce61755bfb1ba7822d3"
     )
 
@@ -216,10 +219,11 @@ class TestRunSweep:
         # plausible box destabilizes the positive state
         for name in PLAUSIBLE_INTERVALS:
             result = run_sweep(SweepSpec(varied=(axis_for(name),)))
-            assert result.counts["unstable"] == 0, name
-            assert result.hopf_pair_count == 0, name
+            summary = sweep_summary(result)
+            assert summary["counts"]["unstable"] == 0, name
+            assert summary["hopf_adjacent_pairs"] == 0, name
             assert result.n_points == 100
-            assert sweep_summary(result)["unstable"]["bounds"] == {}, name
+            assert summary["unstable"]["bounds"] == {}, name
 
     @pytest.mark.parametrize("overrides,axes", [
         ({}, (axis_for("p2", 13), axis_for("d3", 11))),
@@ -233,7 +237,8 @@ class TestRunSweep:
         result = run_sweep(spec)
         if overrides:
             # the extended grids cross both the existence and the Hopf boundary
-            assert min(result.counts[name] for name in ("stable", "unstable", "nonexistent")) > 0
+            counts = sweep_summary(result)["counts"]
+            assert min(counts[name] for name in ("stable", "unstable", "nonexistent")) > 0
         grids = [axis.grid() for axis in axes]
         for index in range(result.n_points):
             point = point_at(grids, spec.shape, index)
@@ -252,10 +257,10 @@ class TestRunSweep:
 
     def test_three_parameter_box_contains_reported_unstable_point(self):
         axes = (axis_for("p1", 40), axis_for("a2", 40), axis_for("d3", 40))
-        result = run_sweep(SweepSpec(varied=axes))
-        assert result.counts["unstable"] > 0
-        assert result.hopf_pair_count > 0
-        bounds = sweep_summary(result)["unstable"]["bounds"]
+        summary = sweep_summary(run_sweep(SweepSpec(varied=axes)))
+        assert summary["counts"]["unstable"] > 0
+        assert summary["hopf_adjacent_pairs"] > 0
+        bounds = summary["unstable"]["bounds"]
         target = CONSTELLATIONS[1]  # varies exactly these three parameters
         for name in ("p1", "a2", "d3"):
             lo, hi = bounds[name]
@@ -278,6 +283,19 @@ class TestRunSweep:
         assert np.all(result.class_codes[~inside] == 0)
         assert 0 < np.count_nonzero(inside) < inside.size
 
+    # e2_conditions divides by a1 * p1, which is 0 at the first point of
+    # these grids; its numpy RuntimeWarnings used to reach stderr
+    @pytest.mark.parametrize("name, codes, caught", [
+        ("p1", [3, 0, 0], []),
+        ("a1", [3, 3, 0], [UserWarning]),  # a1 = 0 leaves the plausible range
+    ])
+    def test_grid_through_a_zero_rate_raises_no_runtime_warning(self, name, codes, caught):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            result = run_sweep(SweepSpec(varied=(AxisSpec(name, 0.0, 1.0, 3, nudge=0.0),)))
+        assert [w.category for w in record] == caught
+        assert result.class_codes.tolist() == codes
+
     def test_overflowing_margin_is_refused(self):
         # where E2 exists the margin used to overflow to NaN or inf and be
         # counted: 4 "unstable" and 5 "marginal" points on this grid
@@ -291,9 +309,10 @@ class TestRunSweep:
 
     def test_counts_partition_the_grid(self):
         result = run_sweep(SweepSpec(varied=(axis_for("a2", 80),)))
-        assert sum(result.counts.values()) == result.n_points
+        counts = sweep_summary(result)["counts"]
+        assert sum(counts.values()) == result.n_points
         # high self-renewal of progenitors removes the positive state
-        assert result.counts["nonexistent"] > 0
+        assert counts["nonexistent"] > 0
         assert np.isnan(result.hurwitz[result.class_codes == 3]).all()
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
@@ -306,27 +325,28 @@ class TestRunSweep:
             spec = SweepSpec(varied=axes)
             csv = {}
             results = {}
+            summaries = {}
             for chunk in (7, 1000, _CHUNK):
-                # the evaluation block and the CSV block alike
+                # the evaluation block, the summary's Hopf bands and the CSV block alike
                 monkeypatch.setattr("hematodyn.sweep._CHUNK", chunk)
                 monkeypatch.setattr("hematodyn.sweep._CSV_BLOCK", chunk)
                 results[chunk] = run_sweep(spec)
+                summaries[chunk] = sweep_summary(results[chunk])
                 out = io.StringIO()
                 write_sweep_csv(results[chunk], out)
                 csv[chunk] = out.getvalue()
-            reference = results[_CHUNK]
+            reference, summary = results[_CHUNK], summaries[_CHUNK]
             for chunk, result in results.items():
                 assert np.array_equal(result.class_codes, reference.class_codes), chunk
                 # code 3 exactly on the NaN margins, whichever block a point fell in
                 assert np.array_equal(result.class_codes == 3, np.isnan(result.hurwitz)), chunk
                 assert np.array_equal(result.hurwitz, reference.hurwitz, equal_nan=True), chunk
-                assert result.counts == reference.counts, chunk
-                assert np.array_equal(result.unstable_points, reference.unstable_points), chunk
-                assert result.hopf_pair_count == reference.hopf_pair_count, chunk
-                assert sweep_summary(result) == sweep_summary(reference), chunk
+                # counts, unstable points and Hopf pairs alike
+                assert summaries[chunk] == summary, chunk
                 assert csv[chunk] == csv[_CHUNK], chunk
-        assert reference.counts["unstable"] > 0 and reference.counts["nonexistent"] > 0
-        assert reference.hopf_pair_count > 0
+        assert summary["counts"]["unstable"] > 0 and summary["counts"]["nonexistent"] > 0
+        assert summary["unstable"]["count"] < 1000  # every unstable point is listed
+        assert summary["hopf_adjacent_pairs"] > 0
 
     def test_memory_stays_within_the_result_and_one_block(self):
         # 27 blocks; every whole-grid temporary (a copy of the codes, a
@@ -339,11 +359,28 @@ class TestRunSweep:
         finally:
             tracemalloc.stop()
         assert result.n_points > 25 * _CHUNK
-        held = sum(array.nbytes for array in (result.hurwitz, result.class_codes, result.unstable_points))
+        held = result.hurwitz.nbytes + result.class_codes.nbytes
         # a block's temporaries: its indices, coordinate columns and
         # coefficient arrays, well under 32 float64 values per point
         allowance = 32 * 8 * _CHUNK
         assert peak <= held + allowance, (peak, held)
+
+    def test_summary_memory_stays_within_a_byte_per_point(self):
+        # the summary derives its counts, unstable points and Hopf pairs from
+        # the held arrays: a byte-per-point comparison at a time, a few arrays
+        # over the unstable points and one Hopf band. A whole-grid integer
+        # copy of the codes (np.bincount casts to intp) costs 8 bytes a point
+        spec = SweepSpec(varied=tuple(axis_for(name, 60) for name in ("p1", "a2", "d3")))
+        result = run_sweep(spec)
+        tracemalloc.start()
+        try:
+            summary = sweep_summary(result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        unstable = summary["unstable"]["count"]
+        assert unstable > 0
+        assert peak <= 2 * result.n_points + 64 * unstable + 256 * 1024, (peak, unstable)
 
     @pytest.mark.parametrize("chunk", [_CHUNK, 100])
     @pytest.mark.parametrize("counts", [
@@ -384,7 +421,7 @@ class TestRunSweep:
         for axis in range(len(counts)):
             along = np.moveaxis(grid, axis, 0)
             expected += int(np.count_nonzero(along[:-1] * along[1:] < 0.0))
-        assert result.hopf_pair_count == expected
+        assert sweep_summary(result)["hopf_adjacent_pairs"] == expected
         assert expected > 0
 
 
@@ -451,9 +488,6 @@ class TestResultAccess:
             spec=spec,
             hurwitz=margins,
             class_codes=codes,
-            counts=dict(zip(CLASS_NAMES, np.bincount(codes).tolist())),
-            unstable_points=np.empty((0, 2)),
-            hopf_pair_count=0,
         )
         monkeypatch.setattr("hematodyn.sweep._CSV_BLOCK", 5)
         sink = RecordingSink()
@@ -470,16 +504,24 @@ class TestResultAccess:
         result = run_sweep(SweepSpec(varied=axes))
         monkeypatch.setattr("hematodyn.sweep._SUMMARY_POINTS", 5)
         summary = sweep_summary(result)
+        # the oracle: every point in C order (last axis fastest) with its class
+        counts = dict.fromkeys(CLASS_NAMES, 0)
+        unstable = []
+        points = itertools.product(*(axis.grid().tolist() for axis in axes))
+        for point, code in zip(points, result.class_codes.tolist()):
+            counts[CLASS_NAMES[code]] += 1
+            if CLASS_NAMES[code] == "unstable":
+                unstable.append(list(point))
         assert summary["total_points"] == 64000
-        assert summary["counts"] == result.counts
-        assert summary["unstable"]["count"] == result.counts["unstable"]
+        assert summary["counts"] == counts
+        assert list(summary["counts"]) == list(CLASS_NAMES)
+        assert summary["unstable"]["count"] == len(unstable) > 5
         assert len(summary["unstable"]["points"]) == 5
+        assert summary["unstable"]["points"] == unstable[:5]
         assert summary["unstable"]["points_truncated"] is True
         # each axis's range over all the unstable points, not only the listed ones
-        pts = result.unstable_points
-        assert pts.shape == (result.counts["unstable"], 3)
         assert summary["unstable"]["bounds"] == {
-            name: [float(pts[:, pos].min()), float(pts[:, pos].max())]
+            name: [min(point[pos] for point in unstable), max(point[pos] for point in unstable)]
             for pos, name in enumerate(("p1", "a2", "d3"))
         }
         assert [a["name"] for a in summary["axes"]] == ["p1", "a2", "d3"]
