@@ -22,7 +22,6 @@ configuration, 3 numerical failure.
 from __future__ import annotations
 
 import dataclasses
-import io
 import sys
 import types
 from typing import Dict, Optional
@@ -144,9 +143,12 @@ def _cmd_simulate(args, cfg) -> None:
     initial = _build_initial(cfg)
     config = IntegrationConfig(**_floats(cfg, _INTEGRATION_KEYS, required=("t_end",)))
     traj = integrate(params, initial, config)
-    buffer = io.StringIO()
-    write_trajectory_csv(traj, buffer)
-    _write_text(args.out, buffer.getvalue())
+    # written block by block, as sweep writes its CSV, with no copy of the whole text
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            write_trajectory_csv(traj, fh)
+    else:
+        write_trajectory_csv(traj, sys.stdout)
 
 
 def _cmd_stability(args, cfg) -> None:

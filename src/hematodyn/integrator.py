@@ -12,8 +12,8 @@ once. `rhs_closure` stays the definition, and gives the first slope, the
 startup step guess and the slope after a clamp. The step loop is written
 once, in `_advance`, which `integrate` runs from t = 0. The model is
 non-stiff across the studied parameter ranges (rates stay below ~27 in
-rescaled units); if a caller ever pushes it into a stiff corner, reducing
-max_step is the escape hatch.
+rescaled units); on a stiff stretch the error controller alone holds the
+step near the edge of the stability region (Hairer & Wanner II, IV.2).
 
 Dense output is evaluated in blocks, not in the step loop: a step that
 owns samples packs its loop-top state, its stage slopes and its sample
@@ -120,23 +120,20 @@ class IntegrationConfig:
     (or rescaled units if the parameters are rescaled). output_stride is
     the sampling interval of the returned trajectory, at most
     _MAX_SAMPLES samples; None means t_end / 2000, and a t_end so short
-    that this is 0 is a ValueError. max_step may not imply more than
-    _MAX_STEPS steps. initial_step None means an automatic startup guess.
+    that this is 0 is a ValueError. The step size is the controller's.
     """
 
     t_end: float
     rel_tol: float = 1e-8
     abs_tol: float = 1e-3
-    max_step: Optional[float] = None
-    initial_step: Optional[float] = None
     output_stride: Optional[float] = None
 
     def __post_init__(self):
         # each setting is stored as a finite float, so the step loop runs on
-        # floats; the last three may be None
-        for name in ("t_end", "rel_tol", "abs_tol", "max_step", "initial_step", "output_stride"):
+        # floats; output_stride may be None
+        for name in ("t_end", "rel_tol", "abs_tol", "output_stride"):
             value = getattr(self, name)
-            if value is None and name in ("max_step", "initial_step", "output_stride"):
+            if value is None and name == "output_stride":
                 continue
             value = _real(name, value) if name == "rel_tol" else _positive(name, value)
             if name == "rel_tol" and not 1e-12 <= value <= 1e-3:
@@ -146,9 +143,6 @@ class IntegrationConfig:
             raise ValueError(f"t_end {self.t_end!r} is too short: its default output_stride t_end / 2000 is 0")
         if self.t_end / self.stride > _MAX_SAMPLES:
             raise ValueError(f"output_stride {self.stride} gives over {_MAX_SAMPLES} samples")
-        # every accepted step is at most max_step long, so this many would hit the step limit
-        if self.max_step is not None and self.t_end / self.max_step > _MAX_STEPS:
-            raise ValueError(f"max_step {self.max_step} needs over {_MAX_STEPS} steps")
 
     @property
     def stride(self) -> float:
@@ -227,10 +221,8 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
     # max(|x|, |y|, |z|) of the current state; an accepted step hands its
     # end state's norm on, so each state's norm is computed once
     norm_old = max(abs(x), abs(y), abs(z))
-    h = _initial_step(f, (x, y, z), (k1x, k1y, k1z), config.abs_tol + config.rel_tol * norm_old) \
-        if config.initial_step is None else float(config.initial_step)
-    max_step = config.max_step if config.max_step is not None else math.inf
-    h = min(h, max_step, t_end)
+    h = _initial_step(f, (x, y, z), (k1x, k1y, k1z), config.abs_tol + config.rel_tol * norm_old)
+    h = min(h, t_end)
 
     start = (0.0, x, y, z, k1x, k1y, k1z, h, norm_old, 1e-4, _FAC_MAX, 0)
     return Trajectory(*_advance(params, f, config, start))
@@ -261,7 +253,6 @@ def _advance(params, f, config, state):
     t0, x, y, z = state[:4]
     abs_tol = config.abs_tol
     rel_tol = config.rel_tol
-    max_step = config.max_step if config.max_step is not None else math.inf
     band = abs_tol * 1e-3
     h_min = 1e-14 * t_end
     inf = math.inf
@@ -472,7 +463,6 @@ def _advance(params, f, config, state):
             else:
                 factor = fac_cap  # 1 or 10, never below _FAC_MIN
             h *= factor if factor < fac_cap else fac_cap
-            h = max_step if max_step < h else h
             err_prev = 1e-4 if 1e-4 > err else err
             fac_cap = fac_max
 

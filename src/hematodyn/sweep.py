@@ -151,9 +151,12 @@ class AxisSpec:
                 stacklevel=3,  # past the generated __init__, to the AxisSpec(...) call
             )
 
-    def grid(self) -> np.ndarray:
+    def _ends(self) -> Tuple[float, float]:
         pad = self.nudge * (self.high - self.low)
-        return np.linspace(self.low + pad, self.high - pad, self.count)
+        return self.low + pad, self.high - pad
+
+    def grid(self) -> np.ndarray:
+        return np.linspace(*self._ends(), self.count)
 
 
 def axis_for(name: str, count: int = 100) -> AxisSpec:
@@ -164,7 +167,12 @@ def axis_for(name: str, count: int = 100) -> AxisSpec:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Varied axes (1 to 7, unique names) around a fixed parameter set."""
+    """Varied axes (1 to 7, unique names) around a fixed parameter set.
+
+    Every grid point must be a set the model accepts: an axis whose first
+    or last grid value `ModelParameters` refuses is a ValueError with its
+    message.
+    """
 
     varied: Tuple[AxisSpec, ...]
     fixed: ModelParameters = REFERENCE_PARAMETERS
@@ -179,6 +187,11 @@ class SweepSpec:
         total = math.prod(axis.count for axis in self.varied)
         if total > _MAX_GRID:
             raise ValueError(f"grid of {total} points exceeds the {_MAX_GRID} cap")
+        # the domain is a product of per-rate intervals and a grid is
+        # monotone, so the model's rule at a grid's two ends decides it
+        for axis in self.varied:
+            for value in axis._ends():
+                self.fixed.with_(**{axis.name: value})
 
     @property
     def shape(self) -> Tuple[int, ...]:

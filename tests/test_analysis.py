@@ -82,6 +82,21 @@ class TestOscillationReport:
         assert report.period == pytest.approx(period, rel=1e-3)
         assert report.amplitude == pytest.approx(2.0, rel=1e-2)
 
+    # the middle sample stands where the parabola through three samples has
+    # no extremum of the asked kind, or has it outside them
+    @pytest.mark.parametrize("values, sign", [
+        ((1.0, 1.0, 1.0), 1.0),  # flat: no curvature
+        ((1.0, 1.0, 1.0), -1.0),
+        ((0.0, 1.0, 1.5), -1.0),  # concave: no trough
+        ((0.0, 1.0, 1.5), 1.0),  # its crest lies at t = 2.5, past the last sample
+    ], ids=["flat-peak", "flat-trough", "concave-trough", "crest-outside"])
+    def test_refinement_falls_back_to_the_middle_sample(self, values, sign):
+        assert analysis._refine_extremum(0.0, 1.0, 2.0, *values, sign) == (1.0, 1.0)
+
+    def test_refinement_moves_to_a_crest_between_the_samples(self):
+        t_star, _ = analysis._refine_extremum(0.0, 1.0, 2.0, 0.0, 1.0, 0.5, 1.0)
+        assert t_star == pytest.approx(7.0 / 6.0)
+
     def test_too_few_samples_rejected(self):
         traj = Trajectory(np.array([0.0, 1.0]), np.ones((2, 3)))
         with pytest.raises(ValueError):

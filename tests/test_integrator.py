@@ -38,6 +38,11 @@ from hematodyn.model import rhs_closure
 from hematodyn.sweep import CONSTELLATIONS
 
 
+def _first_step(h):
+    # stands in for integrator._initial_step, so that the first step is h
+    return lambda *args: h
+
+
 class TestConfigValidation:
     def test_rel_tol_range(self):
         with pytest.raises(ValueError):
@@ -59,37 +64,30 @@ class TestConfigValidation:
             IntegrationConfig(t_end=1000.0, output_stride=1e-9)
         assert IntegrationConfig(t_end=1000.0, output_stride=2e-4).stride == 2e-4
 
-    def test_step_count_capped(self):
-        # a max_step this small needs more steps than integrate allows
-        with pytest.raises(ValueError, match="max_step"):
-            IntegrationConfig(t_end=101.0, max_step=1e-5)
-        assert IntegrationConfig(t_end=100.0, max_step=1e-5).max_step == 1e-5
-
     @given(
         st.floats(min_value=1e-3, max_value=1e5),
         st.floats(min_value=1e-12, max_value=1e-3),
         st.floats(min_value=1e-9, max_value=1e6),
-        st.sampled_from(("t_end", "rel_tol", "abs_tol", "max_step", "initial_step", "output_stride")),
+        st.sampled_from(("t_end", "rel_tol", "abs_tol", "output_stride")),
         st.sampled_from([math.nan, math.inf, -math.inf]),
     )
     def test_non_finite_settings_rejected(self, t_end, rel_tol, abs_tol, name, value):
-        fields = dict(t_end=t_end, rel_tol=rel_tol, abs_tol=abs_tol,
-                      max_step=t_end, initial_step=t_end / 100.0, output_stride=t_end / 10.0)
+        fields = dict(t_end=t_end, rel_tol=rel_tol, abs_tol=abs_tol, output_stride=t_end / 10.0)
         IntegrationConfig(**fields)
         fields[name] = value
         with pytest.raises(ValueError, match=name):
             IntegrationConfig(**fields)
 
-    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "max_step", "initial_step", "output_stride"])
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "output_stride"])
     def test_non_numeric_setting_named(self, name):
         with pytest.raises(ValueError, match=f"{name} must be a number, got '1e-6'"):
             IntegrationConfig(t_end=10.0, **{name: "1e-6"})
 
     # a bool is an int subclass: t_end=True must not run for one day. None
-    # is the default of the last three settings, so only the first three refuse it
+    # is output_stride's default, so only the other three refuse it
     @pytest.mark.parametrize("name, value", [
         (name, value)
-        for name in ("t_end", "rel_tol", "abs_tol", "max_step", "initial_step", "output_stride")
+        for name in ("t_end", "rel_tol", "abs_tol", "output_stride")
         for value in (True, False, "5", np.bool_(True), None)
         if value is not None or name in ("t_end", "rel_tol", "abs_tol")
     ], ids=repr)
@@ -113,6 +111,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^t_end 1e-321 is too short: its default output_stride t_end / 2000 is 0$"):
             IntegrationConfig(t_end=1e-321)
         assert IntegrationConfig(t_end=1e-318).stride > 0.0
+
+
+class TestTrajectoryRefusals:
+    @pytest.mark.parametrize("times, states, message", [
+        (np.zeros((2, 1)), np.zeros((2, 3)), "times must be 1-d and states of matching (n, 3) shape"),
+        (np.arange(3.0), np.zeros((3, 2)), "times must be 1-d and states of matching (n, 3) shape"),
+        ([0.0, 1.0, 1.0], np.zeros((3, 3)), "times must be strictly increasing"),
+        ([0.0, 1.0], [[0.0, 0.0, 0.0], [1.0, -1e-300, 1.0]], "states must be componentwise nonnegative"),
+    ], ids=["2-d-times", "two-columns", "repeated-time", "negative-state"])
+    def test_refused(self, times, states, message):
+        with pytest.raises(ValueError) as excinfo:
+            Trajectory(times, states)
+        assert str(excinfo.value) == message
 
 
 class TestTrajectoryShape:
@@ -192,7 +203,7 @@ class TestAccuracy:
         # multiple of the per-step allowance
         assert np.linalg.norm(a - b, np.inf) < 100.0 * allowance
 
-    def test_fifth_order_convergence(self):
+    def test_fifth_order_convergence(self, monkeypatch):
         """Fixed-step error against a tight reference scales like h^5."""
         params = showcase_params(p2=0.5)
         t_end = 8.0
@@ -201,13 +212,13 @@ class TestAccuracy:
         ).final
         ref = np.array(ref.as_tuple())
         errors = []
+        # the first step is h, and a step-size factor capped at 1 with an
+        # enormous abs_tol keeps every later step at h, turning the adaptive
+        # scheme into a fixed-step one for the order measurement
+        monkeypatch.setattr(integrator, "_FAC_MAX", 1.0)
         for h in (0.5, 0.25, 0.125):
-            # enormous abs_tol parks the controller at max_step, turning the
-            # adaptive scheme into a fixed-step one for the order measurement
-            config = IntegrationConfig(
-                t_end=t_end, rel_tol=1e-3, abs_tol=1e15, max_step=h,
-                initial_step=h, output_stride=t_end,
-            )
+            monkeypatch.setattr(integrator, "_initial_step", _first_step(h))
+            config = IntegrationConfig(t_end=t_end, rel_tol=1e-3, abs_tol=1e15, output_stride=t_end)
             final = np.array(integrate(params, SHOWCASE_IC_SETTLING, config).final.as_tuple())
             errors.append(np.linalg.norm(final - ref) / np.linalg.norm(ref))
         order1 = math.log2(errors[0] / errors[1])
@@ -286,6 +297,15 @@ class TestFailureModes:
         assert err.time.hex() == "0x1.50f60e89b63f3p+2"
         assert len(err.trajectory) == 211
 
+    def test_non_finite_first_slope_raises_at_the_start(self):
+        # d3 * u3 overflows in the first slope, before any step is taken
+        with pytest.raises(IntegrationError) as excinfo:
+            integrate(REFERENCE_PARAMETERS, CellState(1.0, 1.0, 1e308), IntegrationConfig(t_end=1.0))
+        error = excinfo.value
+        assert (error.reason, error.time, error.state) == ("non-finite derivative", 0.0, (1.0, 1.0, 1e308))
+        assert error.trajectory.times.tolist() == [0.0]
+        assert error.trajectory.states.tolist() == [[1.0, 1.0, 1e308]]
+
     @pytest.mark.parametrize("partial", [False, True], ids=["no-trajectory", "trajectory"])
     def test_error_survives_pickling(self, partial):
         trajectory = Trajectory(np.array([0.0, 0.5]), np.array([[1.0, 2.0, 3.0], [1.5, 2.5, 3.5]]))
@@ -334,13 +354,15 @@ def _dp5_step(f, state, k1, h):
 
 
 class TestInlinedStages:
-    def test_two_steps_match_rhs_closure(self):
+    def test_two_steps_match_rhs_closure(self, monkeypatch):
         # integrate writes the right-hand side out in its stages; two steps
         # built from rhs_closure must give the same bits. Step 2 starts from
         # step 1's last slope, so all six written-out stages are covered.
         rng = np.random.default_rng(12)
         h = 1e-4  # small enough that the controller accepts both steps whole
-        config = IntegrationConfig(t_end=2 * h, max_step=h, initial_step=h, output_stride=2 * h)
+        # the first step is h, and t_end = 2h cuts the second back to h
+        monkeypatch.setattr(integrator, "_initial_step", _first_step(h))
+        config = IntegrationConfig(t_end=2 * h, output_stride=2 * h)
         for i in range(300):
             extended = i % 2 == 1
             params = ModelParameters(
@@ -382,42 +404,45 @@ _CLAMP_AND_DIP_DIGEST = "c7674332bc2b32d304ed4bcfddd1e24250030598c36f7f9dacd052b
 
 
 class TestDenseOutputBits:
-    @pytest.mark.parametrize("params, initial, config, digest", [
+    # seams: integrator attributes set for the run. The step size is the
+    # controller's, so a test fixes it there: _initial_step gives the first
+    # step, and _FAC_MAX = 1.0 keeps the controller from growing it again.
+    @pytest.mark.parametrize("params, initial, config, seams, digest", [
         # showcase cycle at a 0.05 d stride: about 14 samples per step
         (showcase_params(p2=0.3), SHOWCASE_IC_CYCLE_HIGH,
-         IntegrationConfig(t_end=400.0, output_stride=0.05),
+         IntegrationConfig(t_end=400.0, output_stride=0.05), {},
          "1089ff3ede97e355a103ef5082ada3ae3162f6251a2d07e0c6722a7269275211"),
         # extended variant (d1, d2 > 0) started 5 % above E2 in u1
         (_SET8, CellState(1.05 * _SET8_E2.u1, _SET8_E2.u2, _SET8_E2.u3),
-         IntegrationConfig(t_end=2000.0),
+         IntegrationConfig(t_end=2000.0), {},
          "8810df4a02c1860508caa5c96312c3c46a24cc53916a28babdfd1e36b2967a25"),
         # decay through the noise floor: clamps undershoots and rejects
         # steps on both a step-end dip and a dense-output dip
-        (*_CLAMP_AND_DIP, _CLAMP_AND_DIP_DIGEST),
+        (*_CLAMP_AND_DIP, {}, _CLAMP_AND_DIP_DIGEST),
         # a 50 d first step: the error estimate rejects it (err > 1) six times
         (showcase_params(p2=0.3), SHOWCASE_IC_CYCLE_HIGH,
-         IntegrationConfig(t_end=100.0, initial_step=50.0),
+         IntegrationConfig(t_end=100.0), {"_initial_step": _first_step(50.0)},
          "b7b5654152e0df0e56c27f873ee6025694b86d9d1a81becf0ac5110ab61b5088"),
-        # max_step caps 199 of the 202 step-size updates
-        (showcase_params(p2=0.5), SHOWCASE_IC_SETTLING,
-         IntegrationConfig(t_end=100.0, max_step=0.5),
-         "ce48eaf710810d6410523025eed5eeb594ab1ed957638294e022db85e685e719"),
         # zero state: every error estimate is exactly 0, so each step grows by fac_cap
-        (REFERENCE_PARAMETERS, CellState(0.0, 0.0, 0.0), IntegrationConfig(t_end=50.0),
+        (REFERENCE_PARAMETERS, CellState(0.0, 0.0, 0.0), IntegrationConfig(t_end=50.0), {},
          "4804a3e643d0874bdec712673441f622ff50529f4aeffed37e28f8fe9bfeb81b"),
-        # every step is max_step = output_stride long, so t + h adds up as
-        # the sample grid does and each step's one sample lies on its end
+        # every step is output_stride long, so t + h adds up as the sample
+        # grid does and each step's one sample lies on its end
         (showcase_params(p2=0.3), SHOWCASE_IC_CYCLE_HIGH,
-         IntegrationConfig(t_end=60.0, initial_step=0.1, max_step=0.1, output_stride=0.1),
+         IntegrationConfig(t_end=60.0, output_stride=0.1),
+         {"_initial_step": _first_step(0.1), "_FAC_MAX": 1.0},
          "d764b73a02076812f2287580c735e349f7cbc537b53c0609ed796940cc6c30c0"),
         # every step is two strides long, and its second sample lies on its end
         (showcase_params(p2=0.3), SHOWCASE_IC_CYCLE_HIGH,
-         IntegrationConfig(t_end=60.0, initial_step=0.125, max_step=0.125, output_stride=0.0625),
+         IntegrationConfig(t_end=60.0, output_stride=0.0625),
+         {"_initial_step": _first_step(0.125), "_FAC_MAX": 1.0},
          "c10579d1493eb015b7fe7f6ac2800ed6b3de756f8072c1dc957c9b63f322ac45"),
     ], ids=["showcase-fine-stride", "set8-extended", "clamp-and-dip",
-            "oversized-initial-step", "max-step-cap", "zero-state",
+            "oversized-initial-step", "zero-state",
             "one-sample-on-each-step-end", "two-samples-second-on-the-step-end"])
-    def test_samples_are_pinned(self, params, initial, config, digest):
+    def test_samples_are_pinned(self, monkeypatch, params, initial, config, seams, digest):
+        for name, value in seams.items():
+            monkeypatch.setattr(integrator, name, value)
         assert _digest(integrate(params, initial, config)) == digest
 
     def test_unrolled_coeffs_match_table_sum(self):

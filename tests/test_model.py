@@ -259,8 +259,8 @@ class TestValidation:
         (lambda v: REFERENCE_PARAMETERS.with_(d2=-v), "d2"),
         (lambda v: CellState(1.0, v, 3.0), "u2"),
         (lambda v: IntegrationConfig(t_end=v), "t_end"),
-        (lambda v: IntegrationConfig(t_end=1.0, max_step=v), "max_step"),
-    ], ids=["k", "negative-d2", "u2", "t_end", "max_step"])
+        (lambda v: IntegrationConfig(t_end=1.0, output_stride=v), "output_stride"),
+    ], ids=["k", "negative-d2", "u2", "t_end", "output_stride"])
     def test_int_beyond_float_range_named(self, build, name):
         with pytest.raises(ValueError, match=f"{name} must be finite, got a number beyond float range"):
             build(10 ** 400)
@@ -272,6 +272,17 @@ class TestValidation:
         state = CellState(np.int64(1), np.float32(2.0), 3)
         assert state.as_tuple() == (1.0, 2.0, 3.0)
         assert all(type(v) is float for v in state.as_tuple())
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"d3": 0.0}, "mature clearance d3 must be positive, got 0.0"),
+        ({"d3": -0.5}, "mature clearance d3 must be positive, got -0.5"),
+        ({"d1": -0.1}, "death rates must be nonnegative, got d1=-0.1, d2=0.0"),
+        ({"d2": -0.1}, "death rates must be nonnegative, got d1=0.0, d2=-0.1"),
+    ], ids=["zero-d3", "negative-d3", "negative-d1", "negative-d2"])
+    def test_rate_sign_refusals_named(self, changes, message):
+        with pytest.raises(ValueError) as excinfo:
+            REFERENCE_PARAMETERS.with_(**changes)
+        assert str(excinfo.value) == message
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

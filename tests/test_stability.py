@@ -603,6 +603,10 @@ class TestReports:
             assert reports["E1"].classification == e1
             assert (reports["E2"].equilibrium is not None) == e2_exists
 
+    def test_unknown_label_refused(self):
+        with pytest.raises(ValueError, match="^unknown steady state label 'E3'$"):
+            stability_report(REFERENCE_PARAMETERS, "E3")
+
     def test_nonexistent_reported_as_such(self):
         params = ModelParameters(a1=0.4, a2=0.3, p1=1.0, p2=0.5, d3=0.5, k=1e-9)
         reports = stability_reports(params)

@@ -207,6 +207,29 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="cap"):
             SweepSpec(varied=axes)
 
+    # the model's rule at each axis's two grid ends, with the other rates
+    # fixed; the grid itself is not built
+    @pytest.mark.parametrize("axis, message", [
+        (("a2", 0.5, 1.0, 4, 0.0), "self-renewal fractions must lie in (0, 1), got a1=0.85, a2=1.0"),
+        (("d2", -1.0, 1.0, 4, 0.25), "death rates must be nonnegative, got d1=0.0, d2=-0.5"),
+    ], ids=["high-end", "nudged-low-end"])
+    def test_grid_end_outside_the_model_refused(self, monkeypatch, axis, message):
+        def never(self):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(AxisSpec, "grid", never)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # d2 < 0 leaves the plausible range
+            axis = AxisSpec(*axis)
+        with pytest.raises(ValueError) as excinfo:
+            SweepSpec(varied=(axis_for("p1", 3), axis))
+        assert str(excinfo.value) == message
+
+    def test_open_interval_nudged_inside_the_model(self):
+        # the plausible a2 interval (0, 1) is open; the nudge keeps its grid inside
+        spec = SweepSpec(varied=(axis_for("a2", 3), AxisSpec("d1", 0.0, 1.0, 3, nudge=0.0)))
+        assert spec.varied[0].grid()[[0, -1]].tolist() == [1e-4, 1.0 - 1e-4]
+
     def test_shape_and_names(self):
         spec = SweepSpec(varied=(axis_for("p1", 5), axis_for("d3", 4)))
         assert spec.shape == (5, 4)
@@ -283,18 +306,25 @@ class TestRunSweep:
         assert np.all(result.class_codes[~inside] == 0)
         assert 0 < np.count_nonzero(inside) < inside.size
 
-    # e2_conditions divides by a1 * p1, which is 0 at the first point of
-    # these grids; its numpy RuntimeWarnings used to reach stderr
-    @pytest.mark.parametrize("name, codes, caught", [
-        ("p1", [3, 0, 0], []),
-        ("a1", [3, 3, 0], [UserWarning]),  # a1 = 0 leaves the plausible range
-    ])
-    def test_grid_through_a_zero_rate_raises_no_runtime_warning(self, name, codes, caught):
+    # each grid starts at a value the model refuses, so the spec is refused
+    # with the model's message before any point is evaluated (at p1 = 0 and
+    # a1 = 0, e2_conditions would divide by a1 * p1 = 0); nothing is warned
+    # of but the plausible range
+    @pytest.mark.parametrize("name, low, message, caught", [
+        ("p1", 0.0, "proliferation rates must be positive, got p1=0.0, p2=0.4", []),
+        # a1 = 0 leaves the plausible range
+        ("a1", 0.0, "self-renewal fractions must lie in (0, 1), got a1=0.0, a2=0.841", [UserWarning]),
+        ("d3", 0.0, "mature clearance d3 must be positive, got 0.0", [UserWarning]),
+        ("a2", 0.0, "self-renewal fractions must lie in (0, 1), got a1=0.85, a2=0.0", []),
+        ("d1", -0.5, "death rates must be nonnegative, got d1=-0.5, d2=0.0", [UserWarning]),
+    ], ids=["p1", "a1", "d3", "a2", "d1"])
+    def test_grid_through_a_zero_rate_raises_no_runtime_warning(self, name, low, message, caught):
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            result = run_sweep(SweepSpec(varied=(AxisSpec(name, 0.0, 1.0, 3, nudge=0.0),)))
+            with pytest.raises(ValueError) as excinfo:
+                run_sweep(SweepSpec(varied=(AxisSpec(name, low, 1.0, 3, nudge=0.0),)))
+        assert str(excinfo.value) == message
         assert [w.category for w in record] == caught
-        assert result.class_codes.tolist() == codes
 
     def test_overflowing_margin_is_refused(self):
         # where E2 exists the margin used to overflow to NaN or inf and be
