@@ -30,10 +30,10 @@ from .analysis import classify
 from .integrator import IntegrationConfig, IntegrationError, integrate
 from .model import PARAM_NAMES, REFERENCE_PARAMETERS, CellState, ModelParameters, nondimensionalize
 from .serialize import (
+    _stability_json,
     constellation_report_to_dict,
     dumps,
     hopf_to_dict,
-    stability_report_to_dict,
     verdict_to_dict,
     write_trajectory_csv,
 )
@@ -153,9 +153,7 @@ def _cmd_simulate(args, cfg) -> None:
 
 def _cmd_stability(args, cfg) -> None:
     params = _build_params(cfg, args.rescaled)
-    reports = stability_reports(params)
-    payload = {label: stability_report_to_dict(reports[label]) for label in ("E0", "E1", "E2")}
-    _write_text(args.out, dumps(payload))
+    _write_text(args.out, _stability_json(stability_reports(params)))
 
 
 def _cmd_hopf(args, cfg) -> None:

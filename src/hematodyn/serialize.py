@@ -10,6 +10,7 @@ The module only writes: json.loads gives back exactly the emitted dicts.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
+from typing import Dict
 
 import numpy as np
 
@@ -124,6 +125,80 @@ def stability_report_to_dict(report: StabilityReport) -> dict:
         "eigenvalues": _complex_pairs(report.eigenvalues) if report.eigenvalues else None,
         "classification": report.classification,
     }
+
+
+# One entry of the `stability` command's payload as `dumps` lays it out: a
+# state with no equilibrium takes its label and classification, and a present
+# one its label, counts, coefficients, margin, eigenvalue pairs and
+# classification. A field added to the report reaches that command's output
+# only through these; `tests/test_serialize.py` holds them to `dumps`.
+_ABSENT_STATE = """\
+  "%s": {
+    "label": "%s",
+    "exists": false,
+    "equilibrium": null,
+    "coeffs": null,
+    "hurwitz": null,
+    "eigenvalues": null,
+    "classification": "%s"
+  }"""
+
+_PRESENT_STATE = """\
+  "%s": {
+    "label": "%s",
+    "exists": true,
+    "equilibrium": {
+      "u1": %.17g,
+      "u2": %.17g,
+      "u3": %.17g
+    },
+    "coeffs": {
+      "b1": %.17g,
+      "b2": %.17g,
+      "b3": %.17g
+    },
+    "hurwitz": %.17g,
+    "eigenvalues": [
+      [
+        %.17g,
+        %.17g
+      ],
+      [
+        %.17g,
+        %.17g
+      ],
+      [
+        %.17g,
+        %.17g
+      ]
+    ],
+    "classification": "%s"
+  }"""
+
+
+def _stability_json(reports: Dict[str, StabilityReport]) -> str:
+    """`dumps({label: stability_report_to_dict(reports[label])})` for E0, E1, E2.
+
+    Each state fills one template with one `%`. Every float of a report is
+    finite (`stability_report` refuses an overflowing polynomial and
+    `CellState` non-finite counts), so `%.17g` writes what `_emit` writes,
+    without its walk over the nested dicts and lists.
+    """
+    entries = []
+    for label in ("E0", "E1", "E2"):
+        report = reports[label]
+        if report.equilibrium is None:
+            entries.append(_ABSENT_STATE % (label, report.label, report.classification))
+            continue
+        state, coeffs = report.equilibrium.state, report.coeffs
+        z1, z2, z3 = report.eigenvalues
+        entries.append(_PRESENT_STATE % (
+            label, report.label, state.u1, state.u2, state.u3,
+            coeffs.b1, coeffs.b2, coeffs.b3, report.hurwitz,
+            z1.real, z1.imag, z2.real, z2.imag, z3.real, z3.imag,
+            report.classification,
+        ))
+    return "{\n" + ",\n".join(entries) + "\n}\n"
 
 
 def hopf_to_dict(report: HopfReport) -> dict:

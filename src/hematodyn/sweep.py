@@ -139,6 +139,9 @@ class AxisSpec:
             object.__setattr__(self, label, value)
         if not self.low < self.high:
             raise ValueError(f"empty interval for {self.name}: ({self.low}, {self.high})")
+        # the grid's pad and spacing scale with the width, which must be a float too
+        if self.high - self.low == math.inf:
+            raise ValueError(f"interval for {self.name} is wider than float range: ({self.low}, {self.high})")
         if self.count < 2:
             raise ValueError(f"need at least 2 grid points, got {self.count}")
         if not 0.0 <= self.nudge < 0.5:

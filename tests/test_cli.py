@@ -549,7 +549,9 @@ class TestSweep:
         ("d3:0:1:3", "mature clearance d3 must be positive, got 0.0", [UserWarning]),
         ("a2:0:1:3", "self-renewal fractions must lie in (0, 1), got a1=0.85, a2=0.0", []),
         ("d1:-0.5:1:3", "death rates must be nonnegative, got d1=-0.5, d2=0.0", [UserWarning]),
-    ], ids=["p1", "a1", "d3", "a2", "d1"])
+        # refused before the range is checked, so nothing is said of the range
+        ("p2:-1.7e308:1.7e308:3", "interval for p2 is wider than float range: (-1.7e+308, 1.7e+308)", []),
+    ], ids=["p1", "a1", "d3", "a2", "d1", "p2-beyond-float-range"])
     def test_grid_through_a_zero_rate_warns_only_of_the_range(self, tmp_path, capsys, vary, message, caught):
         out = tmp_path / "sweep.csv"
         with warnings.catch_warnings(record=True) as record:

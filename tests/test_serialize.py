@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -10,12 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import CN_A, showcase_params
+from conftest import CN_A, draw_basic_admissible, draw_extended_admissible, showcase_params
 from hematodyn import (
     AttractorVerdict,
     CellState,
     CharPolyCoeffs,
     HopfReport,
+    ModelParameters,
     REFERENCE_PARAMETERS,
     Trajectory,
     check_constellations,
@@ -23,13 +25,18 @@ from hematodyn import (
     dumps,
     hopf_point,
     hopf_to_dict,
+    nondimensionalize,
     params_to_dict,
     stability_report_to_dict,
     stability_reports,
     verdict_to_dict,
     write_trajectory_csv,
 )
+from hematodyn import serialize
+from hematodyn.cli import main
 from hematodyn.model import PARAM_NAMES
+from hematodyn.serialize import _stability_json
+from hematodyn.stability import MARGINAL, NONEXISTENT
 from hematodyn.sweep import _CHUNK
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -245,3 +252,121 @@ class TestReportRoundTrips:
         assert data["classification"] == report.classification
         assert data["verdict"] is None
         assert set(data["params"]) == {"a1", "a2", "p1", "p2", "d1", "d2", "d3", "k"}
+
+
+LABELS = ("E0", "E1", "E2")
+
+
+def via_dumps(reports) -> str:
+    """The `stability` payload through the generic writer, the template's reference."""
+    return dumps({label: stability_report_to_dict(reports[label]) for label in LABELS})
+
+
+def tied(params):
+    """The reports at params, after checking that the template writes `via_dumps`' bytes."""
+    reports = stability_reports(params)
+    assert _stability_json(reports) == via_dumps(reports), params
+    return reports
+
+
+def decades(low, high):
+    """Floats 10**x for x drawn from [low, high]."""
+    return st.floats(low, high).map(lambda x: 10.0 ** x)
+
+
+def scaled(params, factor):
+    # every rate times factor: the coefficients scale as factor, factor^2
+    # and factor^3, the counts not at all
+    return params.with_(**{name: getattr(params, name) * factor
+                           for name in ("p1", "p2", "d1", "d2", "d3")})
+
+
+class TestStabilityTemplate:
+    """`serialize._stability_json`, which the `stability` command writes, is
+    `dumps` of the `stability_report_to_dict` payload bit for bit; a field
+    the template lacks fails here."""
+
+    def test_seeded_draws_and_their_rescaled_rates(self):
+        rng = np.random.default_rng(35)
+        e1_absent = set()
+        for index in range(400):
+            draw = draw_extended_admissible if index % 2 else draw_basic_admissible
+            params = draw(rng)
+            reports = tied(params)
+            tied(nondimensionalize(params))
+            e1_absent.add(reports["E1"].equilibrium is None)
+        assert e1_absent == {False, True}
+
+    @pytest.mark.parametrize("overrides, e1_exists", [
+        (dict(a1=0.45, a2=0.3), False),
+        (dict(a1=0.45), True),
+        (dict(a1=0.8, a2=0.9), True),
+    ], ids=["E1-E2-absent", "E2-absent", "a2-above-a1"])
+    def test_absent_states(self, overrides, e1_exists):
+        reports = tied(REFERENCE_PARAMETERS.with_(**overrides))
+        assert reports["E2"].classification == NONEXISTENT
+        assert (reports["E1"].equilibrium is not None) is e1_exists
+
+    def test_marginal_at_the_hopf_point(self):
+        report = hopf_point(0.7, 0.5, 0.1337, 1.0)
+        params = showcase_params(report.p2_star)
+        assert tied(params)["E2"].classification == MARGINAL
+        assert tied(nondimensionalize(params))["E2"].classification == MARGINAL
+
+    @pytest.mark.parametrize("exponent", range(-300, 4, 3))
+    def test_feedback_strengths(self, exponent):
+        # the counts scale as 1/k: from about 1e300 down to 1e-3 cells/kg
+        tied(REFERENCE_PARAMETERS.with_(k=10.0 ** exponent))
+        tied(CN_A.with_(k=10.0 ** exponent))
+
+    @pytest.mark.parametrize("params", [REFERENCE_PARAMETERS, CN_A, showcase_params(0.3)],
+                             ids=["reference", "extended", "showcase"])
+    def test_rates_just_below_the_overflow_refusal(self, params):
+        # bisect the decade of the rate scale at which `stability_report` starts refusing
+        low, high = 0.0, 200.0
+        for _ in range(60):
+            mid = 0.5 * (low + high)
+            try:
+                stability_reports(scaled(params, 10.0 ** mid))
+            except ValueError as exc:
+                assert "overflows" in str(exc)
+                high = mid
+            else:
+                low = mid
+        with pytest.raises(ValueError, match="overflows"):
+            stability_reports(scaled(params, 10.0 ** high))
+        reports = tied(scaled(params, 10.0 ** low)).values()
+        assert max(abs(r.hurwitz) for r in reports if r.hurwitz is not None) > 1e300
+
+    def test_negative_zero_entries(self):
+        # E0's trace (2*a1 - 1)*p1 + (2*a2 - 1)*p2 - d3 is 0.5 + 0 - 0.5, so b1
+        # and b3 are -0.0, which both writers spell "-0"
+        params = ModelParameters(a1=0.75, a2=0.5, p1=1.0, p2=0.4, d3=0.5, k=1e-8)
+        coeffs = tied(params)["E0"].coeffs
+        assert [math.copysign(1.0, c) for c in (coeffs.b1, coeffs.b3)] == [-1.0, -1.0]
+        assert re.findall(r'"b[13]": -0\b', _stability_json(stability_reports(params))) == [
+            '"b1": -0', '"b3": -0',
+        ]
+
+    @given(
+        st.floats(0.5, 0.999), st.floats(1e-3, 0.999),
+        decades(-100, 100), decades(-100, 100), decades(-100, 100), decades(-300, 3),
+        st.one_of(st.just(0.0), decades(-100, 100)), st.one_of(st.just(0.0), decades(-100, 100)),
+    )
+    def test_rates_over_every_decade(self, a1, a2, p1, p2, d3, k, d1, d2):
+        params = ModelParameters(a1=a1, a2=a2, p1=p1, p2=p2, d3=d3, k=k, d1=d1, d2=d2)
+        try:
+            reports = stability_reports(params)
+        except ValueError:
+            return  # refused as overflowing, so never written
+        assert _stability_json(reports) == via_dumps(reports)
+
+    def test_command_never_walks_the_payload(self, capsys, monkeypatch):
+        expected = via_dumps(stability_reports(REFERENCE_PARAMETERS))
+
+        def refuse(*args):
+            raise AssertionError("the stability command reached serialize._emit")
+
+        monkeypatch.setattr(serialize, "_emit", refuse)
+        assert main(["stability"]) == 0
+        assert capsys.readouterr() == (expected, "")

@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import threading
 import time
 import tracemalloc
@@ -122,6 +123,14 @@ class TestAxisSpec:
             AxisSpec(name="d3", low=0.5, high=1.0, count=1)
         with pytest.raises(ValueError):
             AxisSpec(name="d3", low=0.5, high=1.0, nudge=0.5)
+
+    @pytest.mark.parametrize("nudge", [0.0, 1e-4])
+    def test_width_beyond_float_range_named(self, nudge):
+        # high - low overflows: the pad used to turn it into a NaN or inf
+        # end that the model then refused, naming a value never given
+        message = re.escape("interval for p2 is wider than float range: (-1.7e+308, 1.7e+308)")
+        with pytest.raises(ValueError, match=message):
+            AxisSpec(name="p2", low=-1.7e308, high=1.7e308, count=3, nudge=nudge)
 
     @given(
         st.sampled_from(sorted(PLAUSIBLE_INTERVALS)),
