@@ -32,9 +32,6 @@ __all__ = [
 
 def _emit(obj, pad: str) -> str:
     # pad is the indent of obj's line, and a container builds its items' once.
-    # A container writes its finite float and str items itself, the same way
-    # as the first two branches below; only containers and the rare leaves
-    # (non-finite, float and str subclasses, None, bool, int) recurse.
     # Floats first: they are most of every payload, and bool and int are not floats.
     if isinstance(obj, float):
         if obj - obj == 0.0:  # finite: inf - inf and NaN - NaN are NaN
@@ -49,28 +46,16 @@ def _emit(obj, pad: str) -> str:
         if not obj:
             return "{}"
         inner = pad + "  "
-        items = []
-        for key, value in obj.items():
-            if type(value) is float and value - value == 0.0:
-                text = "%.17g" % value
-            elif type(value) is str:
-                text = encode_basestring_ascii(value)
-            else:
-                text = _emit(value, inner)
-            items.append(f"{inner}{encode_basestring_ascii(str(key))}: {text}")
+        items = [
+            f"{inner}{encode_basestring_ascii(str(key))}: {_emit(value, inner)}"
+            for key, value in obj.items()
+        ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = pad + "  "
-        items = []
-        for value in obj:
-            if type(value) is float and value - value == 0.0:
-                items.append(inner + "%.17g" % value)
-            elif type(value) is str:
-                items.append(inner + encode_basestring_ascii(value))
-            else:
-                items.append(inner + _emit(value, inner))
+        items = [inner + _emit(value, inner) for value in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if obj is None:
         return "null"

@@ -63,7 +63,9 @@ __all__ = [
     "instability_region_bounds",
 ]
 
-# |b1*b2 - b3| below this (relative to max(1, |b1*b2|)) counts as marginal
+# |b1*b2 - b3| at most this times |b1*b2| counts as marginal. Both scale as
+# the cube of the rates, so the band, and with it every class, does not
+# depend on the time unit
 MARGINAL_TOL = 1e-12
 
 STABLE = "stable"
@@ -72,6 +74,7 @@ MARGINAL = "marginal"
 NONEXISTENT = "nonexistent"
 # class names indexed by the codes of `hurwitz_codes`; 3 marks a missing E2
 CLASS_NAMES = (STABLE, UNSTABLE, MARGINAL, NONEXISTENT)
+_OVERFLOW = "the characteristic polynomial at %s overflows for these rates"
 
 
 @dataclass(frozen=True)
@@ -236,11 +239,12 @@ def hurwitz_classify(coeffs: CharPolyCoeffs) -> str:
 def hurwitz_codes(h, prod):
     """Class codes of margins h = b1*b2 - b3 given prod = b1*b2.
 
-    0 stable (h > 0), 1 unstable, 2 marginal (|h| within MARGINAL_TOL of
-    max(1, |prod|)); the codes index CLASS_NAMES. Plain operators only, so
-    floats give an int and ndarrays an integer array.
+    0 stable (h > 0), 1 unstable, 2 marginal (|h| <= MARGINAL_TOL*|prod|,
+    a scale-free band, so an exact zero is marginal at any prod but NaN);
+    the codes index CLASS_NAMES. Plain operators only, so floats give an
+    int and ndarrays an integer array.
     """
-    marginal = (abs(h) <= MARGINAL_TOL) | (abs(h) <= MARGINAL_TOL * abs(prod))
+    marginal = abs(h) <= MARGINAL_TOL * abs(prod)
     return 2 * marginal + (1 - marginal) * (1 - (h > 0.0))
 
 
@@ -306,19 +310,24 @@ def _hopf_rescaled(r, e, beta, gamma, d3):
 
 
 def bifurcation_bracket(params: ModelParameters, low_p2: float, high_p2: float) -> float:
-    """Bisect the Routh-Hurwitz margin in p2 down to a 1e-10 interval.
+    """Bisect the Routh-Hurwitz margin in p2 down to a width of 1e-10 * p2.
 
     Endpoints must have an existing positive state and margins of opposite
     sign. For the basic variant the result matches the closed-form
     bifurcation point to high accuracy; for the extended variant it is the
-    only route to the crossing.
+    only route to the crossing. The width is relative, and the bisection
+    also stops when no float lies between the ends, so it ends at any
+    scale of the rates; a margin that overflows raises ValueError.
     """
 
     def margin(p2: float) -> float:
         candidate = params.with_(p2=p2)
         if steady_state_E2(candidate) is None:
             raise ValueError(f"positive steady state does not exist at p2={p2}")
-        return hurwitz_value(_char_poly_E2(candidate))
+        h = hurwitz_value(_char_poly_E2(candidate))
+        if not math.isfinite(h):
+            raise ValueError(_OVERFLOW % "E2")
+        return h
 
     if not low_p2 < high_p2:
         raise ValueError(f"need low_p2 < high_p2, got {low_p2}, {high_p2}")
@@ -333,8 +342,10 @@ def bifurcation_bracket(params: ModelParameters, low_p2: float, high_p2: float) 
             f"margin has the same sign at both endpoints: {h_low} and {h_high}"
         )
     lo, hi, h_lo = low_p2, high_p2, h_low
-    while hi - lo > 1e-10:
+    while hi - lo > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         h_mid = margin(mid)
         if h_mid == 0.0:
             return mid
@@ -396,7 +407,7 @@ def stability_report(params: ModelParameters, label: str) -> StabilityReport:
     coeffs = _char_poly_E2(params) if label == "E2" else at_state
     hurwitz = hurwitz_value(coeffs)
     if not (math.isfinite(hurwitz) and all(map(cmath.isfinite, eigenvalues))):
-        raise ValueError(f"the characteristic polynomial at {label} overflows for these rates")
+        raise ValueError(_OVERFLOW % label)
     if label == "E2":
         classification = hurwitz_classify(coeffs)
     else:

@@ -1,4 +1,4 @@
-"""Release gate: thirteen numbered end-to-end checks.
+"""Release gate: fourteen numbered end-to-end checks.
 
 Each test prints one pass/fail line directly to the terminal (bypassing
 capture) so the test log shows every verdict inline, then asserts. The
@@ -56,7 +56,9 @@ from hematodyn import (
     integrate,
     invariant_box,
     jacobian,
+    nondimensionalize,
     run_sweep,
+    stability_reports,
     steady_state_E2,
     sweep_summary,
     verdict_to_dict,
@@ -64,6 +66,7 @@ from hematodyn import (
 from hematodyn.cli import main
 from hematodyn.model import _e2_counts
 from hematodyn.stability import (
+    MARGINAL_TOL,
     _basic_coeffs_rescaled,
     _char_poly_E2,
     _extended_coeffs,
@@ -569,3 +572,98 @@ def test_criterion_13_exact_closed_forms(capsys):
         if ok else f"failed {failed}, non-Fraction results {not_exact}, {elapsed:.2f}s",
     )
     assert ok, (failed, not_exact, elapsed)
+
+
+def _in_time_unit(params, p1):
+    # the same model with time in another unit: every rate times p1/params.p1
+    scale = p1 / params.p1
+    return params.with_(p1=p1, **{name: getattr(params, name) * scale for name in ("p2", "d1", "d2", "d3")})
+
+
+def _unit_draws(rng, n):
+    """n parameter sets with p1 log-uniform on [1e-4, 1]: half extended, a
+    quarter basic with a2 on both sides of 1/2 (so E1 exists in some), and a
+    quarter basic at (1 +- 10^U(-6, -1)) times the Hopf onset p2*."""
+    for draw in range(n):
+        if draw % 2:
+            params = draw_extended_admissible(rng)
+        elif draw % 4:
+            params = draw_basic_admissible(rng).with_(a2=rng.uniform(0.02, 0.98))
+        else:
+            params = draw_basic_admissible(rng)
+            bg = beta_gamma(params.a1, params.a2)
+            d3 = rng.uniform(0.05, 0.95) / (bg.beta * bg.gamma)
+            star = hopf_point(params.a1, params.a2, d3).p2_star
+            offset = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, -1.0)
+            params = params.with_(p2=star * (1.0 + offset), d3=d3)
+        yield _in_time_unit(params, 10.0 ** rng.uniform(-4.0, 0.0))
+
+
+def test_criterion_14_time_unit_invariance(capsys):
+    # rescaling time by p1 only reparametrises time, so no class and no
+    # onset may move with it: the marginal band is relative to b1*b2 (or
+    # max |lambda|), which scales with the rates as the margin does
+    failures = []
+    t0 = perf_counter()
+    draws = list(_unit_draws(np.random.default_rng(2036), 4000))
+    hopf_checked = 0
+    for params in draws:
+        rescaled = nondimensionalize(params)
+        classes = {label: r.classification for label, r in stability_reports(params).items()}
+        other = {label: r.classification for label, r in stability_reports(rescaled).items()}
+        if classes != other:
+            failures.append(f"{params}: {classes} per day, {other} rescaled")
+        if params.is_basic and params.a2 < params.a1:
+            try:
+                day = hopf_point(params.a1, params.a2, params.d3, params.p1)
+            except ValueError:
+                continue  # no crossing: d3 at or above d3_max
+            unit = hopf_point(rescaled.a1, rescaled.a2, rescaled.d3, rescaled.p1)
+            for name in ("p2_star", "omega"):
+                a, b = getattr(day, name) / params.p1, getattr(unit, name)
+                if not abs(a - b) <= 1e-12 * abs(b):
+                    failures.append(f"{params}: {name}/p1 {a!r} per day, {b!r} rescaled")
+            hopf_checked += 1
+
+    # the rescaled grid's rates are rounded apart from the per-day grid's by
+    # an ulp or so; the margin's own rounding stays below 1e-13 * |b1*b2|,
+    # so only a point that near the band's edge may change between marginal
+    # and a sign, and none may change between stable and unstable
+    swept = edge = 0
+    for p1 in (1e-3, 1e-2, 0.1):
+        fixed = ModelParameters(a1=0.7, a2=0.5, p1=p1, p2=0.4 * p1, d3=0.1337 * p1, k=8.75e-9)
+        bounds = {"p2": (0.01 * p1, 1.2 * p1), "d3": (0.01 * p1, 0.4 * p1)}
+        results = []
+        for scale, base in ((1.0, fixed), (p1, nondimensionalize(fixed))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                axes = tuple(
+                    AxisSpec(name=name, low=low / scale, high=high / scale, count=200)
+                    for name, (low, high) in bounds.items()
+                )
+            results.append((axes, run_sweep(SweepSpec(varied=axes, fixed=base))))
+        (axes, day), (_, unit) = results
+        swept += day.n_points
+        for index in np.flatnonzero(day.class_codes != unit.class_codes).tolist():
+            i, j = np.unravel_index(index, (200, 200))
+            point = fixed.with_(p2=float(axes[0].grid()[i]), d3=float(axes[1].grid()[j]))
+            b1, b2, _ = _extended_coeffs(*(getattr(point, name) for name in EXTENDED_RATES))
+            h, prod = float(day.hurwitz[index]), b1 * b2
+            codes = {int(day.class_codes[index]), int(unit.class_codes[index])}
+            if 2 in codes and abs(abs(h) - MARGINAL_TOL * abs(prod)) <= 1e-13 * abs(prod):
+                edge += 1
+            else:
+                failures.append(f"sweep at p1={p1}, {point}: codes {sorted(codes)}, h={h!r}")
+    elapsed = perf_counter() - t0
+    # about 1 s on a 2-core Xeon; the budget leaves room for slow spells
+    if elapsed >= 6.0:
+        failures.append(f"took {elapsed:.2f}s (budget 6s)")
+    ok = not failures
+    announce(
+        capsys, 14, ok,
+        f"{len(draws)} draws with p1 in [1e-4, 1]: E0, E1 and E2 classes equal rescaled, "
+        f"{hopf_checked} onsets p2*/p1 and omega/p1 within 1e-12; {swept} sweep points at "
+        f"p1 in 1e-3, 1e-2, 0.1 equal rescaled, {edge} at the band's edge, {elapsed:.2f}s"
+        if ok else " | ".join(failures),
+    )
+    assert ok, failures

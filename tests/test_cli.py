@@ -332,6 +332,24 @@ class TestStability:
         assert code == 0
         assert json.loads(out)["E2"]["classification"] == "marginal"
 
+    # at p1 = 0.001 /d every rate is slow, and b1*b2 is about 4e-12 /d^3.
+    # An absolute floor of 1e-12 on the margin printed E2 "marginal" per day
+    # at 0.9 and 1.1 times p2*, where --rescaled printed "unstable" and
+    # "stable"; the band is relative to b1*b2 now, which scales as h does
+    @pytest.mark.parametrize("p1, factor, expected", [
+        (0.001, 0.9, "unstable"), (0.001, 1.1, "stable"), (0.01, 1 - 1e-4, "unstable"),
+    ], ids=["slow-below-onset", "slow-above-onset", "p1-0.01-near-onset"])
+    def test_class_does_not_depend_on_the_time_unit(self, capsys, p1, factor, expected):
+        rates = ("a1=0.7", "a2=0.5", f"p1={p1!r}", f"d3={0.1337 * p1!r}",
+                 f"p2={factor * SHOWCASE_P2_STAR * p1!r}")
+        argv = ["stability", *(x for rate in rates for x in ("--set", rate))]
+        classes = []
+        for extra in ([], ["--rescaled"]):
+            code, out, err = run(capsys, *argv, *extra)
+            assert (code, err) == (0, "")
+            classes.append(json.loads(out)["E2"]["classification"])
+        assert classes == [expected, expected]
+
     # the coefficients overflow to inf and NaN; computed on Python floats,
     # that raises no numpy overflow or invalid-value warning. These reports
     # used to exit 0: at 1e200 every state read "unstable" with a NaN

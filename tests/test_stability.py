@@ -80,7 +80,7 @@ def ndarray_char_coeffs(params, state):
 
 def numpy_hurwitz_codes(h, prod):
     """Reference: the Hurwitz class rule written with numpy calls."""
-    marginal = np.abs(h) <= MARGINAL_TOL * np.maximum(1.0, np.abs(prod))
+    marginal = np.less_equal(np.abs(h), np.multiply(MARGINAL_TOL, np.abs(prod)))
     return np.where(marginal, 2, np.where(h > 0.0, 0, 1))
 
 
@@ -307,11 +307,12 @@ class TestHurwitzClassify:
 class TestHurwitzCodes:
     @staticmethod
     def edge_pairs():
-        # margins at and a few ulps either side of both thresholds, signed
-        # zeros, infinities and NaN, against products below, at and above 1
+        # margins at and a few ulps either side of each product's threshold
+        # and of the old absolute floor MARGINAL_TOL, signed zeros,
+        # infinities and NaN, against products below, at and above 1
         prods = [0.0, -0.0, 0.5, -0.5, 1.0, 3.7, -3.7, 1e10, 1e300, math.inf, -math.inf]
         hs = [0.0, -0.0, 1.0, -1.0, 1e-300, math.inf, -math.inf, math.nan]
-        for threshold in {MARGINAL_TOL * max(1.0, abs(p)) for p in prods} | {MARGINAL_TOL}:
+        for threshold in {MARGINAL_TOL * abs(p) for p in prods} | {MARGINAL_TOL}:
             for steps in range(-3, 4):
                 x = threshold
                 for _ in range(abs(steps)):
@@ -320,35 +321,15 @@ class TestHurwitzCodes:
         prods += [math.nan]
         return [(h, p) for h in hs for p in prods]
 
-    @staticmethod
-    def differs(h, prod):
-        # the one known difference: a margin within MARGINAL_TOL of zero with
-        # a NaN product is marginal now, since |h| <= tol is tested apart from
-        # |h| <= tol*|prod|; the numpy rule took max(1, NaN) = NaN and went by
-        # the sign of h. No caller passes such a pair. hurwitz_classify and
-        # the sweep take h = prod - b3, NaN with prod. In
-        # _classify_by_eigenvalues a NaN prod = max(|z|) means the first
-        # eigenvalue has a NaN part; solve_cubic's Newton polish turns that
-        # into a NaN real part, so h = -(largest real part) is NaN as well.
-        return abs(h) <= MARGINAL_TOL and math.isnan(prod)
-
     def test_matches_numpy_rule_on_edges(self):
-        pinned = 0
         for h, prod in self.edge_pairs():
-            want = int(numpy_hurwitz_codes(h, prod))
             got = hurwitz_codes(h, prod)
             assert type(got) is int
-            if self.differs(h, prod):
-                assert (want, got) == (0 if h > 0.0 else 1, 2)
-                pinned += 1
-            else:
-                assert got == want, (h, prod)
-        assert pinned == 11  # +-0.0, 1e-300, and +-tol with its three ulp neighbours below
+            assert got == int(numpy_hurwitz_codes(h, prod)), (h, prod)
 
     def test_matches_numpy_rule_on_arrays_and_floats(self):
         rng = np.random.default_rng(211)
-        edges = [pair for pair in self.edge_pairs() if not self.differs(*pair)]
-        edge_h, edge_prod = np.array(edges).T
+        edge_h, edge_prod = np.array(self.edge_pairs()).T
         # seeded margins spanning the marginal band, with products of any sign
         prod = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-3.0, 6.0, 4000)
         h = rng.normal(size=4000) * MARGINAL_TOL * 10.0 ** rng.uniform(-1.0, 7.0, 4000)
@@ -357,6 +338,28 @@ class TestHurwitzCodes:
         assert np.array_equal(hurwitz_codes(h, prod), want)
         assert set(np.unique(want).tolist()) == {0, 1, 2}
         assert [hurwitz_codes(x, y) for x, y in zip(h.tolist(), prod.tolist())] == want.tolist()
+
+    # margins within MARGINAL_TOL of zero at a product below 1, which an
+    # absolute floor called marginal whatever the product: the band is
+    # relative, so they go by their sign, as the same margins scaled up do
+    @pytest.mark.parametrize("h, prod, code", [
+        (MARGINAL_TOL, 0.5, 0),
+        (-MARGINAL_TOL, -0.5, 1),
+        (1e-13, 0.0, 0),
+        (-1e-300, 0.0, 1),
+        (5.3e-11, 1e-9, 0),
+        (-5.3e-11, 1e-9, 1),
+        (1e-13, math.nan, 0),
+        (0.0, 0.0, 2),
+        (5e-22, 1e-9, 2),
+    ], ids=["tol-at-half", "minus-tol-at-minus-half", "tiny-at-zero", "minus-1e-300-at-zero",
+            "slow-rates-stable", "slow-rates-unstable", "tiny-at-nan", "zero-at-zero", "in-band-at-1e-9"])
+    def test_no_absolute_floor(self, h, prod, code):
+        assert hurwitz_codes(h, prod) == code
+        assert hurwitz_codes(np.array([h]), np.array([prod])).tolist() == [code]
+        # the class is the same at every scale of the rates: h and prod are cubic in them
+        for scale in (1e-3, 1e3):
+            assert hurwitz_codes(h * scale**3, prod * scale**3) == code
 
 
 class TestFloatPath:

@@ -8,6 +8,8 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -828,6 +830,45 @@ class TestBifurcationBracket:
     def test_endpoint_order_validated(self):
         with pytest.raises(ValueError):
             bifurcation_bracket(showcase_params(0.4), 0.5, 0.3)
+
+    # the showcase rates in time units from 1e3 d to 1e-20 d, bracketed over
+    # (0.3, 0.5) in each; then a margin that only changes sign, over a
+    # subnormal interval whose relative width 1e-10 * hi underflows to 0
+    # (a margin of +-1, never 0, so only running out of floats ends it)
+    SCALES_SCRIPT = """
+from hematodyn import ModelParameters, bifurcation_bracket, stability
+for s in (1e-3, 1.0, 1e6, 3e15, 1e20):
+    params = ModelParameters(a1=0.7, a2=0.5, p1=s, p2=0.4 * s, d3=0.1337 * s, k=8.75e-9)
+    print(repr(bifurcation_bracket(params, 0.3 * s, 0.5 * s) / s))
+stability.steady_state_E2 = lambda params: True
+stability._char_poly_E2 = lambda params: stability.CharPolyCoeffs(1.0, 1.0 if params.p2 > 1.5e-320 else -1.0, 0.0)
+params = ModelParameters(a1=0.7, a2=0.5, p1=1.0, p2=1e-320, d3=1.0, k=1.0)
+print(repr(bifurcation_bracket(params, 1e-320, 2e-320)))
+"""
+
+    def test_ends_at_every_scale(self):
+        # the width used to be an absolute 1e-10, less than one ulp of p2
+        # above about 1e6, so the loop ended only on a margin of exactly 0;
+        # the child's timeout turns such a hang into a failure
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sweep.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", self.SCALES_SCRIPT],
+                                capture_output=True, text=True, timeout=60, env=env)
+        assert result.returncode == 0, result.stderr
+        *roots, subnormal = map(float, result.stdout.split())
+        assert len(roots) == 5
+        for root in roots:
+            assert root == pytest.approx(SHOWCASE_P2_STAR, rel=1e-10)
+            assert root == pytest.approx(roots[1], rel=1e-15)
+        # adjacent subnormals around the sign change, and their midpoint
+        assert 1.5e-320 - 1e-323 <= subnormal <= 1.5e-320 + 1e-323
+
+    def test_overflowing_margin_refused(self):
+        # it used to say "same sign at both endpoints: nan and nan"
+        s = 1e300
+        params = ModelParameters(a1=0.7, a2=0.5, p1=s, p2=0.4 * s, d3=0.1337 * s, k=8.75e-9)
+        with pytest.raises(ValueError, match="^the characteristic polynomial at E2 overflows for these rates$"):
+            bifurcation_bracket(params, 0.3 * s, 0.5 * s)
 
 
 class TestConstellations:
