@@ -577,7 +577,8 @@ def test_criterion_13_exact_closed_forms(capsys):
 def _in_time_unit(params, p1):
     # the same model with time in another unit: every rate times p1/params.p1
     scale = p1 / params.p1
-    return params.with_(p1=p1, **{name: getattr(params, name) * scale for name in ("p2", "d1", "d2", "d3")})
+    rates = {name: getattr(params, name) * scale for name in ("p2", "d1", "d2", "d3")}
+    return params.with_(p1=p1, **rates)
 
 
 def _unit_draws(rng, n):
@@ -645,7 +646,7 @@ def test_criterion_14_time_unit_invariance(capsys):
         (axes, day), (_, unit) = results
         swept += day.n_points
         for index in np.flatnonzero(day.class_codes != unit.class_codes).tolist():
-            i, j = np.unravel_index(index, (200, 200))
+            i, j = np.unravel_index(index, day.spec.shape)
             point = fixed.with_(p2=float(axes[0].grid()[i]), d3=float(axes[1].grid()[j]))
             b1, b2, _ = _extended_coeffs(*(getattr(point, name) for name in EXTENDED_RATES))
             h, prod = float(day.hurwitz[index]), b1 * b2
