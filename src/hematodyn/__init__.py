@@ -5,8 +5,8 @@ trajectory classification, and parameter-space sweeps locating oscillatory
 (Hopf) regions.
 
 The package exports every name in its modules' `__all__`; a name is made
-public there and nowhere else. `cli` is left out, so importing the package
-does not load argparse.
+public there and nowhere else. `cli` is left out: its `main` and
+`entrypoint` are the `hematodyn` command's, not the library's.
 """
 
 from . import analysis, cubic, integrator, model, serialize, stability, sweep

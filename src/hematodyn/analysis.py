@@ -261,14 +261,14 @@ def classify(
     best_label = None
     best_worst = math.inf
     last_distances = []
-    for eq in steady_states(params):
+    for label, state in steady_states(params).items():
         # max over Python floats, as the row-by-row test took it
-        distances = _relative_distances(tail_states, eq.state.as_array(), params.k).tolist()
+        distances = _relative_distances(tail_states, state.as_array(), params.k).tolist()
         last_distances.append(distances[-1])
         worst = max(distances)
         if worst < best_worst:
             best_worst = worst
-            best_label = eq.label
+            best_label = label
     final_distance = min(last_distances)
     if best_worst <= _EQUILIBRIUM_TOL:
         return AttractorVerdict(

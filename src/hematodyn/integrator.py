@@ -548,6 +548,8 @@ def _initial_step(f, state, slope, scale) -> float:
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
+        if h0 == 0.0:  # d1 overflowed: the step loop refuses a 0 step as an underflow
+            return 0.0
     gx, gy, gz = f(x + h0 * fx, y + h0 * fy, z + h0 * fz)
     d2 = max(abs(gx - fx), abs(gy - fy), abs(gz - fz)) / scale / h0
     if max(d1, d2) <= 1e-15:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "REFERENCE_PARAMETERS",
     "ModelParameters",
     "CellState",
-    "SteadyState",
     "InvariantBox",
     "rhs",
     "rhs_closure",
@@ -169,17 +168,6 @@ class CellState:
 
 
 @dataclass(frozen=True)
-class SteadyState:
-    """A steady state with its conventional label.
-
-    E0 is extinction, E1 the stem-free state, E2 the fully positive state.
-    """
-
-    label: str
-    state: CellState
-
-
-@dataclass(frozen=True)
 class InvariantBox:
     """Componentwise bounds on a trajectory, [0,c1] x [0,c2] x [0,c3].
 
@@ -252,22 +240,22 @@ def nondimensionalize(params: ModelParameters) -> ModelParameters:
     )
 
 
-def _counted(label: str, k: float, u1: float, u2: float, u3: float) -> SteadyState:
-    # the counts scale as 1/k; one beyond float range is refused naming k,
-    # not the count, which the caller never gave
+def _counted(label: str, k: float, u1: float, u2: float, u3: float) -> CellState:
+    # the counts scale as 1/k; one beyond float range is refused naming the
+    # state and k, not the count, which the caller never gave
     try:
-        return SteadyState(label, CellState(u1, u2, u3))
+        return CellState(u1, u2, u3)
     except ValueError:
         raise ValueError(f"{label}'s cell counts overflow at k={k}: they scale as 1/k") from None
 
 
-def steady_state_E0() -> SteadyState:
-    """The extinction state (0, 0, 0); always a steady state."""
-    return SteadyState("E0", CellState(0.0, 0.0, 0.0))
+def steady_state_E0() -> CellState:
+    """The extinction state E0 = (0, 0, 0); always a steady state."""
+    return CellState(0.0, 0.0, 0.0)
 
 
-def steady_state_E1(params: ModelParameters) -> Optional[SteadyState]:
-    """Stem-free steady state (0, u2, u3), or None when it does not exist.
+def steady_state_E1(params: ModelParameters) -> Optional[CellState]:
+    """Stem-free steady state E1 = (0, u2, u3), or None when it does not exist.
 
     The progenitor balance pins the feedback level at (p2 + d2)/(2*a2*p2),
     which lies below 1 (so u3 > 0) exactly when d2 < (2*a2 - 1)*p2; for
@@ -315,8 +303,8 @@ def _basic_ratio(a1, a2) -> Tuple[float, float]:
     return a1, a2 / a1
 
 
-def steady_state_E2(params: ModelParameters) -> Optional[SteadyState]:
-    """Fully positive steady state, or None when it does not exist.
+def steady_state_E2(params: ModelParameters) -> Optional[CellState]:
+    """Fully positive steady state E2, or None when it does not exist.
 
     The stem balance pins the feedback level at s = (p1 + d1)/(2*a1*p1);
     the three positivity conditions are s < 1, a2*s < 1 and
@@ -345,16 +333,17 @@ def _e2_counts(params, s, a2s, excess):
     return u1, u2, u3
 
 
-def steady_states(params: ModelParameters) -> Tuple[SteadyState, ...]:
-    """All existing steady states, in (E0, E1, E2) order."""
-    out = [steady_state_E0()]
-    e1 = steady_state_E1(params)
-    if e1 is not None:
-        out.append(e1)
-    e2 = steady_state_E2(params)
-    if e2 is not None:
-        out.append(e2)
-    return tuple(out)
+def steady_states(params: ModelParameters) -> Dict[str, CellState]:
+    """The existing steady states keyed by label, in (E0, E1, E2) order.
+
+    E0 is extinction, E1 the stem-free state, E2 the fully positive state.
+    """
+    found = {
+        "E0": steady_state_E0(),
+        "E1": steady_state_E1(params),
+        "E2": steady_state_E2(params),
+    }
+    return {label: state for label, state in found.items() if state is not None}
 
 
 def _jacobian_entries(params: ModelParameters, state: CellState):

@@ -104,7 +104,7 @@ def stability_report_to_dict(report: StabilityReport) -> dict:
     return {
         "label": report.label,
         "exists": eq is not None,
-        "equilibrium": _fields(eq.state) if eq else None,
+        "equilibrium": _fields(eq) if eq else None,
         "coeffs": _fields(coeffs) if coeffs else None,
         "hurwitz": report.hurwitz,
         "eigenvalues": _complex_pairs(report.eigenvalues) if report.eigenvalues else None,
@@ -175,7 +175,7 @@ def _stability_json(reports: Dict[str, StabilityReport]) -> str:
         if report.equilibrium is None:
             entries.append(_ABSENT_STATE % (label, report.label, report.classification))
             continue
-        state, coeffs = report.equilibrium.state, report.coeffs
+        state, coeffs = report.equilibrium, report.coeffs
         z1, z2, z3 = report.eigenvalues
         entries.append(_PRESENT_STATE % (
             label, report.label, state.u1, state.u2, state.u3,

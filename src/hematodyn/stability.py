@@ -34,7 +34,6 @@ from .cubic import solve_cubic
 from .model import (
     CellState,
     ModelParameters,
-    SteadyState,
     _basic_ratio,
     _jacobian_entries,
     _positive,
@@ -114,7 +113,7 @@ class HopfReport:
 @dataclass(frozen=True)
 class StabilityReport:
     label: str
-    equilibrium: Optional[SteadyState]
+    equilibrium: Optional[CellState]
     coeffs: Optional[CharPolyCoeffs]
     hurwitz: Optional[float]
     eigenvalues: Optional[Tuple[complex, complex, complex]]
@@ -274,6 +273,9 @@ def hopf_point(a1: float, a2: float, d3: float, p1: float = 1.0) -> HopfReport:
     -p1/gamma, and the pair's real part decreases in p2 at rate mu_prime < 0,
     so lowering p2 through p2_star destabilizes the positive state.
     p2_star does not depend on the feedback strength k.
+
+    ValueError also when the onset rounds away (rescaled p2_star or omega^2
+    not positive: d3 at d3_max's edge, or d3/p1 underflowing) or overflows.
     """
     p1, d3 = _positive("p1", p1), _positive("d3", d3)
     a1, r = _basic_ratio(a1, a2)
@@ -285,19 +287,21 @@ def hopf_point(a1: float, a2: float, d3: float, p1: float = 1.0) -> HopfReport:
         )
     d3t = d3 / p1
     p2_star, lambda3, omega_sq = _hopf_rescaled(r, e, beta, gamma, d3t)
+    if not (p2_star > 0 and omega_sq > 0):
+        raise ValueError(
+            f"no positive bifurcation point: at d3={d3}, p1={p1} the rescaled onset "
+            f"rounds to p2_star={p2_star}, omega^2={omega_sq}, which must be positive"
+        )
     omega = math.sqrt(omega_sq)
     # omega * omega, the rounded root squared, not omega_sq: the `hopf`
     # output digests pin these bits
     mu_prime = -(
         e * (1 - r) ** 2 * gamma * d3t * p2_star
     ) / (2 * (lambda3 * lambda3 + omega * omega))
-    return HopfReport(
-        p2_star=p2_star * p1,
-        d3_max=d3_max,
-        omega=omega * p1,
-        lambda3=lambda3 * p1,
-        mu_prime=mu_prime,
-    )
+    report = HopfReport(p2_star * p1, d3_max, omega * p1, lambda3 * p1, mu_prime)
+    if not all(map(math.isfinite, vars(report).values())):
+        raise ValueError(f"the bifurcation point overflows at p1={p1}: {report}")
+    return report
 
 
 def _hopf_rescaled(r, e, beta, gamma, d3):
@@ -362,9 +366,7 @@ def _sorted_roots(c: CharPolyCoeffs) -> Tuple[complex, complex, complex]:
     return tuple(sorted(roots, key=lambda z: (-z.real, -z.imag)))  # type: ignore[return-value]
 
 
-def eigenvalues_at(
-    params: ModelParameters, equilibrium: SteadyState
-) -> Tuple[complex, complex, complex]:
+def eigenvalues_at(params: ModelParameters, state: CellState) -> Tuple[complex, complex, complex]:
     """Eigenvalues at a steady state, sorted by real part descending.
 
     The closed-form cubic roots of `char_poly_at` at the state; ties in the
@@ -372,7 +374,7 @@ def eigenvalues_at(
     appears as (mu + i*omega, mu - i*omega). `stability_report` gives the
     same tuple, bit for bit.
     """
-    return _sorted_roots(char_poly_at(params, equilibrium.state))
+    return _sorted_roots(char_poly_at(params, state))
 
 
 def _classify_by_eigenvalues(eigenvalues) -> str:
@@ -402,7 +404,7 @@ def stability_report(params: ModelParameters, label: str) -> StabilityReport:
         raise ValueError(f"unknown steady state label {label!r}")
     if eq is None:
         return StabilityReport(label, None, None, None, None, NONEXISTENT)
-    at_state = char_poly_at(params, eq.state)
+    at_state = char_poly_at(params, eq)
     eigenvalues = _sorted_roots(at_state)
     coeffs = _char_poly_E2(params) if label == "E2" else at_state
     hurwitz = hurwitz_value(coeffs)
@@ -412,14 +414,7 @@ def stability_report(params: ModelParameters, label: str) -> StabilityReport:
         classification = hurwitz_classify(coeffs)
     else:
         classification = _classify_by_eigenvalues(eigenvalues)
-    return StabilityReport(
-        label=label,
-        equilibrium=eq,
-        coeffs=coeffs,
-        hurwitz=hurwitz,
-        eigenvalues=eigenvalues,
-        classification=classification,
-    )
+    return StabilityReport(label, eq, coeffs, hurwitz, eigenvalues, classification)
 
 
 def stability_reports(params: ModelParameters) -> Dict[str, StabilityReport]:

@@ -569,10 +569,9 @@ class ConstellationReport:
 
 
 def _classify_from_equilibrium(params) -> Optional[AttractorVerdict]:
-    eq = steady_state_E2(params)
-    if eq is None:
+    state = steady_state_E2(params)
+    if state is None:
         return None
-    state = eq.state
     start = CellState(1.25 * state.u1, 1.25 * state.u2, 1.25 * state.u3)
     horizon = default_horizon(params)
     verdict = classify(params, start, horizon)

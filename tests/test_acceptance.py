@@ -258,7 +258,7 @@ def test_criterion_06_hurwitz_eigenvalue_equivalence(capsys):
             draw_basic_admissible(rng) if i % 2 == 0 else draw_extended_admissible(rng)
         )
         coeffs = char_poly_E2(params)
-        jac = jacobian(params, steady_state_E2(params).state)
+        jac = jacobian(params, steady_state_E2(params))
         b1 = -float(np.trace(jac))
         b3 = -float(np.linalg.det(jac))
         worst_b1 = max(worst_b1, abs(b1 - coeffs.b1) / max(1.0, abs(coeffs.b1)))
@@ -300,7 +300,7 @@ def _fd_pair_slope(params, star, step):
     res = []
     for p2 in (star + step, star - step):
         q = params.with_(p2=p2)
-        eigs = np.linalg.eigvals(jacobian(q, steady_state_E2(q).state))
+        eigs = np.linalg.eigvals(jacobian(q, steady_state_E2(q)))
         res.append(max(e.real for e in eigs))
     return (res[0] - res[1]) / (2.0 * step)
 

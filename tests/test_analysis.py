@@ -25,11 +25,13 @@ from hematodyn import (
     classify,
     default_horizon,
     integrate,
+    nondimensionalize,
     oscillation_report,
     rhs,
     steady_state_E2,
     steady_states,
 )
+from hematodyn.sweep import CONSTELLATIONS
 
 # classify's own setting, which it checks by name before integrating; its
 # other keywords are IntegrationConfig's
@@ -129,7 +131,7 @@ class TestClassify:
 
     def test_settled_state_is_a_genuine_equilibrium(self):
         params = showcase_params(p2=0.5)
-        e2 = steady_state_E2(params).state
+        e2 = steady_state_E2(params)
         residual = np.linalg.norm(rhs(params, e2))
         scale = np.linalg.norm(e2.as_tuple())
         assert residual < 1e-6 * scale
@@ -162,7 +164,7 @@ class TestClassify:
         assert tight.period == pytest.approx(base.period, rel=5e-3)
 
     def test_death_rates_present_still_cycles(self):
-        e2 = steady_state_E2(CN_A).state
+        e2 = steady_state_E2(CN_A)
         start = CellState(1.25 * e2.u1, 1.25 * e2.u2, 1.25 * e2.u3)
         verdict = classify(CN_A, start)
         assert verdict.kind == "limit_cycle"
@@ -184,7 +186,7 @@ class TestClassify:
         (0.1, 0.97, "kept tail"),
     ], ids=["whole-horizon", "two-in-settle-window", "late-transient"])
     def test_coarse_stride_refused_not_judged(self, monkeypatch, stride_per_horizon, fraction, window):
-        e2 = steady_state_E2(REFERENCE_PARAMETERS).state
+        e2 = steady_state_E2(REFERENCE_PARAMETERS)
         start = CellState(1.05 * e2.u1, e2.u2, e2.u3)
         stride = default_horizon(REFERENCE_PARAMETERS) * stride_per_horizon
         monkeypatch.setattr(analysis, "integrate", _not_integrated)
@@ -214,7 +216,7 @@ class TestClassify:
           for value in (0.0, -5.0)),
     ], ids=lambda arg: arg if arg in CLASSIFY_SETTINGS else repr(arg))
     def test_setting_refused_by_name_before_integrating(self, monkeypatch, value, message, name):
-        start = steady_state_E2(REFERENCE_PARAMETERS).state
+        start = steady_state_E2(REFERENCE_PARAMETERS)
         monkeypatch.setattr(analysis, "integrate", _not_integrated)
         with pytest.raises(ValueError, match=f"^{name} {message}$"):
             classify(REFERENCE_PARAMETERS, start, **{name: value})
@@ -222,7 +224,7 @@ class TestClassify:
     # horizon / 4000 underflows to 0 below about 9.9e-321; IntegrationConfig
     # then blamed output_stride, a setting the caller never gave
     def test_default_stride_that_underflows_is_refused_naming_horizon(self, monkeypatch):
-        start = steady_state_E2(REFERENCE_PARAMETERS).state
+        start = steady_state_E2(REFERENCE_PARAMETERS)
         monkeypatch.setattr(analysis, "integrate", _not_integrated)
         with pytest.raises(ValueError, match="^horizon 1e-321 is too short: its default output_stride horizon / 4000 is 0$"):
             classify(REFERENCE_PARAMETERS, start, horizon=1e-321)
@@ -240,7 +242,7 @@ class TestClassify:
     def test_counts_are_those_of_the_integrated_samples(self, monkeypatch, stride_per_horizon, fraction):
         horizon = 300.0
         stride = horizon * stride_per_horizon
-        e2 = steady_state_E2(REFERENCE_PARAMETERS).state
+        e2 = steady_state_E2(REFERENCE_PARAMETERS)
         start = CellState(1.05 * e2.u1, e2.u2, e2.u3)
         times = integrate(
             REFERENCE_PARAMETERS, start, IntegrationConfig(t_end=horizon, output_stride=stride)
@@ -265,7 +267,7 @@ class TestClassify:
 
     @pytest.mark.parametrize("name", ["transient_fraction", "equilibrium_tol", "agreement_tol"])
     def test_removed_thresholds_are_not_keywords(self, monkeypatch, name):
-        start = steady_state_E2(REFERENCE_PARAMETERS).state
+        start = steady_state_E2(REFERENCE_PARAMETERS)
         monkeypatch.setattr(analysis, "integrate", _not_integrated)
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
             classify(REFERENCE_PARAMETERS, start, **{name: 0.5})
@@ -306,7 +308,7 @@ def _relative_distance(row, reference):
 class TestFinalState:
     @pytest.mark.parametrize("params, start, kind", [
         *VERDICT_CASES[:2],
-        (CN_A, CellState(*(1.25 * v for v in steady_state_E2(CN_A).state.as_tuple())), "limit_cycle"),
+        (CN_A, CellState(*(1.25 * v for v in steady_state_E2(CN_A).as_tuple())), "limit_cycle"),
     ], ids=[*VERDICT_IDS[:2], "extended"])
     def test_verdict_is_judged_at_the_end_of_one_reproducible_run(self, params, start, kind):
         # the constellation audit retries an undecided set from the same
@@ -319,7 +321,7 @@ class TestFinalState:
         assert classify(params, start, horizon) == verdict
         config = IntegrationConfig(t_end=horizon, output_stride=horizon / 4000.0)
         final = integrate(params, start, config).states[-1]
-        want = min(_relative_distance(final, eq.state.as_array()) for eq in steady_states(params))
+        want = min(_relative_distance(final, eq.as_array()) for eq in steady_states(params).values())
         assert verdict.final_distance.hex() == want.hex()
 
 
@@ -332,19 +334,19 @@ class TestSettleDistances:
         # the settle test's one array pass against the row-by-row form; E0's
         # zero reference takes the 1.0 floor of the norm
         targets = steady_states(self.PARAMS)
-        assert [eq.label for eq in targets] == ["E0", "E1", "E2"]
+        assert list(targets) == ["E0", "E1", "E2"]
         rng = np.random.default_rng(2301)
         rows = rng.uniform(0.0, scale, (4000, 3))
         rows[rng.random((4000, 3)) < 0.1] = 0.0
         rows[:3] = 0.0
-        for eq in targets:
-            ref = eq.state.as_array()
+        for label, eq in targets.items():
+            ref = eq.as_array()
             # rows on and next to the reference, and the reference scaled up
             near = ref * rng.uniform(0.999, 1.001, (500, 3))
             states = np.vstack([rows, ref, near, ref * scale / max(ref.max(), 1.0)])
             got = analysis._relative_distances(states, ref, self.PARAMS.k).tolist()
             want = [_relative_distance(row, ref) for row in states]
-            assert [v.hex() for v in got] == [v.hex() for v in want], eq.label
+            assert [v.hex() for v in got] == [v.hex() for v in want], label
 
     # a count above about 1.3e154 squares to infinity: against E0 a distance
     # read infinite, and against a reference whose norm overflowed every
@@ -381,12 +383,12 @@ class TestSettleDistances:
     @pytest.mark.parametrize("horizon", [50.0, 400.0])
     def test_final_distance_is_the_row_by_row_distance_of_the_final_sample(self, horizon):
         # the settle pass reads it off the trailing window's last sample
-        e2 = steady_state_E2(self.PARAMS).state
+        e2 = steady_state_E2(self.PARAMS)
         start = CellState(1.25 * e2.u1, 0.8 * e2.u2, 1.1 * e2.u3)
         verdict = classify(self.PARAMS, start, horizon)
         config = IntegrationConfig(t_end=horizon, output_stride=horizon / 4000.0)
         final = integrate(self.PARAMS, start, config).states[-1]
-        want = min(_relative_distance(final, eq.state.as_array()) for eq in steady_states(self.PARAMS))
+        want = min(_relative_distance(final, eq.as_array()) for eq in steady_states(self.PARAMS).values())
         assert verdict.final_distance.hex() == want.hex()
 
     @pytest.mark.parametrize("params, start, kind", VERDICT_CASES, ids=VERDICT_IDS)
@@ -398,7 +400,7 @@ class TestSettleDistances:
         horizon = default_horizon(params)
         config = IntegrationConfig(t_end=horizon, output_stride=horizon / 4000.0)
         final = integrate(params, start, config).states[-1]
-        want = min(_relative_distance(final, eq.state.as_array()) for eq in steady_states(params))
+        want = min(_relative_distance(final, eq.as_array()) for eq in steady_states(params).values())
         assert verdict.final_distance.hex() == want.hex()
 
 
@@ -420,7 +422,41 @@ class TestDefaultHorizon:
         params = ModelParameters(a1=0.7, a2=0.5, p1=1.0, p2=0.5, d3=0.5, k=8.75e-9)
         assert default_horizon(params) == pytest.approx(2000.0)
 
+    def test_onset_that_rounds_away_falls_back_to_rescaled_span(self):
+        # d3 one float below d3_max: the closed-form omega rounds to 0, and
+        # dividing by it used to raise ZeroDivisionError
+        params = ModelParameters(a1=0.6, a2=0.2, p1=1.0, p2=0.5, d3=0.19518542615484702, k=1.75e-9)
+        assert default_horizon(params) == 2000.0
+
     def test_extended_variant_scales_with_stem_rate(self):
         assert default_horizon(CN_A) == pytest.approx(2000.0)
         slower = CN_A.with_(p1=0.5)
         assert default_horizon(slower) == pytest.approx(4000.0)
+
+
+class TestTimeUnit:
+    # the same run in days and in rescaled time (p1 = 1, horizon * p1):
+    # the verdict's kind, its period in units of 1/p1, its amplitude and its
+    # final distance must not depend on the unit. Sets 1 and 2 take the
+    # closed-form horizon, sets 5 and 7 (d2 > 0) the fallback 2000 / p1
+    @pytest.mark.parametrize("index", [1, 2, 5, 7])
+    def test_classify_does_not_depend_on_the_time_unit(self, index):
+        params = REFERENCE_PARAMETERS.with_(**CONSTELLATIONS[index])
+        start = CellState(*(1.25 * v for v in steady_state_E2(params).as_tuple()))
+        horizon = default_horizon(params)
+        days = classify(params, start, horizon)
+        rescaled = classify(nondimensionalize(params), start, horizon * params.p1)
+        assert rescaled.kind == days.kind
+        period = None if days.period is None else days.period * params.p1
+        misses = []
+        for name, got, want in (
+            ("period * p1", rescaled.period, period),
+            ("amplitude_u3", rescaled.amplitude_u3, days.amplitude_u3),
+            ("final_distance", rescaled.final_distance, days.final_distance),
+        ):
+            if got is want is None:
+                continue
+            if got is None or want is None or not abs(got - want) <= 1e-6 * abs(want):
+                misses.append(f"set {index}: {name} {got!r} rescaled, {want!r} in days")
+        print(*misses, sep="\n")
+        assert misses == []

@@ -128,6 +128,10 @@ SHOWCASE_SET = ["--set", "a1=0.7", "--set", "a2=0.5", "--set", "p1=1",
 SHOWCASE_CYCLE_SET = [*SHOWCASE_SET, "--set", "p2=0.3", "--set", "u1=2717000",
                       "--set", "u2=26836000", "--set", "u3=91429000"]
 INITIAL_SET = ["--set", "u1=1", "--set", "u2=1", "--set", "u3=1"]
+# d3 one float below d3_max = 0.19518542615484705, where the closed-form
+# onset p2_star and frequency omega round to 0
+EDGE_D3_SET = ["--set", "a1=0.6", "--set", "a2=0.2", "--set", "p1=1",
+               "--set", "d3=0.19518542615484702"]
 CONSTELLATION_1_SET = ["--set", "p1=0.7171", "--set", "a2=0.32", "--set", "d3=0.132"]
 # keys that only the classifier reads; every other non-parameter float key
 # is an initial state or integration setting, which simulate reads
@@ -225,6 +229,15 @@ class TestSimulate:
                              "--set", "u3=1e308", "--set", "t_end=1")
         assert (code, out) == (3, "")
         assert err == "numerical failure: non-finite derivative at t=0.0, state=(1.0, 1.0, 1e+308)\n"
+
+    # max|f| / scale overflows at these rates, so the startup step guess is
+    # 0; from p1 = 1e306 up it used to divide by that 0 (ZeroDivisionError)
+    @pytest.mark.parametrize("p1", ["1e300", "1e306", "1e307", "1e308"])
+    def test_rates_too_large_for_a_first_step_exit_3(self, capsys, p1):
+        code, out, err = run(capsys, "simulate", *INITIAL_SET, "--set", f"p1={p1}",
+                             "--set", "t_end=1")
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: step size underflow at t=0.0, state=(1.0, 1.0, 1.0)\n"
 
     def test_csv_written_to_file(self, tmp_path, capsys):
         cfg = write_config(
@@ -425,6 +438,15 @@ class TestHopf:
         )
         assert code == 2
 
+    # the onset used to print p2_star 0, omega 0 and mu_prime -0, exit 0
+    def test_onset_that_rounds_away_is_a_config_error(self, capsys):
+        code, out, err = run(capsys, "hopf", *EDGE_D3_SET)
+        assert (code, out) == (2, "")
+        assert err == (
+            "invalid configuration: no positive bifurcation point: at d3=0.19518542615484702, "
+            "p1=1.0 the rescaled onset rounds to p2_star=0.0, omega^2=0.0, which must be positive\n"
+        )
+
     # the basic closed form ignores d1 and d2: it gives p2* = 0.393828 here,
     # while at d1 = 0.02, d2 = 0.05 the margin changes sign at p2 = 0.371975
     @pytest.mark.parametrize("deaths", [
@@ -503,6 +525,23 @@ class TestClassify:
         assert err == (
             "invalid configuration: horizon 1e-321 is too short: its default output_stride horizon / 4000 is 0\n"
         )
+
+    # default_horizon used to divide by the omega of 0 that hopf_point gave
+    # (ZeroDivisionError); it now takes the fallback horizon 2000 / p1
+    def test_onset_that_rounds_away_keeps_a_verdict(self, capsys):
+        code, out, err = run(capsys, "classify", *EDGE_D3_SET, "--set", "u1=1e6",
+                             "--set", "u2=1e7", "--set", "u3=1e8")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["kind"], payload["label"]) == ("equilibrium", "E2")
+
+    # d3/p1 underflows to 0 in the closed-form onset, and the first step
+    # guess is 0: both used to divide by zero
+    def test_rates_beyond_the_onset_and_first_step_exit_3(self, capsys):
+        code, out, err = run(capsys, "classify", *INITIAL_SET, "--set", "p1=1e308",
+                             "--set", "d3=1e-300")
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: step size underflow at t=0.0, state=(1.0, 1.0, 1.0)\n"
 
     def test_stride_of_the_whole_horizon_is_a_config_error(self, capsys):
         # one sample after the transient cannot carry a verdict

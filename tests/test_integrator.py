@@ -181,7 +181,7 @@ class TestAccuracy:
     def test_converges_to_positive_equilibrium(self):
         # stable regime: p2 above the critical value
         params = showcase_params(p2=0.5)
-        e2 = steady_state_E2(params).state
+        e2 = steady_state_E2(params)
         traj = integrate(params, SHOWCASE_IC_SETTLING, IntegrationConfig(t_end=1500.0))
         assert relative_distance(traj.final, e2) < 1e-3
 
@@ -397,7 +397,7 @@ def _digest(traj):
 
 
 _SET8 = REFERENCE_PARAMETERS.with_(**CONSTELLATIONS[8])
-_SET8_E2 = steady_state_E2(_SET8).state
+_SET8_E2 = steady_state_E2(_SET8)
 _CLAMP_AND_DIP = (ModelParameters(a1=0.55, a2=0.3, p1=0.9, p2=0.2, d3=0.4, k=1e-8, d1=0.5, d2=1.0),
                   CellState(2e3, 5e2, 1e4), IntegrationConfig(t_end=400.0, abs_tol=1e-3))
 _CLAMP_AND_DIP_DIGEST = "c7674332bc2b32d304ed4bcfddd1e24250030598c36f7f9dacd052b2bad0c600"

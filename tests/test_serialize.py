@@ -194,7 +194,7 @@ class TestReportRoundTrips:
                     assert data["equilibrium"] is None
                 else:
                     assert list(data["equilibrium"]) == ["u1", "u2", "u3"]
-                    assert CellState(**data["equilibrium"]) == report.equilibrium.state
+                    assert CellState(**data["equilibrium"]) == report.equilibrium
                 if report.coeffs is None:
                     assert data["coeffs"] is None
                 else:
@@ -233,7 +233,7 @@ class TestReportRoundTrips:
         hopf = hopf_point(0.7, 0.5, 0.1337, 1.0)
         data = stability_report_to_dict(report)
         pairs = [
-            (data["equilibrium"], report.equilibrium.state),
+            (data["equilibrium"], report.equilibrium),
             (data["coeffs"], report.coeffs),
             (hopf_to_dict(hopf), hopf),
             (verdict_to_dict(verdict), verdict),

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import struct
 from fractions import Fraction
 
@@ -26,12 +27,14 @@ from conftest import (
     showcase_params,
 )
 from hematodyn import (
+    CellState,
     CharPolyCoeffs,
     ModelParameters,
     REFERENCE_PARAMETERS,
     beta_gamma,
     char_poly_E2,
     char_poly_at,
+    classify,
     eigenvalues_at,
     hopf_point,
     hurwitz_classify,
@@ -42,9 +45,9 @@ from hematodyn import (
     jacobian,
     stability_report,
     stability_reports,
-    steady_state_E0,
     steady_state_E1,
     steady_state_E2,
+    steady_states,
 )
 from hematodyn.stability import MARGINAL_TOL, _basic_coeffs_rescaled, _extended_coeffs, _shape_constants
 
@@ -209,7 +212,7 @@ class TestCharPoly:
         for _ in range(400):
             params = draw_basic_admissible(rng)
             coeffs = char_poly_E2(params)
-            b1, b2, b3 = numpy_char_coeffs(params, steady_state_E2(params).state)
+            b1, b2, b3 = numpy_char_coeffs(params, steady_state_E2(params))
             assert coeffs.b1 == pytest.approx(b1, rel=1e-9, abs=1e-12)
             assert coeffs.b2 == pytest.approx(b2, rel=1e-9, abs=1e-12)
             assert coeffs.b3 == pytest.approx(b3, rel=1e-9, abs=1e-12)
@@ -219,7 +222,7 @@ class TestCharPoly:
         for _ in range(400):
             params = draw_extended_admissible(rng)
             coeffs = char_poly_E2(params)
-            b1, b2, b3 = numpy_char_coeffs(params, steady_state_E2(params).state)
+            b1, b2, b3 = numpy_char_coeffs(params, steady_state_E2(params))
             scale = max(abs(b1), abs(b2), abs(b3), 1e-30)
             assert abs(coeffs.b1 - b1) < 1e-9 * max(abs(b1), 1e-3 * scale)
             assert abs(coeffs.b2 - b2) < 1e-9 * max(abs(b2), 1e-3 * scale)
@@ -296,7 +299,7 @@ class TestHurwitzClassify:
             params = draw_basic_admissible(rng)
             coeffs = char_poly_E2(params)
             verdict = hurwitz_classify(coeffs)
-            eigs = np.linalg.eigvals(jacobian(params, steady_state_E2(params).state))
+            eigs = np.linalg.eigvals(jacobian(params, steady_state_E2(params)))
             top = max(eigs, key=lambda z: z.real).real
             if verdict == "stable":
                 assert top < 0.0
@@ -375,12 +378,10 @@ class TestFloatPath:
     def test_char_poly_at_has_the_ndarray_bits(self):
         seen = set()
         for params in self.draws():
-            for eq in (steady_state_E0(), steady_state_E1(params), steady_state_E2(params)):
-                if eq is None:
-                    continue
-                seen.add(eq.label)
-                c = char_poly_at(params, eq.state)
-                assert bits(c.b1, c.b2, c.b3) == bits(*ndarray_char_coeffs(params, eq.state))
+            for label, eq in steady_states(params).items():
+                seen.add(label)
+                c = char_poly_at(params, eq)
+                assert bits(c.b1, c.b2, c.b3) == bits(*ndarray_char_coeffs(params, eq))
         assert seen == {"E0", "E1", "E2"}
 
     def test_reports_hold_python_floats_and_complexes(self):
@@ -438,7 +439,7 @@ class TestHopfPoint:
         res = []
         for p2 in (h.p2_star + step, h.p2_star - step):
             params = showcase_params(p2=p2)
-            eigs = np.linalg.eigvals(jacobian(params, steady_state_E2(params).state))
+            eigs = np.linalg.eigvals(jacobian(params, steady_state_E2(params)))
             res.append(max(z.real for z in eigs))
         slope = (res[0] - res[1]) / (2.0 * step)
         assert h.mu_prime == pytest.approx(slope, rel=1e-3)
@@ -458,7 +459,7 @@ class TestHopfPoint:
             res = []
             for p2 in (h.p2_star + step, h.p2_star - step):
                 q = params.with_(p2=p2)
-                eigs = np.linalg.eigvals(jacobian(q, steady_state_E2(q).state))
+                eigs = np.linalg.eigvals(jacobian(q, steady_state_E2(q)))
                 res.append(max(z.real for z in eigs))
             slope = (res[0] - res[1]) / (2.0 * step)
             assert h.mu_prime == pytest.approx(slope, rel=1e-3)
@@ -485,6 +486,25 @@ class TestHopfPoint:
             hopf_point(0.7, 0.5, SHOWCASE_D3_MAX, 1.0)
         with pytest.raises(ValueError):
             hopf_point(0.7, 0.5, 0.5, 1.0)
+
+    # d3 one float below d3_max = 0.19518542615484705, where 1/gamma - beta*d3
+    # rounds to 0, used to give p2_star 0, omega 0 and mu_prime -0; at
+    # p1 = 1e308, d3 = 1e-300 the rescaled d3/p1 underflows to 0, and
+    # omega^2 with it
+    @pytest.mark.parametrize("a1, a2, d3, p1, rounded", [
+        (0.6, 0.2, 0.19518542615484702, 1.0, "p2_star=0.0, omega^2=0.0"),
+        (0.85, 0.841, 1e-300, 1e308, "omega^2=0.0"),
+    ], ids=["d3-next-to-d3_max", "d3-over-p1-underflows"])
+    def test_onset_that_rounds_away_is_refused(self, a1, a2, d3, p1, rounded):
+        bg = beta_gamma(a1, a2)
+        assert d3 < p1 / (bg.beta * bg.gamma)
+        with pytest.raises(ValueError, match="^no positive bifurcation point: .*rounds to .*" + re.escape(rounded)):
+            hopf_point(a1, a2, d3, p1)
+
+    # p2_star * p1 overflows at these rates, which `hopf` printed as Infinity
+    def test_onset_beyond_float_range_is_refused(self):
+        with pytest.raises(ValueError, match=r"^the bifurcation point overflows at p1=1.7e\+308: HopfReport\(p2_star=inf, "):
+            hopf_point(0.99, 0.5, 1e290, 1.7e308)
 
     def test_dimensional_scaling(self):
         # rates scale linearly with p1; the rescaled geometry is unchanged
@@ -569,9 +589,37 @@ class TestReports:
                     continue
                 expected = eigenvalues_at(params, eq)
                 assert [repr(z) for z in report.eigenvalues] == [repr(z) for z in expected]
-                coeffs = char_poly_E2(params) if label == "E2" else char_poly_at(params, eq.state)
+                coeffs = char_poly_E2(params) if label == "E2" else char_poly_at(params, eq)
                 assert repr(report.coeffs) == repr(coeffs)
         assert e1_exists == {True, False}
+
+    # a state's label is held once, as its key: `steady_states`, the reports
+    # and a settled verdict must name the same states with the same counts
+    def test_labels_and_counts_agree_across_the_api(self):
+        rng = np.random.default_rng(437)
+        e1_exists, settled = set(), set()
+        for index in range(200):
+            if index % 2:
+                params = draw_extended_admissible(rng)
+            else:
+                # a2 on both sides of 1/2 and of a1: E1 and E2 each exist or not
+                params = draw_basic_admissible(rng).with_(a2=rng.uniform(0.02, 0.98))
+            states = steady_states(params)
+            reports = stability_reports(params)
+            present = [label for label, report in reports.items() if report.equilibrium is not None]
+            assert list(states) == present
+            for label, state in states.items():
+                assert reports[label].equilibrium == state
+            e1_exists.add("E1" in states)
+            if index < 16:
+                # from 1 % above the last state that exists
+                start = CellState(*(1.01 * v for v in list(states.values())[-1].as_tuple()))
+                verdict = classify(params, start)
+                if verdict.kind == "equilibrium":
+                    assert verdict.label in states
+                    settled.add(verdict.label)
+        assert e1_exists == {True, False}
+        assert settled == {"E1", "E2"}
 
     def test_overflowing_polynomial_is_refused(self):
         # E2's margin overflows to inf here, which used to read "marginal"

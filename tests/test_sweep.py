@@ -936,7 +936,7 @@ class TestRetry:
         return calls
 
     def overshoot(self):
-        return [(1.25 * v).hex() for v in steady_state_E2(self.PARAMS).state.as_tuple()]
+        return [(1.25 * v).hex() for v in steady_state_E2(self.PARAMS).as_tuple()]
 
     # a verdict of each kind; the first two are decided
     VERDICTS = [
