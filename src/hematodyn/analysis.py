@@ -165,16 +165,22 @@ def default_horizon(params: ModelParameters) -> float:
     """Horizon (days) covering ~40 putative cycles.
 
     Uses the closed-form bifurcation frequency when the basic variant has
-    one; otherwise 2000 rescaled time units converted back to days.
+    one; otherwise 2000 rescaled time units converted back to days. A
+    horizon that overflows (p1 near the smallest floats) is a ValueError
+    naming p1; `classify` then needs its horizon given.
     """
+    horizon = 2000.0 / params.p1
     if params.is_basic:
         try:
             report = hopf_point(params.a1, params.a2, params.d3, params.p1)
+            horizon = 40.0 * 2.0 * math.pi / report.omega
         except ValueError:
             pass
-        else:
-            return 40.0 * 2.0 * math.pi / report.omega
-    return 2000.0 / params.p1
+    if not math.isfinite(horizon):
+        raise ValueError(
+            f"p1 = {params.p1!r} is too small for a default horizon, which overflows; give horizon"
+        )
+    return horizon
 
 
 def _agree(values, tol: float) -> bool:

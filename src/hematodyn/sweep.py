@@ -24,6 +24,8 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import pickle
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -315,28 +317,30 @@ def _usable_cpus() -> int:
 def _lanes(fn, n):
     """Yield fn(0), ..., fn(n - 1) in order, computed in up to one lane per usable CPU.
 
-    The calling process is one lane; each other lane is a forked helper.
-    Every lane claims the lowest unclaimed index from one shared counter.
-    While the caller's next result has not arrived, the caller claims and
-    computes the next index itself, so it blocks only once every index is
-    claimed. Helpers only compute and send their values back; they write
-    to no file. An index whose helper raised or died is computed by the
-    caller, so the caller yields and raises exactly what the serial loop
-    would. With one usable CPU, one item, no fork start method, or a
-    second thread running, that serial loop runs in the caller and no
-    process starts. Every helper is joined before the generator returns,
-    raises or is closed.
+    The calling process is one lane; each other lane is a helper started
+    by os.fork. Every lane claims the lowest unclaimed index from one
+    shared counter, whose lock is a one-byte token in a pipe. While the
+    caller's next result has not arrived, the caller claims and computes
+    the next index itself, so it blocks only once every index is claimed.
+    Helpers only compute and send their values back, each through its own
+    pipe; they write to no file. An index whose helper raised or died is
+    computed by the caller, so the caller yields and raises exactly what
+    the serial loop would. With one usable CPU, one item, no os.fork, a
+    second thread running, or in a daemonic multiprocessing worker, that
+    serial loop runs in the caller and no process starts. Every helper is
+    killed and reaped before the generator returns, raises or is closed.
     """
     helpers = min(_usable_cpus(), n) - 1
     if helpers > 0:
-        import multiprocessing
         import threading
 
         # a daemonic process (a pool worker, say) may not start processes,
-        # and a fork copies no thread but every lock another thread holds
+        # and a fork copies no thread but every lock another thread holds;
+        # such a worker has loaded multiprocessing, so nothing is imported
+        mp = sys.modules.get("multiprocessing")
         if (
-            "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon
+            not hasattr(os, "fork")
+            or (mp is not None and mp.current_process().daemon)
             or threading.active_count() > 1
         ):
             helpers = 0
@@ -347,24 +351,30 @@ def _lanes(fn, n):
 
     import fcntl
     import mmap
+    import select
+    import signal
 
-    ctx = multiprocessing.get_context("fork")
-    lock = ctx.Lock()
     # slot 0 is the next unclaimed index; slot i + 1 the lane that claimed i
     # (0 for the caller, or not yet claimed)
     shared = mmap.mmap(-1, 8 * (n + 1))
     slots = memoryview(shared).cast("q")
+    # the lock is free while its one byte is in the pipe
+    token_r, token_w = os.pipe()
+    os.write(token_w, b"\0")
 
     def claim(lane):
-        with lock:
+        os.read(token_r, 1)
+        try:
             index = slots[0]
             if index >= n:
                 return None
             slots[0] = index + 1
             slots[index + 1] = lane
+        finally:
+            os.write(token_w, b"\0")
         return index
 
-    procs, readers, held = [], {}, {}
+    pids, readers, polls, held = [], {}, {}, {}
     more = True  # the caller stops claiming once one of its own items raised
 
     def compute(index):
@@ -377,26 +387,33 @@ def _lanes(fn, n):
 
     try:
         for lane in range(1, helpers + 1):
-            reader, writer = ctx.Pipe(duplex=False)
+            reader, writer = os.pipe()
             # room for several CSV blocks, so that a helper goes on to its
             # next items instead of waiting until the caller reads this one
             with contextlib.suppress(AttributeError, OSError):
-                fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
-            # the helper closes its copies of every read end, so that it
-            # cannot block forever on a pipe that only it still reads
-            inherited = [reader, *readers.values()]
-            proc = ctx.Process(target=_lane, args=(fn, claim, lane, writer, inherited), daemon=True)
+                fcntl.fcntl(writer, fcntl.F_SETPIPE_SZ, 1 << 20)
             try:
-                proc.start()
+                pid = os.fork()
             except OSError:  # no fork to be had: the lanes started so far do the work
-                reader.close()
+                os.close(reader)
+                os.close(writer)
                 break
-            finally:
-                # started later, a helper must not hold this write end open,
-                # or the caller would never see this helper's end of file
-                writer.close()
-            procs.append(proc)
+            if pid == 0:
+                # the helper closes its copies of every read end, so that it
+                # cannot block forever on a pipe that only it still reads;
+                # os._exit never flushes or closes a copy of the caller's
+                # files and buffers
+                try:
+                    _lane(fn, claim, lane, writer, [reader, *readers.values()])
+                finally:
+                    os._exit(0)
+            # started later, a helper must not hold this write end open,
+            # or the caller would never see this helper's end of file
+            os.close(writer)
+            pids.append(pid)
             readers[lane] = reader
+            polls[lane] = select.poll()
+            polls[lane].register(reader, select.POLLIN)
         for index in range(n):
             while index not in held:
                 lane = slots[index + 1]
@@ -409,25 +426,30 @@ def _lanes(fn, n):
                 if reader is None:  # its helper is gone without delivering
                     compute(index)
                     continue
-                if more and not reader.poll():
+                if more and not polls[lane].poll(0):
                     nxt = claim(0)
                     if nxt is not None:
                         compute(nxt)
                         continue
                 try:
-                    held[index] = (True, reader.recv())
-                except (EOFError, OSError):
-                    readers.pop(lane).close()
+                    held[index] = (True, _receive(reader))
+                except EOFError:
+                    os.close(readers.pop(lane))
             ok, value = held.pop(index)
             if not ok:
                 raise value
             yield value
     finally:
         for reader in readers.values():
-            reader.close()
-        for proc in procs:
-            proc.kill()  # whatever a helper still computes is not wanted
-            proc.join()
+            os.close(reader)
+        for pid in pids:
+            # whatever a helper still computes is not wanted
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+        os.close(token_r)
+        os.close(token_w)
         slots.release()
         shared.close()
 
@@ -435,20 +457,44 @@ def _lanes(fn, n):
 def _lane(fn, claim, lane, writer, inherited):
     """A helper's whole life: claim, compute and send until nothing is left.
 
-    It leaves through os._exit, so it never flushes or closes a copy of the
-    caller's files and buffers; an exception ends it quietly, and the
-    caller computes the index it held.
+    An exception ends it quietly, and the caller computes the index it held.
     """
-    try:
-        for reader in inherited:
-            reader.close()
-        while True:
-            index = claim(lane)
-            if index is None:
-                break
-            writer.send(fn(index))
-    finally:
-        os._exit(0)
+    for reader in inherited:
+        os.close(reader)
+    while True:
+        index = claim(lane)
+        if index is None:
+            break
+        _send(writer, fn(index))
+
+
+def _send(fd, value):
+    """Write value to the pipe fd as an 8-byte length and then its pickle."""
+    data = pickle.dumps(value)
+    for part in (len(data).to_bytes(8, "little"), data):
+        view = memoryview(part)
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def _receive(fd):
+    """The next value that _send wrote to the pipe fd.
+
+    EOFError if the writer closed its end first, as a helper that died does.
+    """
+    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+
+
+def _read(fd, size):
+    """Exactly size bytes from the pipe fd, read straight into one buffer."""
+    data = bytearray(size)
+    view, got = memoryview(data), 0
+    while got < size:
+        count = os.readv(fd, [view[got:]])
+        if count == 0:
+            raise EOFError("a lane's pipe closed")
+        got += count
+    return data
 
 
 def _row_coordinates(axes, grids, shape, start, stop):

@@ -1,6 +1,7 @@
 """CLI tests: config parsing, command plumbing, exit codes, determinism."""
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -543,6 +544,21 @@ class TestClassify:
         assert (code, out) == (3, "")
         assert err == "numerical failure: step size underflow at t=0.0, state=(1.0, 1.0, 1.0)\n"
 
+    # a subnormal p1 overflows both routes to the default horizon: 40 periods
+    # at the closed-form onset's subnormal omega, and 2000 / p1; the refusal
+    # used to name t_end, a key the user never gave
+    @pytest.mark.parametrize("rates, p1", [
+        (["--set", "p1=1e-320", "--set", "d3=1e-322"], "1e-320"),
+        (["--set", "p1=1e-310", "--set", "d2=0.1"], "1e-310"),
+    ], ids=["closed-form-onset", "fallback"])
+    def test_default_horizon_that_overflows_names_p1(self, capsys, rates, p1):
+        code, out, err = run(capsys, "classify", *INITIAL_SET, *rates)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"invalid configuration: p1 = {p1} is too small for a default horizon, which overflows; "
+            "give horizon\n"
+        )
+
     def test_stride_of_the_whole_horizon_is_a_config_error(self, capsys):
         # one sample after the transient cannot carry a verdict
         code, out, err = run(capsys, "classify", *INITIAL_SET,
@@ -1010,13 +1026,17 @@ class TestEntryPoints:
                                 capture_output=True, text=True, timeout=120, env=child_env())
         assert result.stderr == repr(loaded)
 
-    def test_multiprocessing_imported_only_for_lanes(self):
-        # point queries and an audit without classification start no helper
-        # and never load multiprocessing; only sweep and constellations do
+    def test_no_command_loads_multiprocessing_and_lanes_leave_no_fd(self, tmp_path):
+        # point queries and an audit without classification start no helper;
+        # a sweep CSV of several blocks and a classified audit fork one with
+        # two usable CPUs. No command loads multiprocessing, and the lanes
+        # leave no descriptor open after a normal run, an early close or a
+        # helper's death, nor any child unreaped
         script = (
-            "import io, os, sys, contextlib\n"
+            "import io, os, sys, contextlib, time\n"
             "import hematodyn\n"
-            "from hematodyn import cli\n"
+            "from hematodyn import cli, sweep\n"
+            "fork, forks = os.fork, []\n"
             "def no_fork():\n"
             "    raise AssertionError('forked')\n"
             "os.fork = no_fork\n"
@@ -1024,11 +1044,49 @@ class TestEntryPoints:
             "    assert cli.main(['stability']) == 0\n"
             f"    assert cli.main(['classify', *{SHOWCASE_CYCLE_SET!r}]) == 0\n"
             "hematodyn.check_constellations(run_classify=False)\n"
-            "sys.stderr.write(repr('multiprocessing' in sys.modules))\n"
+            "def counted_fork():\n"
+            "    forks.append(os.getpid())\n"
+            "    return fork()\n"
+            "os.fork = counted_fork\n"
+            "sweep._usable_cpus = lambda: 2\n"
+            "sweep.default_horizon = lambda params: 300.0\n"  # a quick audit
+            "def fds():\n"
+            "    return len(os.listdir('/proc/self/fd')) if os.path.isdir('/proc/self/fd') else None\n"
+            "counts = [fds()]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['sweep', '--set', 'vary=p1:0.1:0.9:40;a2:0.1:0.9:40;d3:0.2:2.0:20',\n"
+            "                     '--out', sys.argv[1]]) == 0\n"
+            "    assert cli.main(['constellations']) == 0\n"
+            "counts.append(fds())\n"
+            "caller = os.getpid()\n"
+            "def slow_in_helpers(index):\n"
+            "    if os.getpid() != caller:\n"
+            "        time.sleep(60.0)\n"
+            "    return index\n"
+            "results = sweep._lanes(slow_in_helpers, 6)\n"
+            "assert next(results) == 0\n"
+            "results.close()\n"
+            "counts.append(fds())\n"
+            "def dies_in_helpers(index):\n"
+            "    if os.getpid() != caller:\n"
+            "        os._exit(7)\n"
+            "    return index\n"
+            "assert list(sweep._lanes(dies_in_helpers, 8)) == list(range(8))\n"
+            "counts.append(fds())\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    reaped = True\n"
+            "else:\n"
+            "    reaped = False\n"
+            "sys.stderr.write(repr(('multiprocessing' in sys.modules, len(forks), reaped, counts)))\n"
         )
-        result = subprocess.run([sys.executable, "-c", script],
+        result = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sweep.csv")],
                                 capture_output=True, text=True, timeout=120, env=child_env())
-        assert result.stderr == "False"
+        loaded, forks, reaped, counts = ast.literal_eval(result.stderr)
+        assert (loaded, forks, reaped) == (False, 4, True)
+        if counts[0] is not None:  # None where there is no /proc to count them in
+            assert counts == [counts[0]] * 4
 
     # a forked helper must not flush its copy of a buffered file or of stdout:
     # both commands, run with helpers and stdout a pipe, give the serial bytes

@@ -578,7 +578,9 @@ def lanes(monkeypatch):
         monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
 
     yield use
-    assert multiprocessing.active_children() == []
+    # every child of this process is reaped: none runs, and none is a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def wait_for(ready, seconds=30.0):
@@ -660,11 +662,18 @@ class TestLanes:
         assert len(set(pids)) == 2
         assert pids.count(os.getpid()) == 1
 
-    @pytest.mark.parametrize("cpus, n, thread", [(1, 5, False), (2, 1, False), (2, 5, True)],
-                             ids=["one-cpu", "one-item", "second-thread"])
-    def test_no_process_for_one_cpu_one_item_or_a_thread(self, lanes, monkeypatch, cpus, n, thread):
+    @pytest.mark.parametrize("cpus, n, case", [
+        (1, 5, None), (2, 1, None), (2, 5, "thread"), (2, 5, "no-fork"), (2, 5, "daemon"),
+    ], ids=["one-cpu", "one-item", "second-thread", "no-fork", "daemonic-worker"])
+    def test_no_process_for_one_cpu_one_item_or_a_thread(self, lanes, monkeypatch, cpus, n, case):
         lanes(cpus)
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        if case == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        if case == "daemon":  # as in a multiprocessing pool's worker
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        thread = case == "thread"
         release = threading.Event()
         other = threading.Thread(target=release.wait, daemon=True)
         if thread:
