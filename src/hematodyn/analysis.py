@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .integrator import IntegrationConfig, Trajectory, _sample_grid, integrate
+from .integrator import IntegrationConfig, Trajectory, _continue, _sample_grid, integrate
 from .model import CellState, ModelParameters, _positive, steady_states
 from .stability import hopf_point
 
@@ -233,6 +233,42 @@ def classify(
     """
     # the horizon follows the number rule before anything is integrated
     horizon = default_horizon(params) if horizon is None else _positive("horizon", horizon)
+    config = _config(horizon, rel_tol, abs_tol, output_stride)
+    return _judge(params, integrate(params, initial, config), horizon)
+
+
+def _classify(
+    params: ModelParameters, initial: CellState, horizon: float
+) -> Tuple[AttractorVerdict, Trajectory]:
+    """`classify(params, initial, horizon)` and the run it judged.
+
+    `_classify_continued` can take that run on to a longer horizon.
+    """
+    run = integrate(params, initial, _config(horizon))
+    return _judge(params, run, horizon), run
+
+
+def _classify_continued(params: ModelParameters, run: Trajectory, horizon: float) -> AttractorVerdict:
+    """classify's verdict on a run from `_classify`, continued to a longer horizon.
+
+    The run goes on from the loop top where it first shortened a step to
+    land on its own end (`integrator._continue`), not from t = 0, and
+    classify's rules judge it at horizon and its default stride horizon /
+    4000. For a horizon over twice the run's, both windows they judge lie
+    after that loop top, and the verdict is the one `classify(params,
+    initial, horizon)` gives from the run's start, unless that fresh run
+    meets a dense-output dip at a sample time that only one of the two
+    grids has, or takes a step between the two runs' step floors (1e-14
+    times their horizons).
+    """
+    return _judge(params, _continue(params, run, _config(horizon)), horizon)
+
+
+def _config(horizon, rel_tol=1e-8, abs_tol=1e-3, output_stride=None) -> IntegrationConfig:
+    """classify's integration settings over horizon, or its refusal of them.
+
+    The defaults are classify's.
+    """
     stride = output_stride if output_stride is not None else horizon / 4000.0
     if output_stride is None and stride == 0.0:
         raise ValueError(f"horizon {horizon!r} is too short: its default output_stride horizon / 4000 is 0")
@@ -256,9 +292,13 @@ def classify(
             raise ValueError(
                 f"output_stride {stride} leaves {count} sample(s) in {part}; classify needs at least 3"
             )
-    traj = integrate(params, initial, config)
-    keep = traj.times >= keep_from
-    window = traj.times >= window_from
+    return config
+
+
+def _judge(params: ModelParameters, traj: Trajectory, horizon: float) -> AttractorVerdict:
+    """classify's settle and cycle tests on a run that ends at horizon."""
+    keep = traj.times >= _TRANSIENT_FRACTION * horizon
+    window = traj.times >= horizon - 0.05 * horizon
 
     # settle test on the trailing 5% of the horizon, whose last sample is
     # the final one, so its last distance to each steady state gives

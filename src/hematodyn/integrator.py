@@ -10,10 +10,12 @@ the rates and the tableau in locals; max, min and abs are comparisons
 that keep the builtins' operand order; and each state's norm is computed
 once. `rhs_closure` stays the definition, and gives the first slope, the
 startup step guess and the slope after a clamp. The step loop is written
-once, in `_advance`, which `integrate` runs from t = 0. The model is
-non-stiff across the studied parameter ranges (rates stay below ~27 in
-rescaled units); on a stiff stretch the error controller alone holds the
-step near the edge of the stability region (Hairer & Wanner II, IV.2).
+once, in `_advance`, which `integrate` runs from t = 0 and `_continue`
+from the loop top where an earlier run first clamped a step to its end.
+The model is non-stiff across the studied parameter ranges (rates stay
+below ~27 in rescaled units); on a stiff stretch the error controller
+alone holds the step near the edge of the stability region (Hairer &
+Wanner II, IV.2).
 
 Dense output is evaluated in blocks, not in the step loop: a step that
 owns samples packs its loop-top state, its stage slopes and its sample
@@ -158,6 +160,9 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
+    # not a field: the loop-top state `_continue` goes on from, which
+    # `integrate` sets on the runs it returns
+    _resume = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -221,11 +226,32 @@ def integrate(params: ModelParameters, initial: CellState, config: IntegrationCo
     # max(|x|, |y|, |z|) of the current state; an accepted step hands its
     # end state's norm on, so each state's norm is computed once
     norm_old = max(abs(x), abs(y), abs(z))
+    # the guess is not cut to t_end: the step loop's end clamp does that, so
+    # the state it records holds the step a longer run would take
     h = _initial_step(f, (x, y, z), (k1x, k1y, k1z), config.abs_tol + config.rel_tol * norm_old)
-    h = min(h, t_end)
 
     start = (0.0, x, y, z, k1x, k1y, k1z, h, norm_old, 1e-4, _FAC_MAX, 0)
-    return Trajectory(*_advance(params, f, config, start))
+    times, rows, resume = _advance(params, f, config, start)
+    run = Trajectory(times, rows)
+    run._resume = resume
+    return run
+
+
+def _continue(params: ModelParameters, run: Trajectory, config: IntegrationConfig) -> Trajectory:
+    """Continue a run that `integrate` returned out to config.t_end.
+
+    The run goes on from the loop top at which `run` first shortened a step
+    to land on its own end, and samples only the times of config's grid
+    after that loop top's t; config.t_end must lie beyond it. If `run` had
+    config's tolerances, those samples are, bit for bit, the ones that
+    `integrate(params, initial, config)` from the same start gives at the
+    same times, unless that fresh run meets a dense-output dip at a sample
+    time that only one of the two grids has, or takes a step between the
+    two runs' step floors (1e-14 * t_end): DP5's step sequence does not
+    depend on the output grid, and up to that loop top neither run clamped
+    a step.
+    """
+    return Trajectory(*_advance(params, rhs_closure(params), config, run._resume)[:2])
 
 
 def _sample_grid(stride: float, t_end: float) -> np.ndarray:
@@ -245,9 +271,10 @@ def _advance(params, f, config, state):
 
     state is (t, x, y, z, k1x, k1y, k1z, h, norm_old, err_prev, fac_cap,
     steps); a dense-output dip resumes the loop from such a state. Returns
-    the sample times (state's t, `_sample_grid(config.stride, t_end)`,
-    t_end) and the sample rows (state's, the interpolated ones, the end
-    state).
+    the sample times (state's t, the times of `_sample_grid(config.stride,
+    t_end)` after it, t_end), the sample rows (state's, the interpolated
+    ones, the end state), and the state at the loop top where the run first
+    shortened a step to land on t_end, from which a longer run would go on.
     """
     t_end = config.t_end
     t0, x, y, z = state[:4]
@@ -271,6 +298,7 @@ def _advance(params, f, config, state):
     neg_alpha, pi_beta, max_steps = -_PI_ALPHA, _PI_BETA, _MAX_STEPS
 
     grid = _sample_grid(config.stride, t_end)
+    grid = grid[np.searchsorted(grid, t0, "right"):]
     rows = np.empty((grid.size + 2, 3))
     rows[0] = (x, y, z)
     # the grid again as floats, closed by inf so that no step reaches past it
@@ -289,6 +317,7 @@ def _advance(params, f, config, state):
     # steps taken after it.
     in_step = False
     flat = memoryview(rows.reshape(-1))
+    resume = None
 
     # In the loop, max, min and abs are written as comparisons. Each max(a,
     # b, ...) keeps its first operand unless a later one compares strictly
@@ -311,6 +340,9 @@ def _advance(params, f, config, state):
                 fault = "step size underflow"
                 break
             if t + 1.01 * h >= t_end:
+                if resume is None:
+                    # this loop top, before its step was counted
+                    resume = (t, x, y, z, k1x, k1y, k1z, h, norm_old, err_prev, fac_cap, steps - 1)
                 h = t_end - t
 
             # each stage writes out rhs_closure's operations in its order, so
@@ -474,12 +506,15 @@ def _advance(params, f, config, state):
                 raise IntegrationError(fault, t, (x, y, z), Trajectory(times, rows[:kept + 1].copy()))
             break
         # a dense-output dip: the scalar rejection would have gone on from
-        # the dipping step's loop top
+        # the dipping step's loop top. An end clamp at a later loop top is
+        # undone with it; replay's steps count its loop top and the rejection.
         state = replay
         in_step = True
+        if resume is not None and resume[11] >= replay[11]:
+            resume = None
 
     rows[-1] = (x, y, z)
-    return np.concatenate(((t0,), grid, (t_end,))), rows
+    return np.concatenate(((t0,), grid, (t_end,))), rows, resume
 
 
 def _flush(records, grid, rows, kept, band):

@@ -210,8 +210,9 @@ def test_criterion_05_constellation_suite(capsys, constellation_audit):
 def test_constellations_stdout_is_pinned(constellation_audit):
     # the audit serialized as `hematodyn constellations` prints it, against
     # the command's stdout since a set undecided over its default horizon
-    # is classified once more from the same start over 8 times that horizon
-    # (only set 6 is, and decides over 160,000 d)
+    # is classified once more over 8 times that horizon (only set 6 is, and
+    # decides over 160,000 d); the retry continues the first run, with the
+    # bytes a fresh run from the same start gives
     reports, _ = constellation_audit
     payload = {
         "reference" if report.index == 0 else f"constellation_{report.index}":
@@ -226,8 +227,9 @@ def test_slow_cycle_with_immature_death(constellation_audit, tmp_path, capsys):
     # weakly unstable override set 6 (margin ~ -3e-3): starting 25% above
     # the positive steady state, the spiral needs a long horizon to grow
     # out to the cycle. This is the audit's retry of set 6, 160,000 d from
-    # the same start, so `hematodyn classify` prints the audit's verdict
-    # byte for byte. Its period of about 412 d is the known sampling alias
+    # the same start, which the audit continues from its first run's end
+    # clamp; `hematodyn classify` runs it fresh and prints the audit's
+    # verdict byte for byte. Its period of about 412 d is the known sampling alias
     # of the 36.47 d cycle (README, "Known defect"), which direction 1 of
     # the ROADMAP corrects.
     reports, _ = constellation_audit

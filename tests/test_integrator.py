@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from conftest import (
     SHOWCASE_IC_CYCLE_HIGH,
     SHOWCASE_IC_SETTLING,
+    draw_basic_admissible,
     draw_box_admissible,
+    draw_extended_admissible,
     showcase_params,
     relative_distance,
 )
@@ -160,8 +162,8 @@ class TestTrajectoryShape:
         assert traj.state_at(0).as_tuple() == SHOWCASE_IC_SETTLING.as_tuple()
 
     def test_integrate_takes_params_initial_and_config(self):
-        # a run's samples are all that it hands back, so nothing else is
-        # asked of it
+        # a run hands back its samples, and privately the loop top that
+        # integrator._continue goes on from, so nothing else is asked of it
         assert list(inspect.signature(integrate).parameters) == ["params", "initial", "config"]
         with pytest.raises(TypeError):
             integrate(REFERENCE_PARAMETERS, CellState(1.0, 1.0, 1.0), IntegrationConfig(t_end=10.0),
@@ -630,3 +632,81 @@ class TestDenseOutputReplay:
         monkeypatch.setattr(integrator, "_MAX_STEPS", 15)
         assert _outcome(_LOOSE, _LOOSE_START, _loose_config(20)) == _LOOSE_FAULT_BEFORE_DIP
         assert len(replays) == 2
+
+
+def _hex_rows(traj, mask=slice(None)):
+    return [v.hex() for v in traj.times[mask].tolist()], [v.hex() for v in traj.states[mask].ravel().tolist()]
+
+
+class TestContinuedRuns:
+    """`integrator._continue` takes a run that `integrate` returned on to a
+    later end, from the loop top where the run first clamped a step to land
+    on its own end. At every sample time after that loop top it gives the
+    bits a fresh run to the later end gives."""
+
+    @pytest.mark.parametrize("extended", [False, True], ids=["basic", "extended"])
+    def test_continued_samples_equal_a_fresh_run(self, extended):
+        rng = np.random.default_rng(39 + extended)
+        draw = draw_extended_admissible if extended else draw_basic_admissible
+        for i in range(25):
+            params = draw(rng)
+            e2 = steady_state_E2(params).as_array()
+            initial = CellState(*(e2 * rng.uniform(0.5, 1.5, 3)).tolist())
+            t_end = rng.uniform(20.0, 60.0) / params.p1
+            run = integrate(params, initial, IntegrationConfig(t_end=t_end))
+            longer = IntegrationConfig(t_end=8.0 * t_end)
+            fresh = integrate(params, initial, longer)
+            # counts far from zero: no sample dips near the clamp band
+            assert fresh.states.min() > 1e3 * longer.abs_tol, (i, params)
+            continued = integrator._continue(params, run, longer)
+            t0 = continued.times[0]
+            assert 0.0 < t0 < t_end
+            assert continued.states[0].tolist() == list(run._resume[1:4])
+            assert _hex_rows(continued, slice(1, None)) == _hex_rows(fresh, fresh.times > t0), (i, params)
+
+    def test_first_step_reaching_the_end_continues_as_the_fresh_run(self, monkeypatch):
+        # the first step already reaches t_end, so the run records its start
+        # and the continuation is the whole fresh run
+        monkeypatch.setattr(integrator, "_initial_step", _first_step(1.0))
+        params = showcase_params(p2=0.3)
+        run = integrate(params, SHOWCASE_IC_CYCLE_HIGH, IntegrationConfig(t_end=0.5))
+        assert run._resume[0] == 0.0
+        longer = IntegrationConfig(t_end=4.0)
+        continued = integrator._continue(params, run, longer)
+        assert _hex_rows(continued) == _hex_rows(integrate(params, SHOWCASE_IC_CYCLE_HIGH, longer))
+
+    def test_error_from_a_continued_run_carries_samples_from_its_start(self, monkeypatch):
+        # the step limit stops the continuation 40 steps after its start; a
+        # fresh run under the same limit stops at the same step
+        params = showcase_params(p2=0.3)
+        run = integrate(params, SHOWCASE_IC_CYCLE_HIGH, IntegrationConfig(t_end=100.0))
+        t0 = run._resume[0]
+        monkeypatch.setattr(integrator, "_MAX_STEPS", run._resume[11] + 40)
+        longer = IntegrationConfig(t_end=800.0)
+        with pytest.raises(IntegrationError) as continued:
+            integrator._continue(params, run, longer)
+        with pytest.raises(IntegrationError) as fresh:
+            integrate(params, SHOWCASE_IC_CYCLE_HIGH, longer)
+        got, want = continued.value, fresh.value
+        assert (got.reason, got.time, got.state) == (want.reason, want.time, want.state)
+        assert got.reason == "step limit exceeded"
+        assert got.trajectory.times[0] == t0 and len(got.trajectory) > 1
+        assert got.trajectory.states[0].tolist() == list(run._resume[1:4])
+        mask = want.trajectory.times > t0
+        assert _hex_rows(got.trajectory, slice(1, None)) == _hex_rows(want.trajectory, mask)
+
+    def test_dip_found_after_the_end_clamp_moves_the_recorded_state(self, replays):
+        # The loose run to 21 d clamps a step to its end at t = 20.93, and
+        # only then evaluates the block that holds its dip at t = 17.5: the
+        # loop resumes from there and reaches its end by other steps, so the
+        # state recorded at the first clamp is dropped. At one stride both
+        # grids hold the dip, and the continuation is the fresh run.
+        def loose(t_end):
+            return IntegrationConfig(t_end=t_end, output_stride=0.25, **_LOOSE_TOLERANCES)
+
+        run = integrate(_LOOSE, _LOOSE_START, loose(21.0))
+        (_, replay), = replays
+        assert replay[0] < 18.0 and run._resume[0] > 20.0
+        continued = integrator._continue(_LOOSE, run, loose(168.0))
+        fresh = integrate(_LOOSE, _LOOSE_START, loose(168.0))
+        assert _hex_rows(continued, slice(1, None)) == _hex_rows(fresh, fresh.times > continued.times[0])

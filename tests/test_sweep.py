@@ -28,10 +28,11 @@ from conftest import (
     draw_basic_admissible,
     showcase_params,
 )
-from hematodyn import sweep
+from hematodyn import integrator, sweep
 from hematodyn import (
     AttractorVerdict,
     AxisSpec,
+    CellState,
     CONSTELLATIONS,
     CONSTELLATION_DIRECTIONS,
     IntegrationError,
@@ -44,6 +45,7 @@ from hematodyn import (
     bifurcation_bracket,
     char_poly_E2,
     check_constellations,
+    classify,
     constellation_report_to_dict,
     dumps,
     hopf_point,
@@ -925,23 +927,40 @@ def _bits(state):
     return [v.hex() for v in state.as_tuple()]
 
 
+class _Run:
+    """What a scripted first classification hands back as its run: its start."""
+
+    def __init__(self, start):
+        self.start = start
+
+
 class TestRetry:
     # an audit set is classified from a 25 % overshoot of its positive state
     # over the default horizon; only an undecided verdict is tried once
-    # more, from the same start over 8 times that horizon
+    # more, over 8 times that horizon, by continuing the run from that start
     PARAMS = REFERENCE_PARAMETERS.with_(**CONSTELLATIONS[1])
 
     def scripted(self, monkeypatch, verdicts):
-        """Patch sweep.classify to return verdicts in turn; return its calls."""
+        """Patch the audit's classifications to return verdicts in turn.
+
+        Returns their calls as (start, horizon): sweep._classify's start,
+        and for sweep._classify_continued the start of the run it continues.
+        """
         calls = []
 
-        def fake(params, initial, horizon):
+        def first(params, initial, horizon):
             assert params is self.PARAMS
             calls.append((initial, horizon))
+            return verdicts[len(calls) - 1], _Run(initial)
+
+        def continued(params, run, horizon):
+            assert params is self.PARAMS and isinstance(run, _Run)
+            calls.append((run.start, horizon))
             return verdicts[len(calls) - 1]
 
         monkeypatch.setattr(sweep, "default_horizon", lambda params: 300.0)
-        monkeypatch.setattr(sweep, "classify", fake)
+        monkeypatch.setattr(sweep, "_classify", first)
+        monkeypatch.setattr(sweep, "_classify_continued", continued)
         return calls
 
     def overshoot(self):
@@ -978,5 +997,41 @@ class TestRetry:
         def never(*args):
             raise AssertionError("classified a set without a positive state")
 
-        monkeypatch.setattr(sweep, "classify", never)
+        monkeypatch.setattr(sweep, "_classify", never)
+        monkeypatch.setattr(sweep, "_classify_continued", never)
         assert sweep._classify_from_equilibrium(params) is None
+
+    # (set, horizon in days) whose first run is undecided and cheap: the
+    # first six stay undecided over 8 times the horizon, so their verdicts
+    # compare the final distance; the rest decide there as limit cycles
+    @pytest.mark.parametrize("index, horizon", [
+        (0, 100.0), (1, 100.0), (2, 100.0), (5, 100.0), (7, 100.0), (7, 300.0),
+        (3, 100.0), (4, 100.0), (6, 100.0), (8, 100.0), (9, 100.0),
+    ])
+    def test_continued_retry_decides_as_a_fresh_run(self, monkeypatch, index, horizon):
+        params = REFERENCE_PARAMETERS.with_(**(CONSTELLATIONS[index] if index else {}))
+        state = steady_state_E2(params)
+        start = CellState(1.25 * state.u1, 1.25 * state.u2, 1.25 * state.u3)
+        assert classify(params, start, horizon).kind == "undecided"
+        monkeypatch.setattr(sweep, "default_horizon", lambda params: horizon)
+        assert sweep._classify_from_equilibrium(params) == classify(params, start, 8.0 * horizon)
+
+    def test_retry_integrates_from_the_recorded_state(self, monkeypatch):
+        # set 7 is undecided over 100 d: the retry's step loop starts at the
+        # loop top where the first run clamped a step to land on 100 d
+        runs = []
+        advance = integrator._advance
+
+        def spy(params, f, config, state):
+            times, rows, resume = advance(params, f, config, state)
+            runs.append((state, config.t_end, resume))
+            return times, rows, resume
+
+        monkeypatch.setattr(integrator, "_advance", spy)
+        monkeypatch.setattr(sweep, "default_horizon", lambda params: 100.0)
+        verdict = sweep._classify_from_equilibrium(REFERENCE_PARAMETERS.with_(**CONSTELLATIONS[7]))
+        assert verdict.kind == "undecided"
+        (first, first_end, recorded), (retry, retry_end, _) = runs
+        assert (first[0], first_end, retry_end) == (0.0, 100.0, 800.0)
+        assert retry is recorded
+        assert 90.0 < retry[0] < 100.0
